@@ -12,8 +12,8 @@ locality structures and tallies it empirically.
 import argparse
 import time
 
-from locsemi import adjoin_identity, adjoin_zero, classify, decode_magma
-from locsemi.enumeration import _iter_tables, _locality_flag, _table_flags
+from locsemi import (adjoin_identity, adjoin_zero, classify, decode_magma,
+                     scan_flags)
 
 
 def main() -> None:
@@ -27,11 +27,11 @@ def main() -> None:
                for kind in ("identity", "zero")}
     total = 0
     t0 = time.perf_counter()
-    for code, t in _iter_tables(n):
-        if not _locality_flag(n, t):
+    for code, flags in scan_flags(n):
+        if not flags[0]:  # locality
             continue
         total += 1
-        before = dict(zip(names, _table_flags(n, t)))
+        before = dict(zip(names, flags))
         m = decode_magma(n, code)
         for kind, adjoined in (("identity", adjoin_identity(m, "e")),
                                ("zero", adjoin_zero(m, "z"))):

@@ -1,7 +1,8 @@
 """Partial multiplicative structures: checkers, constructions, paths, census."""
 
 from .errors import (CapacityError, CompositionUndefined, DomainError,
-                     MagmaError, NotAssociative, ParseError, PreconditionError)
+                     InvariantError, MagmaError, NotAssociative, ParseError,
+                     PreconditionError)
 from .magma import (FinitePartialMagma, LocalitySet, Verdict, Witness,
                     full_relation_magma, parse_magma, serialize_magma)
 from .checks import (ClassReport, check_polar_closure_subsets, classify,

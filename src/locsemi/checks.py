@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, InvariantError
 from .magma import OK, FinitePartialMagma, Verdict, Witness, fail
 
 Rel = Callable[[object, object], bool]
@@ -378,9 +378,12 @@ def _assemble_report(elems, rel, mul, bound=None) -> ClassReport:
     li, ri, ident = _sided_elements(elems, rel, mul, lambda e, a: a)
     lz, rz, zero = _sided_elements(elems, rel, mul, lambda e, a: e)
     # class inclusions that hold for every structure; violations are bugs
-    assert not refined.ok or strong.ok
-    assert not strong.ok or (locality.ok and partial.ok)
-    assert not (transitive.ok and locality.ok) or partial.ok
+    if refined.ok and not strong.ok:
+        raise InvariantError("refined structure is not strong")
+    if strong.ok and not (locality.ok and partial.ok):
+        raise InvariantError("strong structure is not both locality and partial")
+    if transitive.ok and locality.ok and not partial.ok:
+        raise InvariantError("transitive locality structure is not partial")
     s = lambda xs: tuple(str(x) for x in xs)
     return ClassReport(locality, strong, refined, partial, transitive,
                        s(li), s(ri), s(ident), s(lz), s(rz), s(zero), bound)

@@ -12,13 +12,17 @@ import os
 import sys
 
 from . import checks, constructions, enumeration, fixtures, predicates, quiver
-from .errors import MagmaError, NotAssociative
+from .errors import MagmaError, NotAssociative, ParseError
 from .magma import parse_magma, serialize_magma
 
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _print_report(report: checks.ClassReport) -> None:

@@ -6,8 +6,12 @@ is counting, which gives exact coverage of the (n+1)**(n*n) search space,
 deterministic order, and trivial range partitioning for parallel runs.
 
 The per-code classification below works on a flat int table (-1 for
-undefined cells) instead of constructing FinitePartialMagma values; its
-verdicts are pinned to the public checkers by the test suite.
+undefined cells) instead of constructing FinitePartialMagma values.  One
+fused pass, ``_table_flags``, decides all five classes from the row and
+column bitmasks of the defined cells; its verdicts are pinned to the public
+checkers by the test suite.  The isomorphism-class census counts a table
+only when its code is the minimum over every relabeling of the carrier
+(the orderly-generation test), so no canonical form is built or stored.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ EXHAUSTIVE_MAX = 3
 
 def search_space_size(n: int) -> int:
     return (n + 1) ** (n * n)
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise DomainError(f"carrier size must be at least 1, got {n}")
 
 
 def decode_magma(n: int, code: int) -> FinitePartialMagma:
@@ -130,136 +139,99 @@ def _subset_closure(n: int, t: list[int]) -> bool:
     return True
 
 
-def _locality_flag(n: int, t: list[int]) -> bool:
-    if not _singleton_closure(n, t):
-        return False
-    rng = range(n)
-    for a in rng:
-        an = a * n
-        for b in rng:
-            ab = t[an + b]
-            if ab < 0:
-                continue
-            bn = b * n
-            for c in rng:
-                bc = t[bn + c]
-                if bc >= 0 and t[an + c] >= 0 and t[ab * n + c] != t[an + bc]:
-                    return False
-    return True
-
-
-def _strong_flag(n: int, t: list[int]) -> bool:
-    rng = range(n)
-    for a in rng:
-        an = a * n
-        for b in rng:
-            ab = t[an + b]
-            if ab < 0:
-                continue
-            bn = b * n
-            abn = ab * n
-            for c in rng:
-                bc = t[bn + c]
-                if bc < 0:
-                    continue
-                x = t[abn + c]
-                if x < 0 or x != t[an + bc]:
-                    return False
-    return True
-
-
-def _refined_flag(n: int, t: list[int]) -> bool:
-    rng = range(n)
-    for a in rng:
-        an = a * n
-        for b in rng:
-            ab = t[an + b]
-            if ab < 0:
-                continue
-            bn = b * n
-            abn = ab * n
-            for c in rng:
-                if (t[bn + c] >= 0) != (t[abn + c] >= 0):
-                    return False
-    for b in rng:
-        bn = b * n
-        for c in rng:
-            bc = t[bn + c]
-            if bc < 0:
-                continue
-            for a in rng:
-                an = a * n
-                if (t[an + b] >= 0) != (t[an + bc] >= 0):
-                    return False
-    for a in rng:
-        an = a * n
-        for b in rng:
-            ab = t[an + b]
-            if ab < 0:
-                continue
-            bn = b * n
-            for c in rng:
-                bc = t[bn + c]
-                if bc >= 0 and t[ab * n + c] != t[an + bc]:
-                    return False
-    return True
-
-
-def _partial_flag(n: int, t: list[int]) -> bool:
-    rng = range(n)
-    for a in rng:
-        an = a * n
-        for b in rng:
-            ab = t[an + b]
-            if ab < 0:
-                continue
-            bn = b * n
-            abn = ab * n
-            for c in rng:
-                bc = t[bn + c]
-                if bc < 0:
-                    continue
-                x = t[abn + c]
-                y = t[an + bc]
-                if (x >= 0) != (y >= 0):
-                    return False
-                if x >= 0 and x != y:
-                    return False
-    return True
-
-
-def _transitive_flag(n: int, t: list[int]) -> bool:
-    rng = range(n)
-    for a in rng:
-        an = a * n
-        for b in rng:
-            if t[an + b] < 0:
-                continue
-            bn = b * n
-            for c in rng:
-                if t[bn + c] >= 0 and t[an + c] < 0:
-                    return False
-    return True
-
-
 def _table_flags(n: int, t: list[int]) -> tuple[bool, bool, bool, bool, bool]:
-    return (_locality_flag(n, t), _strong_flag(n, t), _refined_flag(n, t),
-            _partial_flag(n, t), _transitive_flag(n, t))
+    """(locality, strong, refined, partial, transitive) in one pass over defined pairs.
+
+    R[a] and C[b] are the row and column bitmasks of defined cells.  Each
+    defined pair (a,b) with ab = t[a*n+b] is tested against every axiom at
+    once: transitivity is R[b] <= R[a], singleton polar closure is
+    R[a]&R[b] <= R[ab] with its column dual, refined membership is
+    R[b] == R[ab] and C[a] == C[ab], and the regroupings (ab)c, a(bc) over
+    the defined (b,c) settle the associativity clauses.  Returns as soon as
+    every flag is false.
+    """
+    rng = range(n)
+    R = [0] * n
+    C = [0] * n
+    for a in rng:
+        an = a * n
+        for b in rng:
+            if t[an + b] >= 0:
+                R[a] |= 1 << b
+                C[b] |= 1 << a
+    loc = strong = refined = partial = trans = True
+    for a in rng:
+        an = a * n
+        Ra = R[a]
+        Ca = C[a]
+        for b in rng:
+            ab = t[an + b]
+            if ab < 0:
+                continue
+            Rb = R[b]
+            Rab = R[ab]
+            Cab = C[ab]
+            if Rb & ~Ra:
+                trans = False
+            # either half of the closure follows from the other plus the
+            # associativity clause below; both are kept to match the definition
+            if Ra & Rb & ~Rab or Ca & C[b] & ~Cab:
+                loc = False
+            if Rb != Rab or Ca != Cab:
+                refined = False
+            # a pair that fails strong fails refined membership, so refined
+            # implies strong after every pair and neither test names it
+            if loc or strong or partial:
+                bn = b * n
+                abn = ab * n
+                for c in rng:
+                    bc = t[bn + c]
+                    if bc < 0:
+                        continue
+                    x = t[abn + c]
+                    if x != t[an + bc]:
+                        strong = refined = partial = False
+                        if Ra >> c & 1:
+                            loc = False
+                    elif x < 0:
+                        strong = False
+            if not (loc or strong or partial or trans):
+                return (False, False, False, False, False)
+    return (loc, strong, refined, partial, trans)
 
 
-def _canonical_code(n: int, t: list[int], perms, powers) -> int:
-    best = None
-    for perm in perms:
-        code = 0
-        for i in range(n):
-            pin = perm[i] * n
-            for j in range(n):
-                v = t[i * n + j]
-                if v >= 0:
-                    code += (perm[v] + 1) * powers[pin + perm[j]]
-        if best is None or code < best:
-            best = code
-    return best
+def _relabelings(n: int) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """Each non-identity carrier permutation p as (values, cells).
+
+    Relabeling by p moves cell (i,j) holding v to (p[i],p[j]) holding p[v].
+    ``values`` is p with -1 appended, so values[-1] keeps undefined cells
+    undefined; ``cells`` pairs each target cell, most significant digit
+    first, with the source cell it is read from.
+    """
+    out = []
+    for p in itertools.permutations(range(n)):
+        if p == tuple(range(n)):
+            continue
+        inv = [p.index(v) for v in range(n)]
+        cells = [(k, inv[k // n] * n + inv[k % n]) for k in reversed(range(n * n))]
+        out.append((list(p) + [-1], cells))
+    return out
+
+
+def _is_orbit_min(t: list[int], relabelings) -> bool:
+    """True if no relabeling of t has a smaller code.
+
+    Codes compare digit by digit from the most significant cell, so each
+    relabeling is settled at the first cell where it differs from t.
+    """
+    for values, cells in relabelings:
+        for k, src in cells:
+            y = values[t[src]]
+            if y != t[k]:
+                if y < t[k]:
+                    return False
+                break
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +239,7 @@ def _canonical_code(n: int, t: list[int], perms, powers) -> int:
 
 def scan_flags(n: int) -> Iterator[tuple[int, tuple[bool, bool, bool, bool, bool]]]:
     """(code, flags) for every structure of carrier size n, in enumeration order."""
+    _check_size(n)
     if n > EXHAUSTIVE_MAX:
         raise CapacityError(
             f"exhaustive scan supported for n <= {EXHAUSTIVE_MAX}; use sampling for n={n}")
@@ -298,8 +271,9 @@ class CensusRow:
 
     ``pattern`` positions are locality, strong, refined, partial, transitive
     (letters L, S, R, P, T; '-' when the flag is off).  ``witness`` is the
-    serialized first structure in enumeration order, ``witness_code`` its
-    position.
+    serialized first structure in enumeration order (in a dedup census, the
+    first that is the minimum of its isomorphism class), ``witness_code``
+    its position.
     """
 
     pattern: str
@@ -312,9 +286,12 @@ def _pattern_string(flags) -> str:
     return "".join(l if f else "-" for l, f in zip(_FLAG_LETTERS, flags))
 
 
-def _census_range(n: int, start: int, stop: int) -> dict:
+def _census_range(n: int, start: int, stop: int, dedup: bool = False) -> dict:
+    relabelings = _relabelings(n) if dedup else ()
     out: dict[tuple, list[int]] = {}
     for code, t in _iter_tables(n, start, stop):
+        if relabelings and not _is_orbit_min(t, relabelings):
+            continue
         flags = _table_flags(n, t)
         row = out.get(flags)
         if row is None:
@@ -335,29 +312,24 @@ def _rows_from_tally(n: int, tally: Mapping[tuple, list[int]]) -> list[CensusRow
 def census(n: int, jobs: int = 1, dedup: bool = False) -> list[CensusRow]:
     """Classify every structure of size n and aggregate by flag pattern.
 
-    With dedup=True, counts are of isomorphism classes (minimal code over all
-    carrier permutations); the raw counts are the ones that sum to the
-    closed-form search-space size.  Parallel runs partition the code range;
-    the merge keeps the minimal witness code, so results do not depend on the
-    worker count.  Dedup runs serially.
+    With dedup=True, counts are of isomorphism classes: a table is counted
+    only if its code is the minimum over all carrier relabelings, and since
+    the flags are invariant under relabeling, only those tables are
+    classified.  The raw counts are the ones that sum to the closed-form
+    search-space size.  Parallel runs partition the code range; the merge
+    keeps the minimal witness code, so results do not depend on the worker
+    count.  Dedup runs serially.
     """
+    _check_size(n)
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     if n > EXHAUSTIVE_MAX:
         raise CapacityError(
             f"exhaustive census supported for n <= {EXHAUSTIVE_MAX}; "
             f"use sample_census for n={n}")
     total = search_space_size(n)
-    if dedup:
-        perms = list(itertools.permutations(range(n)))
-        base = n + 1
-        powers = [base ** k for k in range(n * n)]
-        seen: dict[tuple, set[int]] = {}
-        for code, t in _iter_tables(n):
-            canon = _canonical_code(n, t, perms, powers)
-            seen.setdefault(_table_flags(n, t), set()).add(canon)
-        tally = {flags: [len(codes), min(codes)] for flags, codes in seen.items()}
-        return _rows_from_tally(n, tally)
-    if jobs <= 1 or total < 4 * jobs:
-        return _rows_from_tally(n, _census_range(n, 0, total))
+    if dedup or jobs == 1 or total < 4 * jobs:
+        return _rows_from_tally(n, _census_range(n, 0, total, dedup))
     bounds = [total * k // jobs for k in range(jobs + 1)]
     chunks = [(n, bounds[k], bounds[k + 1]) for k in range(jobs)]
     with get_context("fork").Pool(jobs) as pool:
@@ -376,6 +348,9 @@ def census(n: int, jobs: int = 1, dedup: bool = False) -> list[CensusRow]:
 
 def sample_census(n: int, count: int, seed: int) -> list[CensusRow]:
     """Census over ``count`` random codes; counts are sample tallies, not totals."""
+    _check_size(n)
+    if count < 0:
+        raise DomainError(f"sample count must be non-negative, got {count}")
     rng = random.Random(seed)
     total = search_space_size(n)
     base = n + 1
@@ -411,6 +386,7 @@ def parse_flag_pattern(wanted: Mapping[str, bool]) -> dict[int, bool]:
 def find_witness(pattern: Mapping[str, bool], n: int) -> FinitePartialMagma | None:
     """First structure in enumeration order matching every specified flag."""
     wanted = parse_flag_pattern(pattern)
+    _check_size(n)
     if n > EXHAUSTIVE_MAX:
         raise CapacityError(f"witness search supported for n <= {EXHAUSTIVE_MAX}")
     for code, t in _iter_tables(n):

@@ -25,6 +25,10 @@ class PreconditionError(MagmaError):
     """A structural precondition (totality, associativity, refinedness) failed."""
 
 
+class InvariantError(MagmaError):
+    """A property that holds for every input failed: a bug, not bad input."""
+
+
 class NotAssociative(MagmaError):
     """Zero-completion produced a non-associative total operation."""
 

@@ -141,6 +141,8 @@ def sampled_classify(p: PredicateMagma, bound: int) -> ClassReport:
     """
     if p.slice_elements is None:
         raise DomainError("structure has no bounded slicer")
+    if bound < 1:
+        raise DomainError("bound must be at least 1")
     elems = sorted(p.slice_elements(bound))
     return _assemble_report(elems, p.related, p.product, bound=bound)
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from .errors import (CapacityError, CompositionUndefined, DomainError,
-                     ParseError, PreconditionError)
+                     InvariantError, ParseError, PreconditionError)
 from .magma import OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label
 from .checks import is_refined_locality_semigroup
 
@@ -221,7 +221,7 @@ def free_extension(q: Quiver, s: FinitePartialMagma,
 
     The extension folds the arrow decomposition left to right; every
     intermediate pair is related because the target is refined and f is a
-    locality map on the arrows, which is asserted as the fold runs.  Trivial
+    locality map on the arrows, which is checked as the fold runs.  Trivial
     paths are outside the extension's domain.
     """
     _check_arrow_map(q, s, f)
@@ -236,7 +236,9 @@ def free_extension(q: Quiver, s: FinitePartialMagma,
         acc = f[p.arrows[0]]
         for name in p.arrows[1:]:
             nxt = f[name]
-            assert (acc, nxt) in table, "intermediate pair unrelated in refined target"
+            if (acc, nxt) not in table:
+                raise InvariantError(
+                    f"intermediate pair ({acc},{nxt}) unrelated in refined target")
             acc = table[(acc, nxt)]
         return acc
 

@@ -16,8 +16,8 @@ from locsemi import (NotAssociative, adjoin_identity, adjoin_zero, census,
                      is_strong_semigroup_with_zero, materialize_path_magma,
                      powerset_magma, sampled_classify, search_space_size,
                      totient, totient_hom_check, verify_free_property)
-from locsemi.enumeration import (_iter_tables, _locality_flag, _refined_flag,
-                                 _singleton_closure, _subset_closure)
+from locsemi.enumeration import (_iter_tables, _singleton_closure,
+                                 _subset_closure, _table_flags)
 from locsemi.fixtures import fixture_magma, fixture_quiver
 from locsemi.quiver import Quiver
 
@@ -67,7 +67,7 @@ def test_criterion_2_completion_theorem():
     refined_total = 0
     for n in (1, 2, 3):
         for code, t in _iter_tables(n):
-            if _refined_flag(n, t):
+            if _table_flags(n, t)[2]:  # refined
                 total = complete_to_semigroup_with_zero(decode_magma(n, code))
                 assert is_strong_semigroup_with_zero(total), (n, code)
                 refined_total += 1
@@ -182,7 +182,7 @@ def test_criterion_8_adjunction():
     checked = 0
     for n in (1, 2):
         for code, t in _iter_tables(n):
-            if not _locality_flag(n, t):
+            if not _table_flags(n, t)[0]:  # locality
                 continue
             m = decode_magma(n, code)
             with_id = adjoin_identity(m, "e")

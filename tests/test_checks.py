@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 
 from locsemi import (CapacityError, DomainError, FinitePartialMagma,
-                     bounded_magma, check_polar_closure_subsets, classify,
+                     InvariantError, bounded_magma,
+                     check_polar_closure_subsets, classify,
                      coprime_magma, find_identities, find_zeros,
                      full_relation_magma, is_left_locality_ideal,
                      is_locality_homomorphism, is_locality_ideal,
@@ -16,6 +17,7 @@ from locsemi import (CapacityError, DomainError, FinitePartialMagma,
                      powerset_magma, replay_subset_witness, replay_witness,
                      totient)
 from locsemi.enumeration import decode_magma, search_space_size
+from locsemi.magma import OK, fail
 from locsemi.fixtures import fixture_magma, fixture_quiver
 
 from strategies import magmas, random_magma
@@ -253,6 +255,22 @@ def test_classify_inclusion_chain(m):
         assert r.locality.ok and r.partial.ok
     if r.transitive.ok and r.locality.ok:
         assert r.partial.ok
+
+
+@pytest.mark.parametrize("failing, message", [
+    ({"strong"}, "refined structure is not strong"),
+    ({"refined", "locality"}, "strong structure is not both locality and partial"),
+    ({"refined", "strong", "partial"}, "transitive locality structure is not partial"),
+])
+def test_classify_inclusion_chain_checks_survive_optimize(monkeypatch, failing, message):
+    # the checks are explicit raises, so `python -O` cannot strip them
+    import locsemi.checks as checks
+    for name in ("locality", "strong", "refined", "partial", "transitive"):
+        verdict = fail(name, ("a",), "forced") if name in failing else OK
+        monkeypatch.setattr(checks, f"_{name}_violation",
+                            lambda *args, v=verdict: v)
+    with pytest.raises(InvariantError, match=message):
+        classify(EMPTY)
 
 
 def test_witness_replay_exhaustive_n2():

@@ -1,3 +1,5 @@
+import pytest
+
 from locsemi import (full_relation_magma, parse_magma, parse_semigroup_with_zero,
                      serialize_magma)
 from locsemi.cli import run
@@ -132,6 +134,32 @@ def test_enumerate_census_sampled(capsys):
                 "--sample", "50", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "sampled census size=4 count=50 seed=1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "census", "--size", "-1", "--jobs", "1"],
+    ["enumerate", "census", "--size", "0", "--jobs", "1"],
+    ["enumerate", "census", "--size", "3", "--jobs", "0"],
+    ["enumerate", "census", "--size", "0", "--sample", "10"],
+    ["enumerate", "census", "--size", "4", "--sample", "-5"],
+    ["enumerate", "find", "--size", "0", "--flags", "locality=yes"],
+    ["enumerate", "find", "--size", "-2", "--flags", "locality=yes"],
+    ["builtin", "coprime", "--bound", "0"],
+    ["builtin", "coprime", "--bound", "-3", "--check", "strong"],
+])
+def test_bad_census_and_scan_arguments_exit_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_non_utf8_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.magma"
+    path.write_bytes(b"elements: \xff\xfe\n")
+    assert run(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
 
 
 def test_enumerate_find(capsys):

@@ -78,14 +78,14 @@ def test_adjunction_preserves_locality_exhaustive_n2():
 
 
 def test_adjunction_preserves_locality_sampled_n3():
-    from locsemi.enumeration import _locality_flag
+    from locsemi.enumeration import _table_flags
     checked = 0
     for code in range(0, search_space_size(3), 401):
         rem, t = code, []
         for _ in range(9):
             t.append(rem % 4 - 1)
             rem //= 4
-        if not _locality_flag(3, t):
+        if not _table_flags(3, t)[0]:  # locality
             continue
         m = decode_magma(3, code)
         assert is_locality_semigroup(adjoin_identity(m, "e"))

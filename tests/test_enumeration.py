@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsemi import (CapacityError, DomainError, census, classify,
-                     decode_magma, encode_magma, enumerate_magmas,
-                     find_witness, format_census_table, sample_census,
-                     sample_magmas, search_space_size)
+from locsemi import (CapacityError, DomainError, FinitePartialMagma, census,
+                     classify, decode_magma, encode_magma, enumerate_magmas,
+                     find_witness, format_census_table, parse_magma,
+                     sample_census, sample_magmas, scan_flags,
+                     search_space_size)
 from locsemi.enumeration import (_iter_tables, _singleton_closure,
                                  _subset_closure, _table_flags)
 from locsemi import check_polar_closure_subsets, polar_closure_singletons
@@ -139,9 +142,90 @@ def test_census_dedup_counts_bounded_by_raw():
     assert sum(r.count for r in dedup.values()) < 81
 
 
+# (pattern, count, witness code) of every row of the n=3 census, raw and
+# up to isomorphism
+CENSUS_N3 = [
+    ("-----", 202898, 70), ("----T", 51484, 6), ("---P-", 322, 206),
+    ("---PT", 434, 2), ("L----", 4126, 72), ("L--P-", 1055, 68),
+    ("LS-P-", 546, 69), ("LS-PT", 1002, 4), ("LSRP-", 6, 15873),
+    ("LSRPT", 271, 0),
+]
+CENSUS_N3_DEDUP = [
+    ("-----", 33909, 70), ("----T", 8687, 6), ("---P-", 57, 206),
+    ("---PT", 80, 2), ("L----", 715, 72), ("L--P-", 184, 68),
+    ("LS-P-", 95, 69), ("LS-PT", 182, 4), ("LSRP-", 1, 15873),
+    ("LSRPT", 58, 0),
+]
+
+
+def _row_triples(rows):
+    return [(r.pattern, r.count, r.witness_code) for r in rows]
+
+
+def test_census_n3_rows_pinned():
+    rows = census(3)
+    assert _row_triples(rows) == CENSUS_N3
+    class_totals = {
+        name: sum(r.count for r in rows if r.pattern[i] != "-")
+        for i, name in enumerate(("locality", "strong", "refined", "partial",
+                                  "transitive"))}
+    assert class_totals == {"locality": 7006, "strong": 1825, "refined": 277,
+                            "partial": 3636, "transitive": 53191}
+
+
+def test_census_n3_dedup_rows_pinned():
+    rows = census(3, dedup=True)
+    assert _row_triples(rows) == CENSUS_N3_DEDUP
+    assert sum(r.count for r in rows) == 43968
+    for r in rows:
+        assert encode_magma(parse_magma(r.witness)) == r.witness_code
+
+
+def _relabel_code(m, perm):
+    """Code of m after sending its i-th label to its perm[i]-th label."""
+    to = dict(zip(m.elements, (m.elements[i] for i in perm)))
+    table = {(to[a], to[b]): to[c] for (a, b), c in m.table.items()}
+    return encode_magma(FinitePartialMagma(m.elements, table))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_census_dedup_matches_relabeling_brute_force(n):
+    perms = list(itertools.permutations(range(n)))
+    classes = {}
+    for code in range(search_space_size(n)):
+        m = decode_magma(n, code)
+        classes.setdefault(min(_relabel_code(m, p) for p in perms), m)
+    tally = {}
+    for canon in sorted(classes):
+        pattern = "".join(l if f else "-" for l, f in
+                          zip("LSRPT", classify(classes[canon]).flags()))
+        count, first = tally.get(pattern, (0, canon))
+        tally[pattern] = (count + 1, first)
+    want = sorted((p, c, w) for p, (c, w) in tally.items())
+    assert _row_triples(census(n, dedup=True)) == want
+
+
 def test_census_capacity():
     with pytest.raises(CapacityError):
         census(4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: census(0),
+    lambda: census(-1),
+    lambda: census(2, jobs=0),
+    lambda: census(2, jobs=-3, dedup=True),
+    lambda: sample_census(0, 10, seed=1),
+    lambda: sample_census(-1, 10, seed=1),
+    lambda: sample_census(4, -5, seed=1),
+    lambda: next(scan_flags(0)),
+    lambda: next(scan_flags(-2)),
+    lambda: find_witness({}, 0),
+    lambda: find_witness({"locality": True}, -1),
+])
+def test_census_and_scan_reject_bad_arguments(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_sample_census_seeded():

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from locsemi import (CapacityError, CompositionUndefined, DomainError,
-                     ParseError, Path, PreconditionError, Quiver, compose,
-                     free_extension, full_relation_magma, is_locality_map,
+                     FinitePartialMagma, InvariantError, ParseError, Path,
+                     PreconditionError, Quiver, compose, free_extension,
+                     full_relation_magma, is_locality_map,
                      is_refined_locality_semigroup, materialize_path_magma,
                      parse_quiver, serialize_quiver, verify_free_property)
 from locsemi.fixtures import fixture_magma, fixture_quiver, fixture_text
@@ -180,6 +181,18 @@ def test_free_extension_preconditions():
         free_extension(XYZ, path_magma, {"alpha": "alpha"})
     with pytest.raises(DomainError):
         free_extension(XYZ, path_magma, {"alpha": "alpha", "beta": "nope"})
+
+
+def test_free_extension_fold_check_survives_optimize(monkeypatch):
+    # skip the precondition checks so the fold meets an unrelated pair;
+    # the fold check is an explicit raise, so `python -O` cannot strip it
+    import locsemi.quiver as quiver
+    monkeypatch.setattr(quiver, "_check_arrow_map", lambda *args: None)
+    target = FinitePartialMagma(("u",), {})
+    fbar = free_extension(XYZ, target, {"alpha": "u", "beta": "u"})
+    assert fbar(XYZ.path(["alpha"])) == "u"
+    with pytest.raises(InvariantError, match=r"\(u,u\) unrelated"):
+        fbar(XYZ.path(["alpha", "beta"]))
 
 
 def test_free_property_loop_into_z3():
