@@ -8,11 +8,10 @@ per line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import checks, constructions, enumeration, fixtures, predicates, quiver
-from .errors import MagmaError, NotAssociative, ParseError
+from .errors import DomainError, MagmaError, NotAssociative, ParseError
 from .magma import parse_magma, serialize_magma
 
 
@@ -177,6 +176,8 @@ def _cmd_builtin_coprime(args) -> int:
 
 
 def _cmd_builtin_powerset(args) -> int:
+    if args.size < 0:
+        raise DomainError(f"powerset size must be non-negative, got {args.size}")
     m = predicates.powerset_magma(set(range(1, args.size + 1)), args.op)
     _print_report(checks.classify(m))
     return 0
@@ -250,7 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     esub = ep.add_subparsers(dest="enumerate_command", required=True)
     p = esub.add_parser("census", help="classify the whole search space")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; the census runs in one process")
     p.add_argument("--dedup", action="store_true",
                    help="count isomorphism classes instead of raw tables")
     p.add_argument("--sample", type=int, default=0,

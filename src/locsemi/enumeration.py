@@ -2,24 +2,26 @@
 
 A structure on n elements is an n*n-digit number in base n+1: digit 0 means
 the cell is undefined, digit k means the product is element k-1.  Enumeration
-is counting, which gives exact coverage of the (n+1)**(n*n) search space,
-deterministic order, and trivial range partitioning for parallel runs.
+is counting, which gives exact coverage of the (n+1)**(n*n) search space
+and a deterministic order.
 
 The per-code classification below works on a flat int table (-1 for
 undefined cells) instead of constructing FinitePartialMagma values.  One
 fused pass, ``_table_flags``, decides all five classes from the row and
 column bitmasks of the defined cells; its verdicts are pinned to the public
-checkers by the test suite.  The isomorphism-class census counts a table
-only when its code is the minimum over every relabeling of the carrier
-(the orderly-generation test), so no canonical form is built or stored.
+checkers by the test suite.  Every flag is invariant under relabeling the
+carrier, so the census and the witness search classify only the tables
+whose code is the minimum over every relabeling (the orderly-generation
+test); the raw census weights each by its class size n!/|Aut(t)|, and no
+canonical form is built or stored.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Iterator, Mapping
 
 from .errors import CapacityError, DomainError
@@ -70,19 +72,11 @@ def encode_magma(m: FinitePartialMagma) -> int:
     return code
 
 
-def _iter_tables(n: int, start: int = 0, stop: int | None = None):
-    """Yield (code, table) for codes in [start, stop); the table list is reused."""
-    base = n + 1
+def _iter_tables(n: int):
+    """Yield (code, table) for every code in order; the table list is reused."""
     cells = n * n
-    total = search_space_size(n)
-    if stop is None:
-        stop = total
-    t = []
-    rem = start
-    for _ in range(cells):
-        t.append(rem % base - 1)
-        rem //= base
-    for code in range(start, stop):
+    t = [-1] * cells
+    for code in range(search_space_size(n)):
         yield code, t
         i = 0
         while i < cells:
@@ -218,20 +212,38 @@ def _relabelings(n: int) -> list[tuple[list[int], list[tuple[int, int]]]]:
     return out
 
 
-def _is_orbit_min(t: list[int], relabelings) -> bool:
-    """True if no relabeling of t has a smaller code.
+def _orbit_size(t: list[int], relabelings, n_fact: int) -> int:
+    """0 if some relabeling of t has a smaller code, else n!/|Aut(t)|.
 
     Codes compare digit by digit from the most significant cell, so each
-    relabeling is settled at the first cell where it differs from t.
+    relabeling is settled at the first cell where it differs from t; one
+    that matches t on every cell is an automorphism.
     """
+    automorphisms = 1
     for values, cells in relabelings:
         for k, src in cells:
             y = values[t[src]]
             if y != t[k]:
                 if y < t[k]:
-                    return False
+                    return 0
                 break
-    return True
+        else:
+            automorphisms += 1
+    return n_fact // automorphisms
+
+
+def _representatives(n: int):
+    """Yield (code, table, class size) for each isomorphism-class minimum, in order.
+
+    A class's first table in enumeration order is its minimum, so the first
+    representative with given flags is also the first table with them.
+    """
+    relabelings = _relabelings(n)
+    n_fact = math.factorial(n)
+    for code, t in _iter_tables(n):
+        size = _orbit_size(t, relabelings, n_fact)
+        if size:
+            yield code, t, size
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +261,7 @@ def scan_flags(n: int) -> Iterator[tuple[int, tuple[bool, bool, bool, bool, bool
 
 def enumerate_magmas(n: int) -> Iterator[FinitePartialMagma]:
     """Every structure of carrier size n exactly once, in enumeration order."""
+    _check_size(n)
     if n > EXHAUSTIVE_MAX:
         raise CapacityError(
             f"exhaustive enumeration supported for n <= {EXHAUSTIVE_MAX}; "
@@ -259,6 +272,9 @@ def enumerate_magmas(n: int) -> Iterator[FinitePartialMagma]:
 
 def sample_magmas(n: int, count: int, seed: int) -> Iterator[FinitePartialMagma]:
     """``count`` structures drawn uniformly (with replacement) from size n."""
+    _check_size(n)
+    if count < 0:
+        raise DomainError(f"sample count must be non-negative, got {count}")
     rng = random.Random(seed)
     total = search_space_size(n)
     for _ in range(count):
@@ -271,9 +287,9 @@ class CensusRow:
 
     ``pattern`` positions are locality, strong, refined, partial, transitive
     (letters L, S, R, P, T; '-' when the flag is off).  ``witness`` is the
-    serialized first structure in enumeration order (in a dedup census, the
-    first that is the minimum of its isomorphism class), ``witness_code``
-    its position.
+    serialized first structure in enumeration order, which is the minimum
+    of its isomorphism class, so raw and dedup censuses share witnesses;
+    ``witness_code`` is its position.
     """
 
     pattern: str
@@ -284,21 +300,6 @@ class CensusRow:
 
 def _pattern_string(flags) -> str:
     return "".join(l if f else "-" for l, f in zip(_FLAG_LETTERS, flags))
-
-
-def _census_range(n: int, start: int, stop: int, dedup: bool = False) -> dict:
-    relabelings = _relabelings(n) if dedup else ()
-    out: dict[tuple, list[int]] = {}
-    for code, t in _iter_tables(n, start, stop):
-        if relabelings and not _is_orbit_min(t, relabelings):
-            continue
-        flags = _table_flags(n, t)
-        row = out.get(flags)
-        if row is None:
-            out[flags] = [1, code]
-        else:
-            row[0] += 1
-    return out
 
 
 def _rows_from_tally(n: int, tally: Mapping[tuple, list[int]]) -> list[CensusRow]:
@@ -312,13 +313,13 @@ def _rows_from_tally(n: int, tally: Mapping[tuple, list[int]]) -> list[CensusRow
 def census(n: int, jobs: int = 1, dedup: bool = False) -> list[CensusRow]:
     """Classify every structure of size n and aggregate by flag pattern.
 
-    With dedup=True, counts are of isomorphism classes: a table is counted
-    only if its code is the minimum over all carrier relabelings, and since
-    the flags are invariant under relabeling, only those tables are
-    classified.  The raw counts are the ones that sum to the closed-form
-    search-space size.  Parallel runs partition the code range; the merge
-    keeps the minimal witness code, so results do not depend on the worker
-    count.  Dedup runs serially.
+    Only isomorphism-class minima are classified, since the flags are
+    invariant under relabeling.  The raw census counts each class as its
+    n!/|Aut(t)| tables, and these counts sum to the closed-form
+    search-space size; with dedup=True each class counts once.  Either way
+    a pattern's witness is its first table, a class minimum.  ``jobs`` is
+    accepted for compatibility and must be at least 1; the census runs in
+    one process.
     """
     _check_size(n)
     if jobs < 1:
@@ -327,23 +328,16 @@ def census(n: int, jobs: int = 1, dedup: bool = False) -> list[CensusRow]:
         raise CapacityError(
             f"exhaustive census supported for n <= {EXHAUSTIVE_MAX}; "
             f"use sample_census for n={n}")
-    total = search_space_size(n)
-    if dedup or jobs == 1 or total < 4 * jobs:
-        return _rows_from_tally(n, _census_range(n, 0, total, dedup))
-    bounds = [total * k // jobs for k in range(jobs + 1)]
-    chunks = [(n, bounds[k], bounds[k + 1]) for k in range(jobs)]
-    with get_context("fork").Pool(jobs) as pool:
-        parts = pool.starmap(_census_range, chunks)
-    merged: dict[tuple, list[int]] = {}
-    for part in parts:
-        for flags, (count, code) in part.items():
-            row = merged.get(flags)
-            if row is None:
-                merged[flags] = [count, code]
-            else:
-                row[0] += count
-                row[1] = min(row[1], code)
-    return _rows_from_tally(n, merged)
+    tally: dict[tuple, list[int]] = {}
+    for code, t, size in _representatives(n):
+        weight = 1 if dedup else size
+        flags = _table_flags(n, t)
+        row = tally.get(flags)
+        if row is None:
+            tally[flags] = [weight, code]
+        else:
+            row[0] += weight
+    return _rows_from_tally(n, tally)
 
 
 def sample_census(n: int, count: int, seed: int) -> list[CensusRow]:
@@ -389,7 +383,7 @@ def find_witness(pattern: Mapping[str, bool], n: int) -> FinitePartialMagma | No
     _check_size(n)
     if n > EXHAUSTIVE_MAX:
         raise CapacityError(f"witness search supported for n <= {EXHAUSTIVE_MAX}")
-    for code, t in _iter_tables(n):
+    for code, t, _ in _representatives(n):
         flags = _table_flags(n, t)
         if all(flags[pos] == val for pos, val in wanted.items()):
             return decode_magma(n, code)

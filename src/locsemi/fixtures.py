@@ -47,28 +47,26 @@ arrow: alpha x y
 arrow: beta y z
 """
 
+_EX2_5_POWERSET = (
+    "# subsets of {1,2} under union, related when left is contained in right\n"
+    + serialize_magma(powerset_magma({1, 2}, "union")))
 
-def _powerset_text() -> str:
-    return ("# subsets of {1,2} under union, related when left is contained in right\n"
-            + serialize_magma(powerset_magma({1, 2}, "union")))
-
-
+# fixture_names() lists these in this order
 _REGISTRY: dict[str, tuple[str, str]] = {
+    "ex2_17_quiver": ("quiver", _EX2_17_QUIVER),
     "ex3_6": ("magma", _EX3_6),
     "ex3_8": ("magma", _EX3_8),
     "ex3_psg_not_lsg": ("magma", _EX3_PSG_NOT_LSG),
     "ex4_3": ("magma", _EX4_3),
-    "ex2_17_quiver": ("quiver", _EX2_17_QUIVER),
+    "ex2_5_powerset": ("magma", _EX2_5_POWERSET),
 }
 
 
 def fixture_names() -> list[str]:
-    return sorted(_REGISTRY) + ["ex2_5_powerset"]
+    return list(_REGISTRY)
 
 
 def fixture_kind(name: str) -> str:
-    if name == "ex2_5_powerset":
-        return "magma"
     try:
         return _REGISTRY[name][0]
     except KeyError:
@@ -76,8 +74,6 @@ def fixture_kind(name: str) -> str:
 
 
 def fixture_text(name: str) -> str:
-    if name == "ex2_5_powerset":
-        return _powerset_text()
     try:
         return _REGISTRY[name][1]
     except KeyError:

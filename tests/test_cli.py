@@ -146,6 +146,7 @@ def test_enumerate_census_sampled(capsys):
     ["enumerate", "find", "--size", "-2", "--flags", "locality=yes"],
     ["builtin", "coprime", "--bound", "0"],
     ["builtin", "coprime", "--bound", "-3", "--check", "strong"],
+    ["builtin", "powerset", "--size", "-2", "--op", "union"],
 ])
 def test_bad_census_and_scan_arguments_exit_2(argv, capsys):
     assert run(argv) == 2
@@ -188,6 +189,9 @@ def test_builtin_powerset(capsys):
     assert "left_identities: {}" in out
     assert run(["builtin", "powerset", "--size", "2", "--op", "intersection"]) == 0
     assert "left_zeros: {}" in capsys.readouterr().out
+    # the power set of the empty set is a one-element structure
+    assert run(["builtin", "powerset", "--size", "0", "--op", "union"]) == 0
+    assert "CLASS locality=yes" in capsys.readouterr().out
 
 
 def test_builtin_totient(capsys):

@@ -188,21 +188,26 @@ def _relabel_code(m, perm):
     return encode_magma(FinitePartialMagma(m.elements, table))
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_census_dedup_matches_relabeling_brute_force(n):
-    perms = list(itertools.permutations(range(n)))
-    classes = {}
-    for code in range(search_space_size(n)):
-        m = decode_magma(n, code)
-        classes.setdefault(min(_relabel_code(m, p) for p in perms), m)
+@pytest.mark.parametrize("n, dedup", [
+    pytest.param(1, True, id="1"), pytest.param(2, True, id="2"),
+    pytest.param(1, False, id="1-raw"), pytest.param(2, False, id="2-raw")])
+def test_census_dedup_matches_relabeling_brute_force(n, dedup):
+    if dedup:
+        perms = list(itertools.permutations(range(n)))
+        classes = {}
+        for code in range(search_space_size(n)):
+            m = decode_magma(n, code)
+            classes.setdefault(min(_relabel_code(m, p) for p in perms), m)
+        structures = sorted(classes.items())
+    else:
+        structures = [(code, decode_magma(n, code)) for code in range(search_space_size(n))]
     tally = {}
-    for canon in sorted(classes):
-        pattern = "".join(l if f else "-" for l, f in
-                          zip("LSRPT", classify(classes[canon]).flags()))
-        count, first = tally.get(pattern, (0, canon))
+    for code, m in structures:
+        pattern = "".join(l if f else "-" for l, f in zip("LSRPT", classify(m).flags()))
+        count, first = tally.get(pattern, (0, code))
         tally[pattern] = (count + 1, first)
     want = sorted((p, c, w) for p, (c, w) in tally.items())
-    assert _row_triples(census(n, dedup=True)) == want
+    assert _row_triples(census(n, dedup=dedup)) == want
 
 
 def test_census_capacity():
@@ -222,6 +227,10 @@ def test_census_capacity():
     lambda: next(scan_flags(-2)),
     lambda: find_witness({}, 0),
     lambda: find_witness({"locality": True}, -1),
+    lambda: next(enumerate_magmas(0)),
+    lambda: next(enumerate_magmas(-1)),
+    lambda: next(sample_magmas(-1, 5, seed=1)),
+    lambda: next(sample_magmas(4, -3, seed=1)),
 ])
 def test_census_and_scan_reject_bad_arguments(call):
     with pytest.raises(DomainError):
@@ -250,6 +259,38 @@ def test_find_witness_patterns():
         find_witness({"shiny": True}, 2)
     with pytest.raises(CapacityError):
         find_witness({}, 4)
+
+
+_FLAG_NAMES = ("locality", "strong", "refined", "partial", "transitive")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_find_witness_is_first_match_small(n):
+    flags = [classify(decode_magma(n, code)).flags() for code in range(search_space_size(n))]
+    # all 243 partial patterns: each flag unspecified (None), required or forbidden
+    for values in itertools.product((None, True, False), repeat=5):
+        wanted = {name: v for name, v in zip(_FLAG_NAMES, values) if v is not None}
+        first = next((code for code, f in enumerate(flags)
+                      if all(v is None or f[i] == v for i, v in enumerate(values))), None)
+        found = find_witness(wanted, n)
+        assert (None if found is None else encode_magma(found)) == first, wanted
+
+
+@pytest.mark.parametrize("flags", [
+    "locality=yes,refined=yes,transitive=no",
+    "partial=yes,locality=no,transitive=no",
+    "strong=yes,transitive=no",
+    "locality=yes,partial=no",
+    "transitive=yes,partial=no",
+    "refined=yes",
+    "refined=yes,strong=no",
+])
+def test_find_witness_n3_matches_census_rows(flags):
+    wanted = {k: v == "yes" for k, v in (kv.split("=") for kv in flags.split(","))}
+    codes = [code for pattern, _, code in CENSUS_N3
+             if all((pattern[_FLAG_NAMES.index(k)] != "-") == v for k, v in wanted.items())]
+    found = find_witness(wanted, 3)
+    assert (None if found is None else encode_magma(found)) == min(codes, default=None)
 
 
 def test_format_census_table():
