@@ -1,14 +1,16 @@
 """Axiom-class checkers returning verdicts with violation witnesses.
 
-Every checker scans tuples in a fixed deterministic order: strictly
+Every scan visits tuples in a fixed deterministic order: strictly
 increasing tuples first (lexicographically), then all remaining tuples
-(lexicographically).  The first violation found becomes the witness, so
-reported counterexamples prefer distinct generic elements over degenerate
-repeats, and reports are stable across runs.
+(lexicographically), and yields every violation in that order.  A checker
+takes the first one as its witness, so reported counterexamples prefer
+distinct generic elements over degenerate repeats, and reports are stable
+across runs.
 
-The scan bodies are written against bare accessors (element list, relation
-test, product function) so the same logic drives both finite tables here and
-the bounded scans of predicate-defined structures.
+The scans are written against bare accessors (tuple source, relation test,
+product function), so each axiom clause is stated once and drives the full
+scans of finite tables, the bounded scans of predicate-defined structures,
+and witness replay, which re-runs a scan on the witness's own elements.
 """
 
 from __future__ import annotations
@@ -39,50 +41,52 @@ def _ordered_pairs(elems: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# scan bodies, generic over (elements, related, product)
+# scan bodies, generic over (triple source, related, product)
+#
+# Each scan yields every violation in scan order.  ``triples`` returns a fresh
+# iterable per pass.  A full scan is read only up to its first violation, so
+# a later pass runs only once the earlier ones hold and its products are
+# defined; a replay passes one triple and a product that is None where
+# undefined, so every clause must also be exact on a lone triple.
 
-def _polar_closure_violation(elems, rel: Rel, mul: Mul) -> Verdict:
+def _polar_closure_violation(triples, rel: Rel, mul: Mul):
     # left closure: a, b both related into c and (a,b) related force (ab, c) related
-    for a, b, c in _triples(elems):
+    for a, b, c in triples():
         if rel(a, c) and rel(b, c) and rel(a, b) and not rel(mul(a, b), c):
-            return fail("left-polar-closure", (a, b, c), f"U={{{c}}}")
+            yield fail("left-polar-closure", (a, b, c), f"U={{{c}}}")
     # right closure: c related into a, b and (a,b) related force (c, ab) related
-    for a, b, c in _triples(elems):
+    for a, b, c in triples():
         if rel(c, a) and rel(c, b) and rel(a, b) and not rel(c, mul(a, b)):
-            return fail("right-polar-closure", (a, b, c), f"U={{{c}}}")
-    return OK
+            yield fail("right-polar-closure", (a, b, c), f"U={{{c}}}")
 
 
-def _locality_violation(elems, rel: Rel, mul: Mul) -> Verdict:
-    v = _polar_closure_violation(elems, rel, mul)
-    if not v:
-        return v
-    # both regrouped products are defined once the closures hold
-    for a, b, c in _triples(elems):
+def _locality_violation(triples, rel: Rel, mul: Mul):
+    yield from _polar_closure_violation(triples, rel, mul)
+    for a, b, c in triples():
         if rel(a, b) and rel(b, c) and rel(a, c):
-            lhs = mul(mul(a, b), c)
-            rhs = mul(a, mul(b, c))
-            if lhs != rhs:
-                return fail("locality-assoc", (a, b, c), f"{lhs}!={rhs}")
-    return OK
+            ab, bc = mul(a, b), mul(b, c)
+            lhs, rhs = mul(ab, c), mul(a, bc)
+            if lhs != rhs and rel(ab, c) and rel(a, bc):
+                yield fail("locality-assoc", (a, b, c), f"{lhs}!={rhs}")
 
 
-def _strong_violation(elems, rel: Rel, mul: Mul) -> Verdict:
-    for a, b, c in _triples(elems):
+def _strong_violation(triples, rel: Rel, mul: Mul):
+    for a, b, c in triples():
         if rel(a, b) and rel(b, c):
             ab, bc = mul(a, b), mul(b, c)
-            if not rel(ab, c):
-                return fail("strong-left", (a, b, c), f"({ab},{c}) undefined")
-            if not rel(a, bc):
-                return fail("strong-right", (a, b, c), f"({a},{bc}) undefined")
-            lhs, rhs = mul(ab, c), mul(a, bc)
-            if lhs != rhs:
-                return fail("strong-assoc", (a, b, c), f"{lhs}!={rhs}")
-    return OK
+            left_in, right_in = rel(ab, c), rel(a, bc)
+            if not left_in:
+                yield fail("strong-left", (a, b, c), f"({ab},{c}) undefined")
+            if not right_in:
+                yield fail("strong-right", (a, b, c), f"({a},{bc}) undefined")
+            if left_in and right_in:
+                lhs, rhs = mul(ab, c), mul(a, bc)
+                if lhs != rhs:
+                    yield fail("strong-assoc", (a, b, c), f"{lhs}!={rhs}")
 
 
-def _refined_violation(elems, rel: Rel, mul: Mul) -> Verdict:
-    for a, b, c in _triples(elems):
+def _refined_violation(triples, rel: Rel, mul: Mul):
+    for a, b, c in triples():
         if rel(a, b):
             ab = mul(a, b)
             if rel(b, c) != rel(ab, c):
@@ -90,8 +94,8 @@ def _refined_violation(elems, rel: Rel, mul: Mul) -> Verdict:
                     detail = f"({b},{c}) defined but ({ab},{c}) undefined"
                 else:
                     detail = f"({ab},{c}) defined but ({b},{c}) undefined"
-                return fail("refined-left", (a, b, c), detail)
-    for a, b, c in _triples(elems):
+                yield fail("refined-left", (a, b, c), detail)
+    for a, b, c in triples():
         if rel(b, c):
             bc = mul(b, c)
             if rel(a, b) != rel(a, bc):
@@ -99,19 +103,17 @@ def _refined_violation(elems, rel: Rel, mul: Mul) -> Verdict:
                     detail = f"({a},{b}) defined but ({a},{bc}) undefined"
                 else:
                     detail = f"({a},{bc}) defined but ({a},{b}) undefined"
-                return fail("refined-right", (a, b, c), detail)
-    # membership transfers hold, so both sides below are defined
-    for a, b, c in _triples(elems):
+                yield fail("refined-right", (a, b, c), detail)
+    for a, b, c in triples():
         if rel(a, b) and rel(b, c):
-            lhs = mul(mul(a, b), c)
-            rhs = mul(a, mul(b, c))
-            if lhs != rhs:
-                return fail("refined-assoc", (a, b, c), f"{lhs}!={rhs}")
-    return OK
+            ab, bc = mul(a, b), mul(b, c)
+            lhs, rhs = mul(ab, c), mul(a, bc)
+            if lhs != rhs and rel(ab, c) and rel(a, bc):
+                yield fail("refined-assoc", (a, b, c), f"{lhs}!={rhs}")
 
 
-def _partial_violation(elems, rel: Rel, mul: Mul) -> Verdict:
-    for a, b, c in _triples(elems):
+def _partial_violation(triples, rel: Rel, mul: Mul):
+    for a, b, c in triples():
         if rel(a, b) and rel(b, c):
             ab, bc = mul(a, b), mul(b, c)
             left_in, right_in = rel(ab, c), rel(a, bc)
@@ -120,19 +122,22 @@ def _partial_violation(elems, rel: Rel, mul: Mul) -> Verdict:
                     detail = f"({ab},{c}) undefined, ({a},{bc}) defined"
                 else:
                     detail = f"({a},{bc}) undefined, ({ab},{c}) defined"
-                return fail("partial-membership", (a, b, c), detail)
-            if left_in:
+                yield fail("partial-membership", (a, b, c), detail)
+            elif left_in:
                 lhs, rhs = mul(ab, c), mul(a, bc)
                 if lhs != rhs:
-                    return fail("partial-assoc", (a, b, c), f"{lhs}!={rhs}")
-    return OK
+                    yield fail("partial-assoc", (a, b, c), f"{lhs}!={rhs}")
 
 
-def _transitive_violation(elems, rel: Rel) -> Verdict:
-    for a, b, c in _triples(elems):
+def _transitive_violation(triples, rel: Rel, mul: Mul):
+    for a, b, c in triples():
         if rel(a, b) and rel(b, c) and not rel(a, c):
-            return fail("transitivity", (a, b, c), f"({a},{c}) undefined")
-    return OK
+            yield fail("transitivity", (a, b, c), f"({a},{c}) undefined")
+
+
+def _first(scan, elems, rel: Rel, mul: Mul) -> Verdict:
+    """The first violation of a full scan over ``elems``, or OK."""
+    return next(scan(lambda: _triples(elems), rel, mul), OK)
 
 
 def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tuple]:
@@ -161,7 +166,7 @@ def polar_closure_singletons(m: FinitePartialMagma) -> Verdict:
     the polars of its singletons; check_polar_closure_subsets is the literal
     exponential evaluation kept as a cross-validation oracle.
     """
-    return _polar_closure_violation(*_accessors(m))
+    return _first(_polar_closure_violation, *_accessors(m))
 
 
 def check_polar_closure_subsets(m: FinitePartialMagma) -> Verdict:
@@ -187,27 +192,26 @@ def check_polar_closure_subsets(m: FinitePartialMagma) -> Verdict:
 
 def is_locality_semigroup(m: FinitePartialMagma) -> Verdict:
     """Polar closures (singleton reduction) plus associativity on pairwise-related triples."""
-    return _locality_violation(*_accessors(m))
+    return _first(_locality_violation, *_accessors(m))
 
 
 def is_strong_locality_semigroup(m: FinitePartialMagma) -> Verdict:
     """Two chained related pairs force both regrouped products, defined and equal."""
-    return _strong_violation(*_accessors(m))
+    return _first(_strong_violation, *_accessors(m))
 
 
 def is_refined_locality_semigroup(m: FinitePartialMagma) -> Verdict:
     """Strong, with biconditional membership transfer on both sides."""
-    return _refined_violation(*_accessors(m))
+    return _first(_refined_violation, *_accessors(m))
 
 
 def is_partial_semigroup(m: FinitePartialMagma) -> Verdict:
     """(ab,c) related iff (a,bc) related, products equal when both are defined."""
-    return _partial_violation(*_accessors(m))
+    return _first(_partial_violation, *_accessors(m))
 
 
 def is_transitive(m: FinitePartialMagma) -> Verdict:
-    elems, rel, _ = _accessors(m)
-    return _transitive_violation(elems, rel)
+    return _first(_transitive_violation, *_accessors(m))
 
 
 def find_identities(m: FinitePartialMagma) -> tuple[tuple, tuple, tuple]:
@@ -265,36 +269,49 @@ def _check_nonempty_subset(m: FinitePartialMagma, A) -> frozenset[str]:
     return A
 
 
+# Subset scans take the pairs to test, the subset and the product table.
+# They test membership in A themselves, because a replayed pair was not
+# drawn from A.
+
+def _sub_closure_violation(pairs, A: frozenset, table):
+    for a, b in pairs:
+        c = table.get((a, b))
+        if c is not None and a in A and b in A and c not in A:
+            yield fail("sub-closure", (a, b), f"product {c} escapes")
+
+
+def _left_ideal_violation(pairs, A: frozenset, table):
+    for s, a in pairs:
+        if a in A:
+            c = table.get((s, a))
+            if c is not None and c not in A:
+                yield fail("left-ideal", (s, a), f"product {c} escapes")
+
+
+def _right_ideal_violation(pairs, A: frozenset, table):
+    for a, s in pairs:
+        if a in A:
+            c = table.get((a, s))
+            if c is not None and c not in A:
+                yield fail("right-ideal", (a, s), f"product {c} escapes")
+
+
 def is_sub_locality_semigroup(m: FinitePartialMagma, A: Iterable[str]) -> Verdict:
     """Products of related pairs inside A stay inside A."""
     A = _check_nonempty_subset(m, A)
-    for a, b in _ordered_pairs(sorted(A)):
-        c = m.table.get((a, b))
-        if c is not None and c not in A:
-            return fail("sub-closure", (a, b), f"product {c} escapes")
-    return OK
+    return next(_sub_closure_violation(_ordered_pairs(sorted(A)), A, m.table), OK)
 
 
 def is_left_locality_ideal(m: FinitePartialMagma, A: Iterable[str]) -> Verdict:
     """Products s*a with a in A land in A, for every related (s, a)."""
     A = _check_nonempty_subset(m, A)
-    for s, a in _ordered_pairs(m.elements):
-        if a in A:
-            c = m.table.get((s, a))
-            if c is not None and c not in A:
-                return fail("left-ideal", (s, a), f"product {c} escapes")
-    return OK
+    return next(_left_ideal_violation(_ordered_pairs(m.elements), A, m.table), OK)
 
 
 def is_right_locality_ideal(m: FinitePartialMagma, A: Iterable[str]) -> Verdict:
     """Products a*s with a in A land in A, for every related (a, s)."""
     A = _check_nonempty_subset(m, A)
-    for a, s in _ordered_pairs(m.elements):
-        if a in A:
-            c = m.table.get((a, s))
-            if c is not None and c not in A:
-                return fail("right-ideal", (a, s), f"product {c} escapes")
-    return OK
+    return next(_right_ideal_violation(_ordered_pairs(m.elements), A, m.table), OK)
 
 
 def is_locality_ideal(m: FinitePartialMagma, A: Iterable[str]) -> Verdict:
@@ -370,11 +387,11 @@ def render_verdict(name: str, v: Verdict) -> str:
 
 
 def _assemble_report(elems, rel, mul, bound=None) -> ClassReport:
-    locality = _locality_violation(elems, rel, mul)
-    strong = _strong_violation(elems, rel, mul)
-    refined = _refined_violation(elems, rel, mul)
-    partial = _partial_violation(elems, rel, mul)
-    transitive = _transitive_violation(elems, rel)
+    locality = _first(_locality_violation, elems, rel, mul)
+    strong = _first(_strong_violation, elems, rel, mul)
+    refined = _first(_refined_violation, elems, rel, mul)
+    partial = _first(_partial_violation, elems, rel, mul)
+    transitive = _first(_transitive_violation, elems, rel, mul)
     li, ri, ident = _sided_elements(elems, rel, mul, lambda e, a: a)
     lz, rz, zero = _sided_elements(elems, rel, mul, lambda e, a: e)
     # class inclusions that hold for every structure; violations are bugs
@@ -398,68 +415,47 @@ def classify(m: FinitePartialMagma) -> ClassReport:
 # ---------------------------------------------------------------------------
 # witness replay
 
+_TRIPLE_SCANS = {axiom: scan for scan, axioms in (
+    (_polar_closure_violation, ("left-polar-closure", "right-polar-closure")),
+    (_locality_violation, ("locality-assoc",)),
+    (_strong_violation, ("strong-left", "strong-right", "strong-assoc")),
+    (_refined_violation, ("refined-left", "refined-right", "refined-assoc")),
+    (_partial_violation, ("partial-membership", "partial-assoc")),
+    (_transitive_violation, ("transitivity",)),
+) for axiom in axioms}
+
+_PAIR_SCANS = {"sub-closure": _sub_closure_violation, "left-ideal": _left_ideal_violation,
+               "right-ideal": _right_ideal_violation}
+
+
 def replay_witness(m: FinitePartialMagma, w: Witness) -> bool:
-    """Re-evaluate the named axiom on the witness elements; True if it still violates."""
-    rel = lambda a, b: (a, b) in m.table
-    mul = lambda a, b: m.table.get((a, b))
+    """True exactly when the named axiom is violated on the witness elements.
+
+    Runs the axiom's scan on the witness triple alone.
+    """
     if len(w.elements) != 3:
         return False
-    a, b, c = w.elements
-    if w.axiom == "left-polar-closure":
-        return (rel(a, c) and rel(b, c) and rel(a, b) and not rel(mul(a, b), c))
-    if w.axiom == "right-polar-closure":
-        return (rel(c, a) and rel(c, b) and rel(a, b) and not rel(c, mul(a, b)))
-    if w.axiom == "locality-assoc":
-        if not (rel(a, b) and rel(b, c) and rel(a, c)):
-            return False
-        lhs = mul(mul(a, b), c) if rel(mul(a, b), c) else None
-        rhs = mul(a, mul(b, c)) if rel(a, mul(b, c)) else None
-        return lhs is not None and rhs is not None and lhs != rhs
-    if w.axiom.startswith("strong"):
-        if not (rel(a, b) and rel(b, c)):
-            return False
-        ab, bc = mul(a, b), mul(b, c)
-        if w.axiom == "strong-left":
-            return not rel(ab, c)
-        if w.axiom == "strong-right":
-            return not rel(a, bc)
-        return rel(ab, c) and rel(a, bc) and mul(ab, c) != mul(a, bc)
-    if w.axiom == "refined-left":
-        return rel(a, b) and rel(b, c) != rel(mul(a, b), c)
-    if w.axiom == "refined-right":
-        return rel(b, c) and rel(a, b) != rel(a, mul(b, c))
-    if w.axiom == "refined-assoc":
-        if not (rel(a, b) and rel(b, c)):
-            return False
-        ab, bc = mul(a, b), mul(b, c)
-        return rel(ab, c) and rel(a, bc) and mul(ab, c) != mul(a, bc)
-    if w.axiom == "partial-membership":
-        if not (rel(a, b) and rel(b, c)):
-            return False
-        return rel(mul(a, b), c) != rel(a, mul(b, c))
-    if w.axiom == "partial-assoc":
-        if not (rel(a, b) and rel(b, c)):
-            return False
-        ab, bc = mul(a, b), mul(b, c)
-        return rel(ab, c) and rel(a, bc) and mul(ab, c) != mul(a, bc)
-    if w.axiom == "transitivity":
-        return rel(a, b) and rel(b, c) and not rel(a, c)
-    raise DomainError(f"cannot replay axiom {w.axiom!r}")
+    scan = _TRIPLE_SCANS.get(w.axiom)
+    if scan is None:
+        raise DomainError(f"cannot replay axiom {w.axiom!r}")
+    table = m.table
+    found = scan(lambda: (tuple(w.elements),), lambda a, b: (a, b) in table,
+                 lambda a, b: table.get((a, b)))
+    return any(v.witness.axiom == w.axiom for v in found)
 
 
 def replay_subset_witness(m: FinitePartialMagma, A: Iterable[str], w: Witness) -> bool:
-    """Replay a sub-structure or ideal witness against the subset it targeted."""
+    """Replay a sub-structure or ideal witness against the subset it targeted.
+
+    Runs the axiom's scan on the witness pair alone.
+    """
     A = frozenset(A)
     if len(w.elements) != 2:
         return False
-    x, y = w.elements
-    c = m.table.get((x, y))
-    if c is None:
+    if tuple(w.elements) not in m.table:
         return False
-    if w.axiom == "sub-closure":
-        return x in A and y in A and c not in A
-    if w.axiom == "left-ideal":
-        return y in A and c not in A
-    if w.axiom == "right-ideal":
-        return x in A and c not in A
-    raise DomainError(f"cannot replay axiom {w.axiom!r}")
+    scan = _PAIR_SCANS.get(w.axiom)
+    if scan is None:
+        raise DomainError(f"cannot replay axiom {w.axiom!r}")
+    found = scan((tuple(w.elements),), A, m.table)
+    return any(v.witness.axiom == w.axiom for v in found)

@@ -135,7 +135,9 @@ def _cmd_enumerate_census(args) -> int:
         rows = enumeration.sample_census(args.size, args.sample, args.seed)
         print(f"sampled census size={args.size} count={args.sample} seed={args.seed}")
     else:
-        rows = enumeration.census(args.size, jobs=args.jobs, dedup=args.dedup)
+        if args.jobs < 1:
+            raise DomainError(f"jobs must be at least 1, got {args.jobs}")
+        rows = enumeration.census(args.size, dedup=args.dedup)
         kind = "dedup" if args.dedup else "raw"
         print(f"census size={args.size} mode={kind}")
     print(enumeration.format_census_table(rows))

@@ -310,20 +310,16 @@ def _rows_from_tally(n: int, tally: Mapping[tuple, list[int]]) -> list[CensusRow
     return sorted(rows, key=lambda r: r.pattern)
 
 
-def census(n: int, jobs: int = 1, dedup: bool = False) -> list[CensusRow]:
+def census(n: int, dedup: bool = False) -> list[CensusRow]:
     """Classify every structure of size n and aggregate by flag pattern.
 
     Only isomorphism-class minima are classified, since the flags are
     invariant under relabeling.  The raw census counts each class as its
     n!/|Aut(t)| tables, and these counts sum to the closed-form
     search-space size; with dedup=True each class counts once.  Either way
-    a pattern's witness is its first table, a class minimum.  ``jobs`` is
-    accepted for compatibility and must be at least 1; the census runs in
-    one process.
+    a pattern's witness is its first table, a class minimum.
     """
     _check_size(n)
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
     if n > EXHAUSTIVE_MAX:
         raise CapacityError(
             f"exhaustive census supported for n <= {EXHAUSTIVE_MAX}; "

@@ -111,6 +111,8 @@ class Quiver:
         return sorted(out, key=lambda p: p.label)
 
     def paths_upto(self, max_len: int, capacity: int = 10000) -> list[Path]:
+        if max_len < 0:
+            raise DomainError("max_len must be nonnegative")
         out: list[Path] = []
         for k in range(max_len + 1):
             out.extend(self.paths_of_length(k))
@@ -176,8 +178,6 @@ def materialize_path_magma(q: Quiver, max_len: int,
     quiver.  Class verdicts on truncations with a nonempty boundary are
     advisory only.
     """
-    if max_len < 0:
-        raise DomainError("max_len must be nonnegative")
     paths = sorted(q.paths_upto(max_len, capacity), key=lambda p: p.label)
     labels = [p.label for p in paths]
     if len(set(labels)) != len(labels):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from locsemi import (CapacityError, DomainError, FinitePartialMagma,
                      powerset_magma, replay_subset_witness, replay_witness,
                      totient)
 from locsemi.enumeration import decode_magma, search_space_size
-from locsemi.magma import OK, fail
+from locsemi.magma import OK, Witness, fail
 from locsemi.fixtures import fixture_magma, fixture_quiver
 
 from strategies import magmas, random_magma
@@ -268,7 +269,7 @@ def test_classify_inclusion_chain_checks_survive_optimize(monkeypatch, failing, 
     for name in ("locality", "strong", "refined", "partial", "transitive"):
         verdict = fail(name, ("a",), "forced") if name in failing else OK
         monkeypatch.setattr(checks, f"_{name}_violation",
-                            lambda *args, v=verdict: v)
+                            lambda *args, v=verdict: iter(() if v.ok else (v,)))
     with pytest.raises(InvariantError, match=message):
         classify(EMPTY)
 
@@ -300,3 +301,73 @@ def test_subset_witness_replay():
     v = is_sub_locality_semigroup(slice12, {"2", "3"})
     assert not v
     assert replay_subset_witness(slice12, {"2", "3"}, v.witness)
+
+
+def _clause_oracle(m, axiom, a, b, c):
+    # each clause on one triple, written out independently of locsemi.checks
+    t = m.table
+    rel = lambda x, y: (x, y) in t
+    ab, bc = t.get((a, b)), t.get((b, c))
+    lhs, rhs = t.get((ab, c)), t.get((a, bc))
+    chained = rel(a, b) and rel(b, c)
+    both_in = chained and rel(ab, c) and rel(a, bc)
+    return {
+        "left-polar-closure": rel(a, c) and rel(b, c) and rel(a, b) and not rel(ab, c),
+        "right-polar-closure": rel(c, a) and rel(c, b) and rel(a, b) and not rel(c, ab),
+        "locality-assoc": both_in and rel(a, c) and lhs != rhs,
+        "strong-left": chained and not rel(ab, c),
+        "strong-right": chained and not rel(a, bc),
+        "strong-assoc": both_in and lhs != rhs,
+        "refined-left": rel(a, b) and rel(b, c) != rel(ab, c),
+        "refined-right": rel(b, c) and rel(a, b) != rel(a, bc),
+        "refined-assoc": both_in and lhs != rhs,
+        "partial-membership": chained and rel(ab, c) != rel(a, bc),
+        "partial-assoc": both_in and lhs != rhs,
+        "transitivity": chained and not rel(a, c),
+    }[axiom]
+
+
+_TRIPLE_AXIOMS = (
+    "left-polar-closure", "right-polar-closure", "locality-assoc",
+    "strong-left", "strong-right", "strong-assoc",
+    "refined-left", "refined-right", "refined-assoc",
+    "partial-membership", "partial-assoc", "transitivity",
+)
+
+
+def test_replay_witness_matches_clause_oracle():
+    rng = random.Random(2024)
+    structures = [decode_magma(2, code) for code in range(search_space_size(2))]
+    structures += [decode_magma(3, rng.randrange(search_space_size(3))) for _ in range(300)]
+    for m in structures:
+        for t in itertools.product(m.elements, repeat=3):
+            for axiom in _TRIPLE_AXIOMS:
+                want = _clause_oracle(m, axiom, *t)
+                assert replay_witness(m, Witness(axiom, t)) == want, (m.table, axiom, t)
+
+
+def test_replay_subset_witness_matches_clause_oracle():
+    slice12 = bounded_magma(coprime_magma(), 12)
+    t = slice12.table
+    for A in ({"1"}, {"2", "3"}, {str(k) for k in range(1, 13, 2)}, {"4", "6", "8", "9"}):
+        for x, y in itertools.product(slice12.elements, repeat=2):
+            c = t.get((x, y))
+            want = {
+                "sub-closure": c is not None and x in A and y in A and c not in A,
+                "left-ideal": c is not None and y in A and c not in A,
+                "right-ideal": c is not None and x in A and c not in A,
+            }
+            for axiom, expected in want.items():
+                got = replay_subset_witness(slice12, A, Witness(axiom, (x, y)))
+                assert got == expected, (A, axiom, x, y)
+
+
+def test_replay_edge_cases():
+    assert replay_witness(EX3_8, Witness("strong-left", ("a", "b"))) is False
+    with pytest.raises(DomainError):
+        replay_witness(EX3_8, Witness("no-such-axiom", ("a", "b", "c")))
+    slice12 = bounded_magma(coprime_magma(), 12)
+    assert ("2", "4") not in slice12.table
+    assert replay_subset_witness(slice12, {"2"}, Witness("no-such-axiom", ("2", "4"))) is False
+    with pytest.raises(DomainError):
+        replay_subset_witness(slice12, {"2"}, Witness("no-such-axiom", ("2", "3")))

@@ -6,6 +6,11 @@ from locsemi.cli import run
 from locsemi.fixtures import fixture_names, fixture_text
 
 
+LOOP_QUIVER = "vertices: v\narrow: g v v\n"
+Z3_MAGMA = serialize_magma(full_relation_magma(
+    ("0", "1", "2"), lambda a, b: str((int(a) + int(b)) % 3)))
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -103,10 +108,8 @@ def test_quiver_paths(tmp_path, capsys):
 
 
 def test_quiver_free_ext(tmp_path, capsys):
-    loop = write(tmp_path, "loop.quiver", "vertices: v\narrow: g v v\n")
-    z3 = write(tmp_path, "z3.magma", serialize_magma(
-        full_relation_magma(("0", "1", "2"),
-                            lambda a, b: str((int(a) + int(b)) % 3))))
+    loop = write(tmp_path, "loop.quiver", LOOP_QUIVER)
+    z3 = write(tmp_path, "z3.magma", Z3_MAGMA)
     assert run(["quiver", "free-ext", loop, "--target", z3,
                 "--map", "g=1", "--max-len", "5"]) == 0
     out = capsys.readouterr().out
@@ -147,9 +150,12 @@ def test_enumerate_census_sampled(capsys):
     ["builtin", "coprime", "--bound", "0"],
     ["builtin", "coprime", "--bound", "-3", "--check", "strong"],
     ["builtin", "powerset", "--size", "-2", "--op", "union"],
+    ["quiver", "free-ext", "@loop", "--target", "@z3", "--map", "g=1", "--max-len", "-3"],
 ])
-def test_bad_census_and_scan_arguments_exit_2(argv, capsys):
-    assert run(argv) == 2
+def test_bad_census_and_scan_arguments_exit_2(argv, tmp_path, capsys):
+    files = {"@loop": write(tmp_path, "loop.quiver", LOOP_QUIVER),
+             "@z3": write(tmp_path, "z3.magma", Z3_MAGMA)}
+    assert run([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""

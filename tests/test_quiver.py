@@ -202,6 +202,11 @@ def test_free_property_loop_into_z3():
     for k in range(1, 6):
         assert fbar(ONE_LOOP.path(["g"] * k)) == str(k % 3)
     assert verify_free_property(ONE_LOOP, target, f, 5)
+    assert verify_free_property(ONE_LOOP, target, f, 0)
+    with pytest.raises(DomainError, match="max_len must be nonnegative"):
+        verify_free_property(ONE_LOOP, target, f, -1)
+    with pytest.raises(DomainError, match="max_len must be nonnegative"):
+        ONE_LOOP.paths_upto(-1)
 
 
 def test_free_property_vacuous_quiver():
