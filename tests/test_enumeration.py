@@ -214,6 +214,8 @@ def test_census_capacity():
 @pytest.mark.parametrize("call", [
     lambda: census(0),
     lambda: census(-1),
+    lambda: find_witness({"commutative": True}, 2),
+    lambda: decode_magma(2, search_space_size(2)),
     lambda: sample_census(0, 10, seed=1),
     lambda: sample_census(-1, 10, seed=1),
     lambda: sample_census(4, -5, seed=1),
