@@ -11,11 +11,20 @@ The scans are written against bare accessors (tuple source, relation test,
 product function), so each axiom clause is stated once and drives the full
 scans of finite tables, the bounded scans of predicate-defined structures,
 and witness replay, which re-runs a scan on the witness's own elements.
+
+Full scans walk only linked triples, those whose (a,b) or (b,c) is related.
+Every clause tests rel(a, b) (refined-right alone tests rel(b, c)) before it
+can yield, so a triple with neither pair related yields nothing, and
+dropping it leaves each violation stream, and so each first witness,
+exactly as a walk over all n^3 triples gives it.  The cost falls from
+n^3 to about |R|*n triples, which matters on sparse structures such as
+path semigroups.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -26,11 +35,35 @@ Rel = Callable[[object, object], bool]
 Mul = Callable[[object, object], object]
 
 
-def _triples(elems: Sequence):
-    yield from itertools.combinations(elems, 3)
-    for t in itertools.product(elems, repeat=3):
-        if not (t[0] < t[1] < t[2]):
-            yield t
+def _linked_triples(elems: Sequence, rel: Rel):
+    """A triple source over the sorted ``elems``: the scan order, linked triples only.
+
+    The order is the strictly increasing triples lexicographically, then every
+    other triple lexicographically; a triple is kept when its (a,b) or (b,c)
+    is related.  The relation is read once per pair into byte rows, and two
+    byte masks over that order let ``compress`` pick the triples at C speed.
+    """
+    n = len(elems)
+    rows = [bytes(bool(rel(a, b)) for b in elems) for a in elems]
+    ones = b"\1" * n
+    # ends[j]: first position past the elements equal to elems[j]
+    ends = [bisect_right(elems, b) for b in elems]
+    inc, rest = [], []
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            # the k-segment of pair (i, j): all ones when (a,b) is related, else b's row
+            seg = ones if rows[i][j] else rows[j]
+            if i < j:
+                inc.append(seg[j + 1:])
+            if a < b:
+                # the a < b < c triples come from combinations; skip them here
+                rest += (seg[:ends[j]], bytes(n - ends[j]))
+            else:
+                rest.append(seg)
+    inc, rest = b"".join(inc), b"".join(rest)
+    return lambda: itertools.chain(
+        itertools.compress(itertools.combinations(elems, 3), inc),
+        itertools.compress(itertools.product(elems, repeat=3), rest))
 
 
 def _ordered_pairs(elems: Sequence):
@@ -137,7 +170,7 @@ def _transitive_violation(triples, rel: Rel, mul: Mul):
 
 def _first(scan, elems, rel: Rel, mul: Mul) -> Verdict:
     """The first violation of a full scan over ``elems``, or OK."""
-    return next(scan(lambda: _triples(elems), rel, mul), OK)
+    return next(scan(_linked_triples(elems, rel), rel, mul), OK)
 
 
 def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tuple]:
@@ -387,11 +420,14 @@ def render_verdict(name: str, v: Verdict) -> str:
 
 
 def _assemble_report(elems, rel, mul, bound=None) -> ClassReport:
-    locality = _first(_locality_violation, elems, rel, mul)
-    strong = _first(_strong_violation, elems, rel, mul)
-    refined = _first(_refined_violation, elems, rel, mul)
-    partial = _first(_partial_violation, elems, rel, mul)
-    transitive = _first(_transitive_violation, elems, rel, mul)
+    # one triple source shared by the five scans, so the relation is read once
+    triples = _linked_triples(elems, rel)
+    first = lambda scan: next(scan(triples, rel, mul), OK)
+    locality = first(_locality_violation)
+    strong = first(_strong_violation)
+    refined = first(_refined_violation)
+    partial = first(_partial_violation)
+    transitive = first(_transitive_violation)
     li, ri, ident = _sided_elements(elems, rel, mul, lambda e, a: a)
     lz, rz, zero = _sided_elements(elems, rel, mul, lambda e, a: e)
     # class inclusions that hold for every structure; violations are bugs

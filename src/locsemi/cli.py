@@ -131,12 +131,14 @@ def _cmd_quiver_free_ext(args) -> int:
 
 
 def _cmd_enumerate_census(args) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {args.jobs}")
     if args.sample:
+        if args.dedup:
+            raise DomainError("--dedup cannot be combined with --sample")
         rows = enumeration.sample_census(args.size, args.sample, args.seed)
         print(f"sampled census size={args.size} count={args.sample} seed={args.seed}")
     else:
-        if args.jobs < 1:
-            raise DomainError(f"jobs must be at least 1, got {args.jobs}")
         rows = enumeration.census(args.size, dedup=args.dedup)
         kind = "dedup" if args.dedup else "raw"
         print(f"census size={args.size} mode={kind}")
@@ -256,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; the census runs in one process")
     p.add_argument("--dedup", action="store_true",
-                   help="count isomorphism classes instead of raw tables")
+                   help="count isomorphism classes instead of raw tables (not with --sample)")
     p.add_argument("--sample", type=int, default=0,
                    help="sample this many random tables instead of enumerating")
     p.add_argument("--seed", type=int, default=0)

@@ -2,19 +2,22 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from locsemi import (CapacityError, DomainError, FinitePartialMagma,
-                     InvariantError, bounded_magma,
+                     InvariantError, bounded_magma, checks,
                      check_polar_closure_subsets, classify,
-                     coprime_magma, find_identities, find_zeros,
+                     coprime_magma, coprime_with_zero, find_identities,
+                     find_zeros,
                      full_relation_magma, is_left_locality_ideal,
                      is_locality_homomorphism, is_locality_ideal,
                      is_locality_map, is_locality_semigroup,
                      is_partial_semigroup, is_refined_locality_semigroup,
                      is_right_locality_ideal, is_strong_locality_semigroup,
                      is_sub_locality_semigroup, is_transitive,
-                     materialize_path_magma, polar_closure_singletons,
+                     materialize_path_magma, natural_multiplication,
+                     polar_closure_singletons,
                      powerset_magma, replay_subset_witness, replay_witness,
                      totient)
 from locsemi.enumeration import decode_magma, search_space_size
@@ -371,3 +374,68 @@ def test_replay_edge_cases():
     assert replay_subset_witness(slice12, {"2"}, Witness("no-such-axiom", ("2", "4"))) is False
     with pytest.raises(DomainError):
         replay_subset_witness(slice12, {"2"}, Witness("no-such-axiom", ("2", "3")))
+
+
+def _all_triples(elems):
+    # the scan order over every triple: strictly increasing triples first
+    yield from itertools.combinations(elems, 3)
+    for t in itertools.product(elems, repeat=3):
+        if not (t[0] < t[1] < t[2]):
+            yield t
+
+
+_SCANS = (checks._polar_closure_violation, checks._locality_violation,
+          checks._strong_violation, checks._refined_violation,
+          checks._partial_violation, checks._transitive_violation)
+
+
+def _table_accessors(m):
+    # table.get, not table[...]: a scan read past its first violation may
+    # multiply pairs whose product is undefined
+    t = m.table
+    return m.elements, (lambda a, b: (a, b) in t), t.get
+
+
+def _stream_cases():
+    for n in (1, 2):
+        for code in range(search_space_size(n)):
+            yield f"n{n}-{code}", _table_accessors(decode_magma(n, code))
+    rng = random.Random(5)
+    for n in range(3, 9):
+        for density in (0.1, 0.3, 0.6, 0.95):
+            labels = tuple(f"x{i}" for i in range(n))
+            table = {(a, b): rng.choice(labels) for a in labels for b in labels
+                     if rng.random() < density}
+            yield f"random-{n}-{density}", _table_accessors(FinitePartialMagma(labels, table))
+    path_magma, _ = materialize_path_magma(fixture_quiver("ex2_17_quiver"), 2)
+    yield "ex2_17-paths", _table_accessors(path_magma)
+    yield "coprime-slice-12", _table_accessors(bounded_magma(coprime_magma(), 12))
+    for p in (coprime_magma(), coprime_with_zero(), natural_multiplication()):
+        # the accessors sampled_classify hands to the scans
+        yield p.description, (sorted(p.slice_elements(12)), p.related, p.product)
+
+
+def test_linked_scans_yield_every_violation_of_the_full_scan():
+    for name, (elems, rel, mul) in _stream_cases():
+        linked = checks._linked_triples(elems, rel)
+        for scan in _SCANS:
+            want = list(scan(lambda: _all_triples(elems), rel, mul))
+            assert list(scan(linked, rel, mul)) == want, (name, scan.__name__)
+
+
+_TOTAL4 = {(a, b) for a in range(4) for b in range(4)}
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=6).map(sorted),
+       st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5))))
+@example([3], set())
+@example([3], {(3, 3)})
+@example([0, 1, 2, 3], set())
+@example([0, 1, 2, 3], _TOTAL4)
+@example([0, 1, 1, 2, 3], _TOTAL4 - {(1, 1), (0, 2)})
+def test_linked_triples_are_the_full_scan_order_filtered(elems, R):
+    rel = lambda a, b: (a, b) in R
+    want = [t for t in _all_triples(elems) if (t[0], t[1]) in R or (t[1], t[2]) in R]
+    source = checks._linked_triples(elems, rel)
+    assert list(source()) == want
+    assert list(source()) == want  # every call starts a fresh pass

@@ -151,6 +151,8 @@ def test_enumerate_census_sampled(capsys):
     ["builtin", "coprime", "--bound", "-3", "--check", "strong"],
     ["builtin", "powerset", "--size", "-2", "--op", "union"],
     ["quiver", "free-ext", "@loop", "--target", "@z3", "--map", "g=1", "--max-len", "-3"],
+    ["enumerate", "census", "--size", "4", "--sample", "3", "--jobs", "0"],
+    ["enumerate", "census", "--size", "3", "--sample", "10", "--dedup"],
 ])
 def test_bad_census_and_scan_arguments_exit_2(argv, tmp_path, capsys):
     files = {"@loop": write(tmp_path, "loop.quiver", LOOP_QUIVER),

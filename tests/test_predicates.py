@@ -97,6 +97,18 @@ def test_sampled_failure_is_monotone_in_bound():
         assert rep.strong.witness == w12
 
 
+@pytest.mark.parametrize("true_value", [2, 256])
+@pytest.mark.parametrize("make", [coprime_magma, coprime_with_zero, natural_multiplication])
+def test_sampled_classify_truthy_relation_matches_bool(make, true_value):
+    # a user relation may answer with any truthy value; 256 does not fit in a byte
+    p = make()
+    truthy = PredicateMagma(p.description, p.contains,
+                            lambda a, b: true_value if p.related(a, b) else 0,
+                            p.product, p.slice_elements)
+    for bound in (1, 6, 12):
+        assert sampled_classify(truthy, bound) == sampled_classify(p, bound)
+
+
 def test_sampled_classify_needs_slicer():
     sliceless = PredicateMagma("no slicer", lambda a: True,
                                lambda a, b: True, lambda a, b: a)
