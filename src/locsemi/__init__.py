@@ -25,8 +25,8 @@ from .quiver import (Path, Quiver, compose, free_extension,
                      verify_free_property)
 from .predicates import (PredicateMagma, bounded_magma, coprime_magma,
                          coprime_with_zero, gcd, natural_multiplication,
-                         powerset_magma, sampled_classify, totient,
-                         totient_hom_check)
+                         powerset_magma, sampled_classify, sampled_verdict,
+                         totient, totient_hom_check)
 from .enumeration import (CensusRow, census, decode_magma, encode_magma,
                           enumerate_magmas, find_witness, format_census_table,
                           sample_census, sample_magmas, scan_flags,

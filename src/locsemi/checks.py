@@ -168,6 +168,16 @@ def _transitive_violation(triples, rel: Rel, mul: Mul):
             yield fail("transitivity", (a, b, c), f"({a},{c}) undefined")
 
 
+# the five class verdicts of a report, each named by its ClassReport field
+_CLASS_SCANS = {
+    "locality": _locality_violation,
+    "strong": _strong_violation,
+    "refined": _refined_violation,
+    "partial": _partial_violation,
+    "transitive": _transitive_violation,
+}
+
+
 def _first(scan, elems, rel: Rel, mul: Mul) -> Verdict:
     """The first violation of a full scan over ``elems``, or OK."""
     return next(scan(_linked_triples(elems, rel), rel, mul), OK)
@@ -386,10 +396,8 @@ class ClassReport:
         parts = ["CLASS"]
         if self.bound is not None:
             parts.append(f"bound={self.bound}")
-        for name, v in (("locality", self.locality), ("strong", self.strong),
-                        ("refined", self.refined), ("partial", self.partial),
-                        ("transitive", self.transitive)):
-            parts.append(render_verdict(name, v))
+        for name in _CLASS_SCANS:
+            parts.append(render_verdict(name, getattr(self, name)))
         parts.append("identities=" + ",".join(self.identities))
         parts.append("zeros=" + ",".join(self.zeros))
         return " ".join(parts)

@@ -170,12 +170,12 @@ def _cmd_enumerate_find(args) -> int:
 
 
 def _cmd_builtin_coprime(args) -> int:
-    report = predicates.sampled_classify(predicates.coprime_magma(), args.bound)
+    p = predicates.coprime_magma()
     if args.check:
-        v = getattr(report, args.check)
+        v = predicates.sampled_verdict(p, args.bound, args.check)
         print(checks.render_verdict(args.check, v) + f" within bound {args.bound}")
         return 0 if v.ok else 1
-    _print_report(report)
+    _print_report(predicates.sampled_classify(p, args.bound))
     return 0
 
 
@@ -308,3 +308,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -7,16 +7,24 @@ slice but evaluate the relation and the product exactly, so products falling
 outside the slice are still tested honestly.  A positive bounded verdict
 means "no counterexample within the bound", never a theorem; negative
 verdicts carry exact witnesses that persist at every larger bound.
+
+``sampled_classify`` runs all five class scans and the identity/zero
+searches; ``sampled_verdict`` runs the one scan of a named class and gives
+the same verdict and witness, at a fraction of the cost when that class
+fails early.  The coprimality relations test with ``math.gcd``; ``gcd``
+here is a remainder loop kept as an independent oracle, and ``totient``
+counts with it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import CapacityError, DomainError
 from .magma import OK, FinitePartialMagma, Verdict, fail
-from .checks import ClassReport, _assemble_report
+from .checks import _CLASS_SCANS, ClassReport, _assemble_report, _first
 
 
 def gcd(a: int, b: int) -> int:
@@ -58,7 +66,7 @@ def coprime_magma() -> PredicateMagma:
     return PredicateMagma(
         description="positive naturals, coprime pairs, multiplication",
         contains=lambda a: isinstance(a, int) and a >= 1,
-        related=lambda a, b: gcd(a, b) == 1,
+        related=lambda a, b: math.gcd(a, b) == 1,
         product=lambda a, b: a * b,
         slice_elements=lambda bound: list(range(1, bound + 1)),
     )
@@ -69,7 +77,7 @@ def coprime_with_zero() -> PredicateMagma:
     return PredicateMagma(
         description="naturals, coprime or zero pairs, multiplication",
         contains=lambda a: isinstance(a, int) and a >= 0,
-        related=lambda a, b: a == 0 or b == 0 or gcd(a, b) == 1,
+        related=lambda a, b: a == 0 or b == 0 or math.gcd(a, b) == 1,
         product=lambda a, b: a * b,
         slice_elements=lambda bound: list(range(0, bound + 1)),
     )
@@ -133,18 +141,35 @@ def powerset_magma(base: set, op: str) -> FinitePartialMagma:
     return FinitePartialMagma(tuple(label(s) for s in subsets), table)
 
 
+def _sorted_slice(p: PredicateMagma, bound: int) -> list:
+    if p.slice_elements is None:
+        raise DomainError("structure has no bounded slicer")
+    if bound < 1:
+        raise DomainError("bound must be at least 1")
+    return sorted(p.slice_elements(bound))
+
+
 def sampled_classify(p: PredicateMagma, bound: int) -> ClassReport:
     """Class verdicts quantified over the slice at ``bound``.
 
     The relation and products are evaluated exactly even when a product
     exceeds the bound.  Identity and zero searches quantify over the slice.
     """
-    if p.slice_elements is None:
-        raise DomainError("structure has no bounded slicer")
-    if bound < 1:
-        raise DomainError("bound must be at least 1")
-    elems = sorted(p.slice_elements(bound))
-    return _assemble_report(elems, p.related, p.product, bound=bound)
+    return _assemble_report(_sorted_slice(p, bound), p.related, p.product, bound=bound)
+
+
+def sampled_verdict(p: PredicateMagma, bound: int, name: str) -> Verdict:
+    """The verdict of one class (``locality``, ``strong``, ``refined``,
+    ``partial`` or ``transitive``) over the slice at ``bound``.
+
+    Runs only that class's scan, so it equals the same-named field of
+    ``sampled_classify(p, bound)``, witness included.
+    """
+    elems = _sorted_slice(p, bound)
+    scan = _CLASS_SCANS.get(name)
+    if scan is None:
+        raise DomainError(f"unknown class {name!r}, expected one of {', '.join(_CLASS_SCANS)}")
+    return _first(scan, elems, p.related, p.product)
 
 
 def totient_hom_check(bound: int) -> Verdict:

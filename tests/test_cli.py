@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from locsemi import (full_relation_magma, parse_magma, parse_semigroup_with_zero,
@@ -189,6 +194,27 @@ def test_builtin_coprime(capsys):
     assert run(["builtin", "coprime", "--bound", "12", "--check", "partial"]) == 0
     assert run(["builtin", "coprime", "--bound", "12"]) == 0
     assert "CLASS bound=12" in capsys.readouterr().out
+    for check, code, line in (
+            ("locality", 0, "locality=yes"),
+            ("refined", 1, "refined=no[witness: refined-left (2,3),(3,4)]"),
+            ("transitive", 1, "transitive=no[witness: transitivity (2,3),(3,4)]")):
+        assert run(["builtin", "coprime", "--bound", "30", "--check", check]) == code
+        assert capsys.readouterr().out == f"{line} within bound 30\n"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.parametrize("module", ["locsemi", "locsemi.cli"])
+def test_module_entry_points(module):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    cmd = lambda *argv: subprocess.run([sys.executable, "-m", module, *argv],
+                                       capture_output=True, text=True, env=env)
+    done = cmd("classify", "/nonexistent")
+    assert done.returncode == 2 and done.stderr.startswith("error: ")
+    done = cmd("builtin", "coprime", "--bound", "12", "--check", "strong")
+    assert done.returncode == 1
+    assert done.stdout == "strong=no[witness: strong-left (2,3),(3,4)] within bound 12\n"
 
 
 def test_builtin_powerset(capsys):

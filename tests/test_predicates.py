@@ -8,12 +8,20 @@ from locsemi import (CapacityError, DomainError, PredicateMagma, adjoin_zero,
                      bounded_magma, classify, coprime_magma, coprime_with_zero,
                      find_identities, find_zeros, gcd, is_locality_semigroup,
                      is_transitive, natural_multiplication, powerset_magma,
-                     sampled_classify, totient, totient_hom_check)
+                     sampled_classify, sampled_verdict, totient,
+                     totient_hom_check)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_gcd_matches_stdlib(a, b):
     assert gcd(a, b) == math.gcd(a, b)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_coprime_relations_match_remainder_gcd(a, b):
+    # the library gcd is the remainder loop, independent of the relations' test
+    assert coprime_magma().related(a, b) == (gcd(a, b) == 1)
+    assert coprime_with_zero().related(a, b) == (a == 0 or b == 0 or gcd(a, b) == 1)
 
 
 def test_totient_by_direct_count():
@@ -116,6 +124,26 @@ def test_sampled_classify_needs_slicer():
         sampled_classify(sliceless, 5)
     with pytest.raises(DomainError):
         bounded_magma(sliceless, 5)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 12, 30])
+@pytest.mark.parametrize("make", [coprime_magma, coprime_with_zero, natural_multiplication])
+def test_sampled_verdict_matches_sampled_classify(make, bound):
+    p = make()
+    report = sampled_classify(p, bound)
+    for name in ("locality", "strong", "refined", "partial", "transitive"):
+        assert sampled_verdict(p, bound, name) == getattr(report, name)
+
+
+def test_sampled_verdict_argument_errors():
+    sliceless = PredicateMagma("no slicer", lambda a: True,
+                               lambda a, b: True, lambda a, b: a)
+    with pytest.raises(DomainError):
+        sampled_verdict(coprime_magma(), 0, "strong")
+    with pytest.raises(DomainError):
+        sampled_verdict(coprime_magma(), 5, "associative")
+    with pytest.raises(DomainError):
+        sampled_verdict(sliceless, 5, "strong")
 
 
 def test_bounded_magma_records_escapes():
