@@ -28,6 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .enumeration import _decode_table, encode_magma
 from .errors import CapacityError, DomainError, InvariantError
 from .magma import OK, FinitePartialMagma, Verdict, Witness, fail
 
@@ -212,24 +213,45 @@ def polar_closure_singletons(m: FinitePartialMagma) -> Verdict:
     return _first(_polar_closure_violation, *_accessors(m))
 
 
+def _polar_subset_violations(n: int, t: list[int]):
+    """(side, a, b, U) for each related pair of a polar of U whose product leaves it.
+
+    ``t[a*n+b]`` is the product's index, or -1 where (a,b) is unrelated.  U
+    runs over subsets by size in combinations order, its left polar before
+    its right, and each polar's pairs in _ordered_pairs order.  x is in the
+    left polar when its row bitmask R[x] covers U, in the right when C[x] does.
+    """
+    rng = range(n)
+    R = [0] * n
+    C = [0] * n
+    for a in rng:
+        for b in rng:
+            if t[a * n + b] >= 0:
+                R[a] |= 1 << b
+                C[b] |= 1 << a
+    for size in range(1, n + 1):
+        for U in itertools.combinations(rng, size):
+            mask = sum(1 << u for u in U)
+            for side, masks in (("left", R), ("right", C)):
+                polar = [x for x in rng if masks[x] & mask == mask]
+                inside = sum(1 << x for x in polar)
+                for a, b in _ordered_pairs(polar):
+                    ab = t[a * n + b]
+                    if ab >= 0 and not inside >> ab & 1:
+                        yield side, a, b, U
+
+
 def check_polar_closure_subsets(m: FinitePartialMagma) -> Verdict:
     """Literal polar closure over every subset of the carrier (2^n scan)."""
-    n = len(m.elements)
+    labels = m.elements
+    n = len(labels)
     if n > 16:
         raise CapacityError(f"subset scan needs carrier <= 16, got {n}")
-    for size in range(1, n + 1):
-        for U in itertools.combinations(m.elements, size):
-            desc = "U={" + ",".join(U) + "}"
-            lp = m.left_polar(U)
-            for a, b in _ordered_pairs(sorted(lp)):
-                c = m.table.get((a, b))
-                if c is not None and c not in lp:
-                    return fail("left-polar-closure", (a, b), desc)
-            rp = m.right_polar(U)
-            for a, b in _ordered_pairs(sorted(rp)):
-                c = m.table.get((a, b))
-                if c is not None and c not in rp:
-                    return fail("right-polar-closure", (a, b), desc)
+    # the carrier is sorted, so index order is label order
+    t = _decode_table(n, encode_magma(m))
+    for side, a, b, U in _polar_subset_violations(n, t):
+        return fail(f"{side}-polar-closure", (labels[a], labels[b]),
+                    "U={" + ",".join(labels[u] for u in U) + "}")
     return OK
 
 
@@ -430,24 +452,22 @@ def render_verdict(name: str, v: Verdict) -> str:
 def _assemble_report(elems, rel, mul, bound=None) -> ClassReport:
     # one triple source shared by the five scans, so the relation is read once
     triples = _linked_triples(elems, rel)
-    first = lambda scan: next(scan(triples, rel, mul), OK)
-    locality = first(_locality_violation)
-    strong = first(_strong_violation)
-    refined = first(_refined_violation)
-    partial = first(_partial_violation)
-    transitive = first(_transitive_violation)
+    verdicts = {name: next(scan(triples, rel, mul), OK)
+                for name, scan in _CLASS_SCANS.items()}
     li, ri, ident = _sided_elements(elems, rel, mul, lambda e, a: a)
     lz, rz, zero = _sided_elements(elems, rel, mul, lambda e, a: e)
-    # class inclusions that hold for every structure; violations are bugs
-    if refined.ok and not strong.ok:
-        raise InvariantError("refined structure is not strong")
-    if strong.ok and not (locality.ok and partial.ok):
-        raise InvariantError("strong structure is not both locality and partial")
-    if transitive.ok and locality.ok and not partial.ok:
-        raise InvariantError("transitive locality structure is not partial")
     s = lambda xs: tuple(str(x) for x in xs)
-    return ClassReport(locality, strong, refined, partial, transitive,
-                       s(li), s(ri), s(ident), s(lz), s(rz), s(zero), bound)
+    r = ClassReport(**verdicts, left_identities=s(li), right_identities=s(ri),
+                    identities=s(ident), left_zeros=s(lz), right_zeros=s(rz),
+                    zeros=s(zero), bound=bound)
+    # class inclusions that hold for every structure; violations are bugs
+    if r.refined.ok and not r.strong.ok:
+        raise InvariantError("refined structure is not strong")
+    if r.strong.ok and not (r.locality.ok and r.partial.ok):
+        raise InvariantError("strong structure is not both locality and partial")
+    if r.transitive.ok and r.locality.ok and not r.partial.ok:
+        raise InvariantError("transitive locality structure is not partial")
+    return r
 
 
 def classify(m: FinitePartialMagma) -> ClassReport:

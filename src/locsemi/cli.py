@@ -106,22 +106,20 @@ def _cmd_quiver_paths(args) -> int:
     return 0
 
 
-def _parse_map(text: str) -> dict[str, str]:
-    out = {}
+def _name_values(text: str, kind: str, shape: str):
+    """(name, value) per nonempty chunk; a chunk without '=' raises once it is reached."""
     for chunk in text.split(","):
         if not chunk:
             continue
         if "=" not in chunk:
-            raise MagmaError(f"map entry {chunk!r} is not name=value")
-        k, v = chunk.split("=", 1)
-        out[k] = v
-    return out
+            raise MagmaError(f"{kind} entry {chunk!r} is not {shape}")
+        yield chunk.split("=", 1)
 
 
 def _cmd_quiver_free_ext(args) -> int:
     q = quiver.parse_quiver(_read(args.file))
     target = parse_magma(_read(args.target))
-    f = _parse_map(args.map)
+    f = dict(_name_values(args.map, "map", "name=value"))
     fbar = quiver.free_extension(q, target, f)
     for p in [p for p in q.paths_upto(args.max_len) if p.length > 0]:
         print(f"fbar {p.label} = {fbar(p)}")
@@ -148,12 +146,7 @@ def _cmd_enumerate_census(args) -> int:
 
 def _parse_flags(text: str) -> dict[str, bool]:
     out = {}
-    for chunk in text.split(","):
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise MagmaError(f"flag entry {chunk!r} is not name=yes|no")
-        k, v = chunk.split("=", 1)
+    for k, v in _name_values(text, "flag", "name=yes|no"):
         if v not in ("yes", "no"):
             raise MagmaError(f"flag value for {k!r} must be yes or no")
         out[k] = v == "yes"
@@ -272,8 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bsub = bp.add_subparsers(dest="builtin_command", required=True)
     p = bsub.add_parser("coprime", help="bounded scan of the coprimality structure")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--check", choices=["locality", "strong", "refined",
-                                       "partial", "transitive"])
+    p.add_argument("--check", choices=list(checks._CLASS_SCANS))
     p.set_defaults(func=_cmd_builtin_coprime)
     p = bsub.add_parser("powerset", help="power-set structure on {1..K}")
     p.add_argument("--size", type=int, required=True)

@@ -15,28 +15,25 @@ from .errors import DomainError, NotAssociative, ParseError, PreconditionError
 from .magma import OK, FinitePartialMagma, Verdict, fail, parse_magma, serialize_magma
 
 
-def adjoin_identity(m: FinitePartialMagma, label: str) -> FinitePartialMagma:
-    """Adjoin a fresh two-sided identity, related to everything and to itself."""
+def _adjoin(m: FinitePartialMagma, label: str, identity: bool) -> FinitePartialMagma:
+    """Adjoin a fresh identity, or a fresh zero when not ``identity``, related to everything."""
     if label in m.elements:
         raise DomainError(f"label {label!r} already in carrier")
     table = dict(m.table)
     table[(label, label)] = label
     for a in m.elements:
-        table[(label, a)] = a
-        table[(a, label)] = a
+        table[(label, a)] = table[(a, label)] = a if identity else label
     return FinitePartialMagma(m.elements + (label,), table)
+
+
+def adjoin_identity(m: FinitePartialMagma, label: str) -> FinitePartialMagma:
+    """Adjoin a fresh two-sided identity, related to everything and to itself."""
+    return _adjoin(m, label, identity=True)
 
 
 def adjoin_zero(m: FinitePartialMagma, label: str) -> FinitePartialMagma:
     """Adjoin a fresh two-sided zero, related to everything and to itself."""
-    if label in m.elements:
-        raise DomainError(f"label {label!r} already in carrier")
-    table = dict(m.table)
-    table[(label, label)] = label
-    for a in m.elements:
-        table[(label, a)] = label
-        table[(a, label)] = label
-    return FinitePartialMagma(m.elements + (label,), table)
+    return _adjoin(m, label, identity=False)
 
 
 def generated_sub_locality_semigroup(m: FinitePartialMagma, A: Iterable[str]) -> frozenset[str]:
@@ -82,6 +79,17 @@ def _associativity_violation(m: FinitePartialMagma):
     return None
 
 
+def _require_semigroup(m: FinitePartialMagma) -> None:
+    """PreconditionError unless the table is total and associative."""
+    if not m.is_total():
+        raise PreconditionError("operation table is not total")
+    broken = _associativity_violation(m)
+    if broken is not None:
+        triple, lhs, rhs = broken
+        raise PreconditionError(
+            f"not associative at ({','.join(triple)}): {lhs} != {rhs}")
+
+
 def complete_to_semigroup_with_zero(m: FinitePartialMagma, zero: str = "0") -> SemigroupWithZero:
     """Totalize the product by sending every unrelated pair to a fresh zero.
 
@@ -107,13 +115,7 @@ def complete_to_semigroup_with_zero(m: FinitePartialMagma, zero: str = "0") -> S
 def is_strong_semigroup_with_zero(t: SemigroupWithZero) -> Verdict:
     """A triple product is nonzero exactly when both adjacent products are nonzero."""
     m = t.magma
-    if not m.is_total():
-        raise PreconditionError("operation table is not total")
-    broken = _associativity_violation(m)
-    if broken is not None:
-        triple, lhs, rhs = broken
-        raise PreconditionError(
-            f"not associative at ({','.join(triple)}): {lhs} != {rhs}")
+    _require_semigroup(m)
     zero = t.zero
     for a in m.elements:
         if m.table[(zero, a)] != zero or m.table[(a, zero)] != zero:
@@ -136,13 +138,7 @@ def partial_from_semigroup(t: FinitePartialMagma, A: Iterable[str]) -> FinitePar
     A and ab, bc in A, both (ab)c and a(bc) equal the same ambient product,
     so the two memberships agree.
     """
-    if not t.is_total():
-        raise PreconditionError("operation table is not total")
-    broken = _associativity_violation(t)
-    if broken is not None:
-        triple, lhs, rhs = broken
-        raise PreconditionError(
-            f"not associative at ({','.join(triple)}): {lhs} != {rhs}")
+    _require_semigroup(t)
     A = t._check_subset(A)
     if not A:
         raise DomainError("subset must be nonempty")

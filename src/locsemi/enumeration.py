@@ -6,14 +6,16 @@ is counting, which gives exact coverage of the (n+1)**(n*n) search space
 and a deterministic order.
 
 The per-code classification below works on a flat int table (-1 for
-undefined cells) instead of constructing FinitePartialMagma values.  One
-fused pass, ``_table_flags``, decides all five classes from the row and
-column bitmasks of the defined cells; its verdicts are pinned to the public
-checkers by the test suite.  Every flag is invariant under relabeling the
-carrier, so the census and the witness search classify only the tables
-whose code is the minimum over every relabeling (the orderly-generation
-test); the raw census weights each by its class size n!/|Aut(t)|, and no
-canonical form is built or stored.
+undefined cells) instead of constructing FinitePartialMagma values;
+``_decode_table`` reads one from a code, and ``decode_magma`` labels the
+same table.  One fused pass, ``_table_flags``, decides all five classes
+from the row and column bitmasks of the defined cells; its verdicts,
+polar closure by the singleton reduction included, are pinned to the
+public checkers by the test suite.  Every flag is invariant under
+relabeling the carrier, so the census and the witness search classify only
+the tables whose code is the minimum over every relabeling (the
+orderly-generation test); the raw census weights each by its class size
+n!/|Aut(t)|, and no canonical form is built or stored.
 """
 
 from __future__ import annotations
@@ -43,6 +45,24 @@ def _check_size(n: int) -> None:
         raise DomainError(f"carrier size must be at least 1, got {n}")
 
 
+def _check_exhaustive(n: int, what: str, hint: str = "") -> None:
+    """The size checks of an exhaustive pass; the CLI prints their error text."""
+    _check_size(n)
+    if n > EXHAUSTIVE_MAX:
+        tail = f"; {hint} for n={n}" if hint else ""
+        raise CapacityError(f"{what} supported for n <= {EXHAUSTIVE_MAX}{tail}")
+
+
+def _decode_table(n: int, code: int) -> list[int]:
+    """The flat table at ``code``: cell i*n+j holds the product's index, or -1."""
+    base = n + 1
+    t = []
+    for _ in range(n * n):
+        t.append(code % base - 1)
+        code //= base
+    return t
+
+
 def decode_magma(n: int, code: int) -> FinitePartialMagma:
     """The magma at position ``code`` in enumeration order."""
     if not 1 <= n <= len(_LETTERS):
@@ -50,13 +70,8 @@ def decode_magma(n: int, code: int) -> FinitePartialMagma:
     if not 0 <= code < search_space_size(n):
         raise DomainError(f"code {code} out of range for n={n}")
     labels = _LETTERS[:n]
-    base = n + 1
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            digit = code // base ** (i * n + j) % base
-            if digit:
-                table[(labels[i], labels[j])] = labels[digit - 1]
+    table = {(labels[k // n], labels[k % n]): labels[v]
+             for k, v in enumerate(_decode_table(n, code)) if v >= 0}
     return FinitePartialMagma(labels, table)
 
 
@@ -89,49 +104,6 @@ def _iter_tables(n: int):
 
 # ---------------------------------------------------------------------------
 # flat-table classification kernel
-
-def _singleton_closure(n: int, t: list[int]) -> bool:
-    rng = range(n)
-    for a in rng:
-        an = a * n
-        for b in rng:
-            ab = t[an + b]
-            if ab < 0:
-                continue
-            bn = b * n
-            abn = ab * n
-            for c in rng:
-                if t[an + c] >= 0 and t[bn + c] >= 0 and t[abn + c] < 0:
-                    return False
-                cn = c * n
-                if t[cn + a] >= 0 and t[cn + b] >= 0 and t[cn + ab] < 0:
-                    return False
-    return True
-
-
-def _subset_closure(n: int, t: list[int]) -> bool:
-    """Literal polar closure over every subset, on bitmask subsets."""
-    rng = range(n)
-    for U in range(1, 1 << n):
-        us = [u for u in rng if U >> u & 1]
-        left = [x for x in rng if all(t[x * n + u] >= 0 for u in us)]
-        lset = set(left)
-        for a in left:
-            an = a * n
-            for b in left:
-                ab = t[an + b]
-                if ab >= 0 and ab not in lset:
-                    return False
-        right = [x for x in rng if all(t[u * n + x] >= 0 for u in us)]
-        rset = set(right)
-        for a in right:
-            an = a * n
-            for b in right:
-                ab = t[an + b]
-                if ab >= 0 and ab not in rset:
-                    return False
-    return True
-
 
 def _table_flags(n: int, t: list[int]) -> tuple[bool, bool, bool, bool, bool]:
     """(locality, strong, refined, partial, transitive) in one pass over defined pairs.
@@ -251,21 +223,14 @@ def _representatives(n: int):
 
 def scan_flags(n: int) -> Iterator[tuple[int, tuple[bool, bool, bool, bool, bool]]]:
     """(code, flags) for every structure of carrier size n, in enumeration order."""
-    _check_size(n)
-    if n > EXHAUSTIVE_MAX:
-        raise CapacityError(
-            f"exhaustive scan supported for n <= {EXHAUSTIVE_MAX}; use sampling for n={n}")
+    _check_exhaustive(n, "exhaustive scan", "use sampling")
     for code, t in _iter_tables(n):
         yield code, _table_flags(n, t)
 
 
 def enumerate_magmas(n: int) -> Iterator[FinitePartialMagma]:
     """Every structure of carrier size n exactly once, in enumeration order."""
-    _check_size(n)
-    if n > EXHAUSTIVE_MAX:
-        raise CapacityError(
-            f"exhaustive enumeration supported for n <= {EXHAUSTIVE_MAX}; "
-            f"use sample_magmas for n={n}")
+    _check_exhaustive(n, "exhaustive enumeration", "use sample_magmas")
     for code in range(search_space_size(n)):
         yield decode_magma(n, code)
 
@@ -319,11 +284,7 @@ def census(n: int, dedup: bool = False) -> list[CensusRow]:
     search-space size; with dedup=True each class counts once.  Either way
     a pattern's witness is its first table, a class minimum.
     """
-    _check_size(n)
-    if n > EXHAUSTIVE_MAX:
-        raise CapacityError(
-            f"exhaustive census supported for n <= {EXHAUSTIVE_MAX}; "
-            f"use sample_census for n={n}")
+    _check_exhaustive(n, "exhaustive census", "use sample_census")
     tally: dict[tuple, list[int]] = {}
     for code, t, size in _representatives(n):
         weight = 1 if dedup else size
@@ -343,17 +304,10 @@ def sample_census(n: int, count: int, seed: int) -> list[CensusRow]:
         raise DomainError(f"sample count must be non-negative, got {count}")
     rng = random.Random(seed)
     total = search_space_size(n)
-    base = n + 1
-    cells = n * n
     tally: dict[tuple, list[int]] = {}
     for _ in range(count):
         code = rng.randrange(total)
-        rem = code
-        t = []
-        for _ in range(cells):
-            t.append(rem % base - 1)
-            rem //= base
-        flags = _table_flags(n, t)
+        flags = _table_flags(n, _decode_table(n, code))
         row = tally.get(flags)
         if row is None:
             tally[flags] = [1, code]
@@ -376,9 +330,7 @@ def parse_flag_pattern(wanted: Mapping[str, bool]) -> dict[int, bool]:
 def find_witness(pattern: Mapping[str, bool], n: int) -> FinitePartialMagma | None:
     """First structure in enumeration order matching every specified flag."""
     wanted = parse_flag_pattern(pattern)
-    _check_size(n)
-    if n > EXHAUSTIVE_MAX:
-        raise CapacityError(f"witness search supported for n <= {EXHAUSTIVE_MAX}")
+    _check_exhaustive(n, "witness search")
     for code, t, _ in _representatives(n):
         flags = _table_flags(n, t)
         if all(flags[pos] == val for pos, val in wanted.items()):

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import itertools
 import math
 import time
 
@@ -16,8 +17,8 @@ from locsemi import (NotAssociative, adjoin_identity, adjoin_zero, census,
                      is_strong_semigroup_with_zero, materialize_path_magma,
                      powerset_magma, sampled_classify, search_space_size,
                      totient, totient_hom_check, verify_free_property)
-from locsemi.enumeration import (_iter_tables, _singleton_closure,
-                                 _subset_closure, _table_flags)
+from locsemi.checks import _polar_closure_violation, _polar_subset_violations
+from locsemi.enumeration import _iter_tables, _table_flags
 from locsemi.fixtures import fixture_magma, fixture_quiver
 from locsemi.quiver import Quiver
 
@@ -102,12 +103,19 @@ def test_criterion_3_census_totals():
 
 
 def test_criterion_4_polar_reduction_oracle():
+    # the library's singleton clause, on flat accessors, against the literal
+    # closure over every subset
     mismatches = 0
     scanned = 0
     for n in (1, 2, 3):
+        triples = lambda: itertools.product(range(n), repeat=3)
         for _, t in _iter_tables(n):
             scanned += 1
-            if _singleton_closure(n, t) != _subset_closure(n, t):
+            rel = lambda a, b: t[a * n + b] >= 0
+            mul = lambda a, b: t[a * n + b]
+            singleton = next(_polar_closure_violation(triples, rel, mul), None)
+            subsets = next(_polar_subset_violations(n, t), None)
+            if (singleton is None) != (subsets is None):
                 mismatches += 1
     assert scanned == 2 + 81 + 262144
     assert mismatches == 0

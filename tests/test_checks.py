@@ -271,7 +271,7 @@ def test_classify_inclusion_chain_checks_survive_optimize(monkeypatch, failing, 
     import locsemi.checks as checks
     for name in ("locality", "strong", "refined", "partial", "transitive"):
         verdict = fail(name, ("a",), "forced") if name in failing else OK
-        monkeypatch.setattr(checks, f"_{name}_violation",
+        monkeypatch.setitem(checks._CLASS_SCANS, name,
                             lambda *args, v=verdict: iter(() if v.ok else (v,)))
     with pytest.raises(InvariantError, match=message):
         classify(EMPTY)

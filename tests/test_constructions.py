@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from locsemi import (DomainError, FinitePartialMagma, NotAssociative,
                      PreconditionError, SemigroupWithZero, adjoin_identity,
-                     adjoin_zero, bounded_magma,
+                     adjoin_zero, bounded_magma, classify,
                      complete_to_semigroup_with_zero, coprime_magma,
                      coprime_with_zero, find_identities, find_zeros,
                      full_relation_magma, generated_sub_locality_semigroup,
@@ -14,7 +14,8 @@ from locsemi import (DomainError, FinitePartialMagma, NotAssociative,
                      is_strong_semigroup_with_zero, materialize_path_magma,
                      parse_semigroup_with_zero, partial_from_semigroup,
                      powerset_magma, serialize_semigroup_with_zero)
-from locsemi.enumeration import decode_magma, scan_flags, search_space_size
+from locsemi.enumeration import (_FLAG_NAMES, _decode_table, _representatives,
+                                 _table_flags, decode_magma, search_space_size)
 from locsemi.fixtures import fixture_magma, fixture_quiver
 
 from strategies import magma_with_subset
@@ -63,29 +64,50 @@ def test_adjoin_zero_examples():
         adjoin_zero(EX4_3, "a")
 
 
-def test_adjunction_preserves_locality_exhaustive_n2():
-    for n in (1, 2):
-        for code, flags in scan_flags(n):
-            if not flags[0]:
-                continue
-            m = decode_magma(n, code)
-            with_id = adjoin_identity(m, "e")
-            with_zero = adjoin_zero(m, "z")
-            assert is_locality_semigroup(with_id), (n, code)
-            assert is_locality_semigroup(with_zero), (n, code)
-            assert "e" in find_identities(with_id)[2]
-            assert "z" in find_zeros(with_zero)[2]
+# (preserved, broken) per class, over the locality structures of each size:
+# only locality preservation is guaranteed
+ADJUNCTION_TALLIES = {
+    1: {"identity": {"locality": (2, 0), "strong": (1, 1), "refined": (1, 1),
+                     "partial": (2, 0), "transitive": (1, 1)},
+        "zero": {"locality": (2, 0), "strong": (2, 0), "refined": (1, 1),
+                 "partial": (2, 0), "transitive": (1, 1)}},
+    2: {"identity": {"locality": (40, 0), "strong": (8, 22), "refined": (8, 8),
+                     "partial": (34, 0), "transitive": (8, 20)},
+        "zero": {"locality": (40, 0), "strong": (30, 0), "refined": (8, 8),
+                 "partial": (34, 0), "transitive": (8, 20)}},
+    3: {"identity": {"locality": (7006, 0), "strong": (113, 1712), "refined": (113, 164),
+                     "partial": (2880, 0), "transitive": (113, 1160)},
+        "zero": {"locality": (7006, 0), "strong": (1825, 0), "refined": (113, 164),
+                 "partial": (2880, 0), "transitive": (113, 1160)}},
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_adjunction_tallies_exhaustive(n):
+    # every class is invariant under relabeling, so each isomorphism class
+    # counts as its size
+    tally = {kind: {name: [0, 0] for name in _FLAG_NAMES} for kind in ("identity", "zero")}
+    for code, t, size in _representatives(n):
+        before = _table_flags(n, t)
+        if not before[0]:  # locality
+            continue
+        m = decode_magma(n, code)
+        with_id = adjoin_identity(m, "e")
+        with_zero = adjoin_zero(m, "z")
+        assert "e" in find_identities(with_id)[2], code
+        assert "z" in find_zeros(with_zero)[2], code
+        for kind, out in (("identity", with_id), ("zero", with_zero)):
+            for name, held, kept in zip(_FLAG_NAMES, before, classify(out).flags()):
+                if held:
+                    tally[kind][name][0 if kept else 1] += size
+    got = {kind: {name: tuple(v) for name, v in d.items()} for kind, d in tally.items()}
+    assert got == ADJUNCTION_TALLIES[n]
 
 
 def test_adjunction_preserves_locality_sampled_n3():
-    from locsemi.enumeration import _table_flags
     checked = 0
     for code in range(0, search_space_size(3), 401):
-        rem, t = code, []
-        for _ in range(9):
-            t.append(rem % 4 - 1)
-            rem //= 4
-        if not _table_flags(3, t)[0]:  # locality
+        if not _table_flags(3, _decode_table(3, code))[0]:  # locality
             continue
         m = decode_magma(3, code)
         assert is_locality_semigroup(adjoin_identity(m, "e"))

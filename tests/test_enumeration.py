@@ -9,9 +9,7 @@ from locsemi import (CapacityError, DomainError, FinitePartialMagma, census,
                      find_witness, format_census_table, parse_magma,
                      sample_census, sample_magmas, scan_flags,
                      search_space_size)
-from locsemi.enumeration import (_iter_tables, _singleton_closure,
-                                 _subset_closure, _table_flags)
-from locsemi import check_polar_closure_subsets, polar_closure_singletons
+from locsemi.enumeration import _decode_table, _iter_tables, _table_flags
 
 
 def test_search_space_sizes():
@@ -62,19 +60,12 @@ def test_kernel_matches_checkers_exhaustive_small():
         for code, t in _iter_tables(n):
             m = decode_magma(n, code)
             assert classify(m).flags() == _table_flags(n, t), (n, code)
-            assert bool(polar_closure_singletons(m)) == _singleton_closure(n, t)
-            assert bool(check_polar_closure_subsets(m)) == _subset_closure(n, t)
 
 
 def test_kernel_matches_checkers_stride_n3():
     for code in range(0, search_space_size(3), 1013):
-        rem, t = code, []
-        for _ in range(9):
-            t.append(rem % 4 - 1)
-            rem //= 4
         m = decode_magma(3, code)
-        assert classify(m).flags() == _table_flags(3, t), code
-        assert bool(check_polar_closure_subsets(m)) == _subset_closure(3, t)
+        assert classify(m).flags() == _table_flags(3, _decode_table(3, code)), code
 
 
 @settings(max_examples=60)
@@ -82,12 +73,7 @@ def test_kernel_matches_checkers_stride_n3():
     lambda n: st.tuples(st.just(n), st.integers(0, search_space_size(n) - 1))))
 def test_kernel_matches_checkers_random(nc):
     n, code = nc
-    base = n + 1
-    rem, t = code, []
-    for _ in range(n * n):
-        t.append(rem % base - 1)
-        rem //= base
-    assert classify(decode_magma(n, code)).flags() == _table_flags(n, t)
+    assert classify(decode_magma(n, code)).flags() == _table_flags(n, _decode_table(n, code))
 
 
 def _rows_by_pattern(rows):
