@@ -12,6 +12,10 @@ product function), so each axiom clause is stated once and drives the full
 scans of finite tables, the bounded scans of predicate-defined structures,
 and witness replay, which re-runs a scan on the witness's own elements.
 
+Every axiom is stated in this module.  The census's fused flat-table kernel
+``_table_flags`` and the literal subset oracle ``_polar_subset_violations``
+sit beside the scan clauses, on tables that ``_flat_table`` compiles.
+
 Full scans walk only linked triples, those whose (a,b) or (b,c) is related.
 Every clause tests rel(a, b) (refined-right alone tests rel(b, c)) before it
 can yield, so a triple with neither pair related yields nothing, and
@@ -28,7 +32,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .enumeration import _decode_table, encode_magma
 from .errors import CapacityError, DomainError, InvariantError
 from .magma import OK, FinitePartialMagma, Verdict, Witness, fail
 
@@ -196,6 +199,101 @@ def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tupl
 
 
 # ---------------------------------------------------------------------------
+# flat tables: cell i*n+j holds the index of the product of elements i and j,
+# or -1 where the pair is unrelated
+
+def _flat_table(m: FinitePartialMagma) -> list[int]:
+    """m's flat table, indexed in the order of m.elements, which is label order."""
+    index = {x: i for i, x in enumerate(m.elements)}
+    n = len(index)
+    t = [-1] * (n * n)
+    for (a, b), c in m.table.items():
+        t[index[a] * n + index[b]] = index[c]
+    return t
+
+
+def _table_flags(n: int, t: list[int]) -> tuple[bool, bool, bool, bool, bool]:
+    """(locality, strong, refined, partial, transitive) in one pass over defined pairs.
+
+    R[a] and C[b] are the row and column bitmasks of defined cells.  Each
+    defined pair (a,b) with ab = t[a*n+b] is tested against every axiom at
+    once: transitivity is R[b] <= R[a], singleton polar closure is
+    R[a]&R[b] <= R[ab] with its column dual, refined membership is
+    R[b] == R[ab] and C[a] == C[ab], and the regroupings (ab)c, a(bc) over
+    the defined (b,c) settle the associativity clauses.  Returns as soon as
+    every flag is false.
+    """
+    rng = range(n)
+    R = [0] * n
+    C = [0] * n
+    for a in rng:
+        an = a * n
+        for b in rng:
+            if t[an + b] >= 0:
+                R[a] |= 1 << b
+                C[b] |= 1 << a
+    loc = strong = refined = partial = trans = True
+    for a in rng:
+        an = a * n
+        Ra = R[a]
+        Ca = C[a]
+        for b in rng:
+            ab = t[an + b]
+            if ab < 0:
+                continue
+            Rb = R[b]
+            Rab = R[ab]
+            Cab = C[ab]
+            if Rb & ~Ra:
+                trans = False
+            # either half of the closure follows from the other plus the
+            # associativity clause below; both are kept to match the definition
+            if Ra & Rb & ~Rab or Ca & C[b] & ~Cab:
+                loc = False
+            if Rb != Rab or Ca != Cab:
+                refined = False
+            # a pair that fails strong fails refined membership, so refined
+            # implies strong after every pair and neither test names it
+            if loc or strong or partial:
+                bn = b * n
+                abn = ab * n
+                for c in rng:
+                    bc = t[bn + c]
+                    if bc < 0:
+                        continue
+                    x = t[abn + c]
+                    if x != t[an + bc]:
+                        strong = refined = partial = False
+                        if Ra >> c & 1:
+                            loc = False
+                    elif x < 0:
+                        strong = False
+            if not (loc or strong or partial or trans):
+                return (False, False, False, False, False)
+    return (loc, strong, refined, partial, trans)
+
+
+def _polar_subset_violations(n: int, t: list[int]):
+    """(side, a, b, U) for each related pair of a polar of U whose product leaves it.
+
+    U runs over subsets by size in combinations order, its left polar before
+    its right, and each polar's pairs in _ordered_pairs order.  x is in the
+    left polar of U when every (x,u) is related, in the right when every (u,x) is.
+    """
+    rng = range(n)
+    sides = (("left", lambda x, u: t[x * n + u] >= 0),
+             ("right", lambda x, u: t[u * n + x] >= 0))
+    for size in range(1, n + 1):
+        for U in itertools.combinations(rng, size):
+            for side, related in sides:
+                polar = [x for x in rng if all(related(x, u) for u in U)]
+                for a, b in _ordered_pairs(polar):
+                    ab = t[a * n + b]
+                    if ab >= 0 and ab not in polar:
+                        yield side, a, b, U
+
+
+# ---------------------------------------------------------------------------
 # public checkers on finite structures
 
 def _accessors(m: FinitePartialMagma):
@@ -213,43 +311,13 @@ def polar_closure_singletons(m: FinitePartialMagma) -> Verdict:
     return _first(_polar_closure_violation, *_accessors(m))
 
 
-def _polar_subset_violations(n: int, t: list[int]):
-    """(side, a, b, U) for each related pair of a polar of U whose product leaves it.
-
-    ``t[a*n+b]`` is the product's index, or -1 where (a,b) is unrelated.  U
-    runs over subsets by size in combinations order, its left polar before
-    its right, and each polar's pairs in _ordered_pairs order.  x is in the
-    left polar when its row bitmask R[x] covers U, in the right when C[x] does.
-    """
-    rng = range(n)
-    R = [0] * n
-    C = [0] * n
-    for a in rng:
-        for b in rng:
-            if t[a * n + b] >= 0:
-                R[a] |= 1 << b
-                C[b] |= 1 << a
-    for size in range(1, n + 1):
-        for U in itertools.combinations(rng, size):
-            mask = sum(1 << u for u in U)
-            for side, masks in (("left", R), ("right", C)):
-                polar = [x for x in rng if masks[x] & mask == mask]
-                inside = sum(1 << x for x in polar)
-                for a, b in _ordered_pairs(polar):
-                    ab = t[a * n + b]
-                    if ab >= 0 and not inside >> ab & 1:
-                        yield side, a, b, U
-
-
 def check_polar_closure_subsets(m: FinitePartialMagma) -> Verdict:
     """Literal polar closure over every subset of the carrier (2^n scan)."""
     labels = m.elements
     n = len(labels)
     if n > 16:
         raise CapacityError(f"subset scan needs carrier <= 16, got {n}")
-    # the carrier is sorted, so index order is label order
-    t = _decode_table(n, encode_magma(m))
-    for side, a, b, U in _polar_subset_violations(n, t):
+    for side, a, b, U in _polar_subset_violations(n, _flat_table(m)):
         return fail(f"{side}-polar-closure", (labels[a], labels[b]),
                     "U={" + ",".join(labels[u] for u in U) + "}")
     return OK

@@ -1,21 +1,19 @@
-"""Exhaustive generation and classification of all small partial structures.
+"""Exhaustive generation and census of all small partial structures.
 
 A structure on n elements is an n*n-digit number in base n+1: digit 0 means
 the cell is undefined, digit k means the product is element k-1.  Enumeration
 is counting, which gives exact coverage of the (n+1)**(n*n) search space
 and a deterministic order.
 
-The per-code classification below works on a flat int table (-1 for
-undefined cells) instead of constructing FinitePartialMagma values;
-``_decode_table`` reads one from a code, and ``decode_magma`` labels the
-same table.  One fused pass, ``_table_flags``, decides all five classes
-from the row and column bitmasks of the defined cells; its verdicts,
-polar closure by the singleton reduction included, are pinned to the
-public checkers by the test suite.  Every flag is invariant under
-relabeling the carrier, so the census and the witness search classify only
-the tables whose code is the minimum over every relabeling (the
-orderly-generation test); the raw census weights each by its class size
-n!/|Aut(t)|, and no canonical form is built or stored.
+This module states no axiom: each table's five flags come from the fused
+kernel ``checks._table_flags``.  ``_decode_table`` reads the flat table at
+a code, ``decode_magma`` labels it, and ``encode_magma`` reads the digits
+back from ``checks._flat_table``.  Every flag is invariant under relabeling
+the carrier, so the census and the witness search classify only the tables
+whose code is the minimum over every relabeling (the orderly-generation
+test); the raw census weights each by its class size n!/|Aut(t)|, and no
+canonical form is built or stored.  Raw, deduplicated and sampled censuses
+share one path from codes to rows, ``_tally_rows``.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from .checks import _flat_table, _table_flags
 from .errors import CapacityError, DomainError
 from .magma import FinitePartialMagma, serialize_magma
 
@@ -77,13 +76,11 @@ def decode_magma(n: int, code: int) -> FinitePartialMagma:
 
 def encode_magma(m: FinitePartialMagma) -> int:
     """Inverse of decode_magma on its own carrier labels (any labels accepted)."""
-    labels = m.elements
-    n = len(labels)
-    index = {x: i for i, x in enumerate(labels)}
-    base = n + 1
+    base = len(m.elements) + 1
     code = 0
-    for (a, b), c in m.table.items():
-        code += (index[c] + 1) * base ** (index[a] * n + index[b])
+    # Horner's rule from the most significant cell
+    for v in reversed(_flat_table(m)):
+        code = code * base + v + 1
     return code
 
 
@@ -100,70 +97,6 @@ def _iter_tables(n: int):
                 break
             t[i] = -1
             i += 1
-
-
-# ---------------------------------------------------------------------------
-# flat-table classification kernel
-
-def _table_flags(n: int, t: list[int]) -> tuple[bool, bool, bool, bool, bool]:
-    """(locality, strong, refined, partial, transitive) in one pass over defined pairs.
-
-    R[a] and C[b] are the row and column bitmasks of defined cells.  Each
-    defined pair (a,b) with ab = t[a*n+b] is tested against every axiom at
-    once: transitivity is R[b] <= R[a], singleton polar closure is
-    R[a]&R[b] <= R[ab] with its column dual, refined membership is
-    R[b] == R[ab] and C[a] == C[ab], and the regroupings (ab)c, a(bc) over
-    the defined (b,c) settle the associativity clauses.  Returns as soon as
-    every flag is false.
-    """
-    rng = range(n)
-    R = [0] * n
-    C = [0] * n
-    for a in rng:
-        an = a * n
-        for b in rng:
-            if t[an + b] >= 0:
-                R[a] |= 1 << b
-                C[b] |= 1 << a
-    loc = strong = refined = partial = trans = True
-    for a in rng:
-        an = a * n
-        Ra = R[a]
-        Ca = C[a]
-        for b in rng:
-            ab = t[an + b]
-            if ab < 0:
-                continue
-            Rb = R[b]
-            Rab = R[ab]
-            Cab = C[ab]
-            if Rb & ~Ra:
-                trans = False
-            # either half of the closure follows from the other plus the
-            # associativity clause below; both are kept to match the definition
-            if Ra & Rb & ~Rab or Ca & C[b] & ~Cab:
-                loc = False
-            if Rb != Rab or Ca != Cab:
-                refined = False
-            # a pair that fails strong fails refined membership, so refined
-            # implies strong after every pair and neither test names it
-            if loc or strong or partial:
-                bn = b * n
-                abn = ab * n
-                for c in rng:
-                    bc = t[bn + c]
-                    if bc < 0:
-                        continue
-                    x = t[abn + c]
-                    if x != t[an + bc]:
-                        strong = refined = partial = False
-                        if Ra >> c & 1:
-                            loc = False
-                    elif x < 0:
-                        strong = False
-            if not (loc or strong or partial or trans):
-                return (False, False, False, False, False)
-    return (loc, strong, refined, partial, trans)
 
 
 def _relabelings(n: int) -> list[tuple[list[int], list[tuple[int, int]]]]:
@@ -235,15 +168,20 @@ def enumerate_magmas(n: int) -> Iterator[FinitePartialMagma]:
         yield decode_magma(n, code)
 
 
-def sample_magmas(n: int, count: int, seed: int) -> Iterator[FinitePartialMagma]:
-    """``count`` structures drawn uniformly (with replacement) from size n."""
+def _sampled_codes(n: int, count: int, seed: int) -> Iterator[int]:
+    """``count`` codes drawn uniformly (with replacement); checks run at the call."""
     _check_size(n)
     if count < 0:
         raise DomainError(f"sample count must be non-negative, got {count}")
     rng = random.Random(seed)
     total = search_space_size(n)
-    for _ in range(count):
-        yield decode_magma(n, rng.randrange(total))
+    return (rng.randrange(total) for _ in range(count))
+
+
+def sample_magmas(n: int, count: int, seed: int) -> Iterator[FinitePartialMagma]:
+    """``count`` structures drawn uniformly (with replacement) from size n."""
+    for code in _sampled_codes(n, count, seed):
+        yield decode_magma(n, code)
 
 
 @dataclass(frozen=True)
@@ -263,15 +201,23 @@ class CensusRow:
     witness: str
 
 
-def _pattern_string(flags) -> str:
-    return "".join(l if f else "-" for l, f in zip(_FLAG_LETTERS, flags))
+def _tally_rows(n: int, items) -> list[CensusRow]:
+    """Census rows from (code, table, weight) items in increasing code order.
 
-
-def _rows_from_tally(n: int, tally: Mapping[tuple, list[int]]) -> list[CensusRow]:
-    rows = []
-    for flags, (count, code) in tally.items():
-        rows.append(CensusRow(_pattern_string(flags), count, code,
-                              serialize_magma(decode_magma(n, code))))
+    A pattern counts the weights of its tables, and its witness is its
+    first code, which the order makes its minimum.
+    """
+    tally: dict[tuple, list[int]] = {}
+    for code, t, weight in items:
+        flags = _table_flags(n, t)
+        row = tally.get(flags)
+        if row is None:
+            tally[flags] = [weight, code]
+        else:
+            row[0] += weight
+    rows = [CensusRow("".join(l if f else "-" for l, f in zip(_FLAG_LETTERS, flags)),
+                      count, code, serialize_magma(decode_magma(n, code)))
+            for flags, (count, code) in tally.items()]
     return sorted(rows, key=lambda r: r.pattern)
 
 
@@ -285,36 +231,16 @@ def census(n: int, dedup: bool = False) -> list[CensusRow]:
     a pattern's witness is its first table, a class minimum.
     """
     _check_exhaustive(n, "exhaustive census", "use sample_census")
-    tally: dict[tuple, list[int]] = {}
-    for code, t, size in _representatives(n):
-        weight = 1 if dedup else size
-        flags = _table_flags(n, t)
-        row = tally.get(flags)
-        if row is None:
-            tally[flags] = [weight, code]
-        else:
-            row[0] += weight
-    return _rows_from_tally(n, tally)
+    items = _representatives(n)
+    if dedup:
+        items = ((code, t, 1) for code, t, _ in items)
+    return _tally_rows(n, items)
 
 
 def sample_census(n: int, count: int, seed: int) -> list[CensusRow]:
     """Census over ``count`` random codes; counts are sample tallies, not totals."""
-    _check_size(n)
-    if count < 0:
-        raise DomainError(f"sample count must be non-negative, got {count}")
-    rng = random.Random(seed)
-    total = search_space_size(n)
-    tally: dict[tuple, list[int]] = {}
-    for _ in range(count):
-        code = rng.randrange(total)
-        flags = _table_flags(n, _decode_table(n, code))
-        row = tally.get(flags)
-        if row is None:
-            tally[flags] = [1, code]
-        else:
-            row[0] += 1
-            row[1] = min(row[1], code)
-    return _rows_from_tally(n, tally)
+    codes = sorted(_sampled_codes(n, count, seed))
+    return _tally_rows(n, ((code, _decode_table(n, code), 1) for code in codes))
 
 
 def parse_flag_pattern(wanted: Mapping[str, bool]) -> dict[int, bool]:

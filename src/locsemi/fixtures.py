@@ -66,18 +66,19 @@ def fixture_names() -> list[str]:
     return list(_REGISTRY)
 
 
-def fixture_kind(name: str) -> str:
+def _entry(name: str) -> tuple[str, str]:
     try:
-        return _REGISTRY[name][0]
+        return _REGISTRY[name]
     except KeyError:
         raise DomainError(f"unknown fixture {name!r}; names: {', '.join(fixture_names())}")
+
+
+def fixture_kind(name: str) -> str:
+    return _entry(name)[0]
 
 
 def fixture_text(name: str) -> str:
-    try:
-        return _REGISTRY[name][1]
-    except KeyError:
-        raise DomainError(f"unknown fixture {name!r}; names: {', '.join(fixture_names())}")
+    return _entry(name)[1]
 
 
 def fixture_magma(name: str) -> FinitePartialMagma:

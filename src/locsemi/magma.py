@@ -35,6 +35,14 @@ def _check_label(label: str) -> str:
     return label
 
 
+def _sorted_labels(labels: Iterable[str], kind: str = "element") -> tuple[str, ...]:
+    """The labels sorted, after checking each one and rejecting duplicates."""
+    labels = tuple(_check_label(x) for x in labels)
+    if len(set(labels)) != len(labels):
+        raise DomainError(f"duplicate {kind} labels")
+    return tuple(sorted(labels))
+
+
 @dataclass(frozen=True)
 class Witness:
     """A concrete axiom violation: axiom name plus the elements breaking it.
@@ -74,11 +82,8 @@ class LocalitySet:
     relation: frozenset[Pair]
 
     def __post_init__(self):
-        labels = tuple(_check_label(x) for x in self.elements)
-        if len(set(labels)) != len(labels):
-            raise DomainError("duplicate element labels")
-        object.__setattr__(self, "elements", tuple(sorted(labels)))
-        carrier = set(labels)
+        object.__setattr__(self, "elements", _sorted_labels(self.elements))
+        carrier = set(self.elements)
         for a, b in self.relation:
             if a not in carrier or b not in carrier:
                 raise DomainError(f"relation pair ({a},{b}) uses labels outside the carrier")
@@ -99,13 +104,10 @@ class FinitePartialMagma:
     escapes: tuple[tuple[Pair, str], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        labels = tuple(_check_label(x) for x in self.elements)
-        if not labels:
+        object.__setattr__(self, "elements", _sorted_labels(self.elements))
+        if not self.elements:
             raise DomainError("empty carrier")
-        if len(set(labels)) != len(labels):
-            raise DomainError("duplicate element labels")
-        object.__setattr__(self, "elements", tuple(sorted(labels)))
-        carrier = set(labels)
+        carrier = set(self.elements)
         clean: dict[Pair, str] = {}
         for key in sorted(self.table):
             a, b = key

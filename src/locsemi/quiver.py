@@ -17,11 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (CapacityError, CompositionUndefined, DomainError,
                      InvariantError, ParseError, PreconditionError)
-from .magma import OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label
+from .magma import (OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label,
+                    _sorted_labels)
 from .checks import is_refined_locality_semigroup
 
 Arrow = tuple[str, str, str]  # (name, source vertex, target vertex)
@@ -54,11 +55,8 @@ class Quiver:
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
-        verts = tuple(_check_label(v) for v in self.vertices)
-        if len(set(verts)) != len(verts):
-            raise DomainError("duplicate vertex labels")
-        object.__setattr__(self, "vertices", tuple(sorted(verts)))
-        vset = set(verts)
+        object.__setattr__(self, "vertices", _sorted_labels(self.vertices, "vertex"))
+        vset = set(self.vertices)
         names = set()
         arrows = []
         for name, s, t in self.arrows:
@@ -98,24 +96,35 @@ class Quiver:
                     f"{self.target(prev)} != {self.source(nxt)}")
         return Path(self.source(labels[0]), self.target(labels[-1]), labels)
 
+    def _paths_by_length(self) -> Iterator[list[Path]]:
+        """Each length's paths, unsorted, from length 0 up to the last nonempty one.
+
+        Length k+1 extends length k in order, each path by the arrows leaving
+        its target in ``self.arrows`` order, so tied labels keep one order.
+        """
+        leaving: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        for arrow in self.arrows:
+            leaving[arrow[1]].append(arrow)
+        yield [self.trivial_path(v) for v in self.vertices]
+        paths = [Path(s, t, (name,)) for name, s, t in self.arrows]
+        while paths:
+            yield paths
+            paths = [Path(p.source, t, p.arrows + (name,))
+                     for p in paths for name, _, t in leaving[p.target]]
+
     def paths_of_length(self, n: int) -> list[Path]:
         """All paths of exactly length n, label-sorted."""
         if n < 0:
             raise DomainError("length must be nonnegative")
-        if n == 0:
-            return [self.trivial_path(v) for v in self.vertices]
-        out = [Path(s, t, (name,)) for name, s, t in self.arrows]
-        for _ in range(n - 1):
-            out = [Path(p.source, t, p.arrows + (name,))
-                   for p in out for name, s, t in self.arrows if s == p.target]
-        return sorted(out, key=lambda p: p.label)
+        return sorted(next(itertools.islice(self._paths_by_length(), n, None), []),
+                      key=lambda p: p.label)
 
     def paths_upto(self, max_len: int, capacity: int = 10000) -> list[Path]:
         if max_len < 0:
             raise DomainError("max_len must be nonnegative")
         out: list[Path] = []
-        for k in range(max_len + 1):
-            out.extend(self.paths_of_length(k))
+        for paths in itertools.islice(self._paths_by_length(), max_len + 1):
+            out.extend(sorted(paths, key=lambda p: p.label))
             if len(out) > capacity:
                 raise CapacityError(f"more than {capacity} paths up to length {max_len}")
         return out
@@ -129,35 +138,28 @@ class Quiver:
 
     def is_acyclic(self) -> bool:
         """True when no oriented cycle exists (multi-edges are irrelevant here)."""
-        succ: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for _, s, t in self.arrows:
-            succ[s].add(t)
-        state: dict[str, int] = {}  # 0 visiting, 1 done
-
-        def visit(v: str) -> bool:
-            state[v] = 0
-            for w in succ[v]:
-                if state.get(w) == 0:
-                    return False
-                if w not in state and not visit(w):
-                    return False
-            state[v] = 1
-            return True
-
-        return all(v in state or visit(v) for v in self.vertices)
+        return self.longest_path_length() is not None
 
     def longest_path_length(self) -> int | None:
-        """Length of the longest path, or None for cyclic quivers."""
-        if not self.is_acyclic():
-            return None
-        best = 0
-        frontier = self.paths_of_length(1)
-        length = 1
-        while frontier:
-            best = length
-            length += 1
-            frontier = self.paths_of_length(length)
-        return best
+        """Length of the longest path, or None for cyclic quivers.
+
+        One walk in topological order (Kahn), which never takes a vertex on a cycle.
+        """
+        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
+        waiting = dict.fromkeys(self.vertices, 0)  # arrows into v not yet taken
+        for _, s, t in self.arrows:
+            succ[s].append(t)
+            waiting[t] += 1
+        depth = dict.fromkeys(self.vertices, 0)  # longest path ending at v
+        # taken grows while it is walked and ends as a topological order
+        taken = [v for v in self.vertices if not waiting[v]]
+        for v in taken:
+            for w in succ[v]:
+                depth[w] = max(depth[w], depth[v] + 1)
+                waiting[w] -= 1
+                if not waiting[w]:
+                    taken.append(w)
+        return max(depth.values(), default=0) if len(taken) == len(self.vertices) else None
 
 
 def compose(p: Path, q: Path) -> Path:

@@ -17,8 +17,9 @@ from locsemi import (NotAssociative, adjoin_identity, adjoin_zero, census,
                      is_strong_semigroup_with_zero, materialize_path_magma,
                      powerset_magma, sampled_classify, search_space_size,
                      totient, totient_hom_check, verify_free_property)
-from locsemi.checks import _polar_closure_violation, _polar_subset_violations
-from locsemi.enumeration import _iter_tables, _table_flags
+from locsemi.checks import (_polar_closure_violation, _polar_subset_violations,
+                            _table_flags)
+from locsemi.enumeration import _iter_tables
 from locsemi.fixtures import fixture_magma, fixture_quiver
 from locsemi.quiver import Quiver
 

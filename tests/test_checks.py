@@ -70,6 +70,31 @@ def test_singleton_reduction_random_corpus():
             _singleton_vs_subsets(random_magma(rng, labels))
 
 
+def test_subset_witnesses_replay_against_public_polars():
+    # labels that sort as strings, not as numbers ("10" < "5" < "a"), so the
+    # flat table's index order must be the carrier's label order
+    rng = random.Random(8)
+    pool = [str(k) for k in range(3, 14)] + ["a"]
+    failing = 0
+    for _ in range(300):
+        labels = rng.sample(pool, rng.randint(1, 12))
+        density = rng.random()
+        table = {(a, b): rng.choice(labels)
+                 for a in labels for b in labels if rng.random() < density}
+        m = FinitePartialMagma(labels, table)
+        v = check_polar_closure_subsets(m)
+        if v:
+            continue
+        failing += 1
+        side = v.witness.axiom.removesuffix("-polar-closure")
+        U = v.witness.detail.removeprefix("U={").removesuffix("}").split(",")
+        polar = m.left_polar(U) if side == "left" else m.right_polar(U)
+        a, b = v.witness.elements
+        assert a in polar and b in polar, (m, v)
+        assert m.product(a, b) not in polar, (m, v)
+    assert failing > 100
+
+
 def test_strong_fixtures():
     v = is_strong_locality_semigroup(EX3_6)
     assert not v

@@ -14,8 +14,9 @@ from locsemi import (DomainError, FinitePartialMagma, NotAssociative,
                      is_strong_semigroup_with_zero, materialize_path_magma,
                      parse_semigroup_with_zero, partial_from_semigroup,
                      powerset_magma, serialize_semigroup_with_zero)
+from locsemi.checks import _table_flags
 from locsemi.enumeration import (_FLAG_NAMES, _decode_table, _representatives,
-                                 _table_flags, decode_magma, search_space_size)
+                                 decode_magma, search_space_size)
 from locsemi.fixtures import fixture_magma, fixture_quiver
 
 from strategies import magma_with_subset

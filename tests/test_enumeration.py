@@ -9,7 +9,8 @@ from locsemi import (CapacityError, DomainError, FinitePartialMagma, census,
                      find_witness, format_census_table, parse_magma,
                      sample_census, sample_magmas, scan_flags,
                      search_space_size)
-from locsemi.enumeration import _decode_table, _iter_tables, _table_flags
+from locsemi.checks import _table_flags
+from locsemi.enumeration import _decode_table, _iter_tables
 
 
 def test_search_space_sizes():

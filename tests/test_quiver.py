@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from locsemi import (CapacityError, CompositionUndefined, DomainError,
                      FinitePartialMagma, InvariantError, ParseError, Path,
@@ -135,6 +137,51 @@ def test_acyclic_boundary_empty_at_longest_path():
         assert boundary == []
     assert not TWO_LOOPS.is_acyclic()
     assert TWO_LOOPS.longest_path_length() is None
+
+
+@st.composite
+def small_quivers(draw):
+    vertices = draw(st.lists(st.sampled_from("wxyz"), min_size=1, max_size=4, unique=True))
+    # names such as "a*b" make labels tie: ("a*b","c") and ("a","b*c") are both a*b*c
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "a*b", "b*c", "d"]),
+                          max_size=6, unique=True))
+    ends = st.sampled_from(vertices)
+    return Quiver(tuple(vertices), tuple((name, draw(ends), draw(ends)) for name in names))
+
+
+def _chains_of_length(q, k):
+    """Every sequence of k arrows whose targets meet the next sources, label-sorted."""
+    if k == 0:
+        return [q.trivial_path(v) for v in q.vertices]
+    chains = [Path(seq[0][1], seq[-1][2], tuple(a[0] for a in seq))
+              for seq in itertools.product(q.arrows, repeat=k)
+              if all(x[2] == y[1] for x, y in zip(seq, seq[1:]))]
+    return sorted(chains, key=lambda p: p.label)
+
+
+@given(small_quivers(), st.integers(0, 4), st.integers(0, 40))
+def test_path_walks_match_brute_force(q, max_len, capacity):
+    nv = len(q.vertices)
+    by_length = [_chains_of_length(q, k) for k in range(max(max_len, nv) + 1)]
+    for k in range(max_len + 1):
+        assert q.paths_of_length(k) == by_length[k]
+    upto = [p for k in range(max_len + 1) for p in by_length[k]]
+    if any(c > capacity for c in itertools.accumulate(map(len, by_length[:max_len + 1]))):
+        with pytest.raises(CapacityError):
+            q.paths_upto(max_len, capacity=capacity)
+    else:
+        assert q.paths_upto(max_len, capacity=capacity) == upto
+    # a path with as many arrows as vertices repeats a vertex, so it closes a cycle
+    longest = None if by_length[nv] else max(k for k in range(nv) if by_length[k])
+    assert q.longest_path_length() == longest
+    assert q.is_acyclic() == (longest is not None)
+
+
+def test_long_chain_needs_no_recursion():
+    vs = tuple(f"v{i:04d}" for i in range(1500))
+    chain = Quiver(vs, tuple((f"a{i:04d}", vs[i], vs[i + 1]) for i in range(1499)))
+    assert chain.longest_path_length() == 1499
+    assert chain.is_acyclic()
 
 
 def test_arrow_locality_set():
