@@ -12,9 +12,13 @@ product function), so each axiom clause is stated once and drives the full
 scans of finite tables, the bounded scans of predicate-defined structures,
 and witness replay, which re-runs a scan on the witness's own elements.
 
-Every axiom is stated in this module.  The census's fused flat-table kernel
+Every axiom is stated in this module.  The fused flat-table kernel
 ``_table_flags`` and the literal subset oracle ``_polar_subset_violations``
-sit beside the scan clauses, on tables that ``_flat_table`` compiles.
+sit beside the scan clauses.  The kernel decides closed tables, the census's
+and those ``_flat_table`` compiles, and open ones: ``_open_table`` compiles a
+bounded slice of a predicate structure together with the products that
+leave it, so the kernel gives the bounded report's verdicts and only the
+failing classes run their scans, for the witness.
 
 Full scans walk only linked triples, those whose (a,b) or (b,c) is related.
 Every clause tests rel(a, b) (refined-right alone tests rel(b, c)) before it
@@ -28,7 +32,9 @@ path semigroups.
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -39,16 +45,18 @@ Rel = Callable[[object, object], bool]
 Mul = Callable[[object, object], object]
 
 
-def _linked_triples(elems: Sequence, rel: Rel):
+def _linked_triples(elems: Sequence, rel: Rel, rows: Sequence[bytes] | None = None):
     """A triple source over the sorted ``elems``: the scan order, linked triples only.
 
     The order is the strictly increasing triples lexicographically, then every
     other triple lexicographically; a triple is kept when its (a,b) or (b,c)
-    is related.  The relation is read once per pair into byte rows, and two
-    byte masks over that order let ``compress`` pick the triples at C speed.
+    is related.  The relation is read once per pair into byte rows (``rows``,
+    when the caller has read it already), and two byte masks over that order
+    let ``compress`` pick the triples at C speed.
     """
     n = len(elems)
-    rows = [bytes(bool(rel(a, b)) for b in elems) for a in elems]
+    if rows is None:
+        rows = [bytes(bool(rel(a, b)) for b in elems) for a in elems]
     ones = b"\1" * n
     # ends[j]: first position past the elements equal to elems[j]
     ends = [bisect_right(elems, b) for b in elems]
@@ -84,7 +92,9 @@ def _ordered_pairs(elems: Sequence):
 # iterable per pass.  A full scan is read only up to its first violation, so
 # a later pass runs only once the earlier ones hold and its products are
 # defined; a replay passes one triple and a product that is None where
-# undefined, so every clause must also be exact on a lone triple.
+# undefined, so every clause must also be exact on a lone triple.  A relation
+# may answer with any truthy or falsy value, so clauses branch on the answers
+# and never compare two of them.
 
 def _polar_closure_violation(triples, rel: Rel, mul: Mul):
     # left closure: a, b both related into c and (a,b) related force (ab, c) related
@@ -126,21 +136,23 @@ def _refined_violation(triples, rel: Rel, mul: Mul):
     for a, b, c in triples():
         if rel(a, b):
             ab = mul(a, b)
-            if rel(b, c) != rel(ab, c):
-                if rel(b, c):
-                    detail = f"({b},{c}) defined but ({ab},{c}) undefined"
-                else:
-                    detail = f"({ab},{c}) defined but ({b},{c}) undefined"
-                yield fail("refined-left", (a, b, c), detail)
+            if rel(b, c):
+                if not rel(ab, c):
+                    yield fail("refined-left", (a, b, c),
+                               f"({b},{c}) defined but ({ab},{c}) undefined")
+            elif rel(ab, c):
+                yield fail("refined-left", (a, b, c),
+                           f"({ab},{c}) defined but ({b},{c}) undefined")
     for a, b, c in triples():
         if rel(b, c):
             bc = mul(b, c)
-            if rel(a, b) != rel(a, bc):
-                if rel(a, b):
-                    detail = f"({a},{b}) defined but ({a},{bc}) undefined"
-                else:
-                    detail = f"({a},{bc}) defined but ({a},{b}) undefined"
-                yield fail("refined-right", (a, b, c), detail)
+            if rel(a, b):
+                if not rel(a, bc):
+                    yield fail("refined-right", (a, b, c),
+                               f"({a},{b}) defined but ({a},{bc}) undefined")
+            elif rel(a, bc):
+                yield fail("refined-right", (a, b, c),
+                           f"({a},{bc}) defined but ({a},{b}) undefined")
     for a, b, c in triples():
         if rel(a, b) and rel(b, c):
             ab, bc = mul(a, b), mul(b, c)
@@ -154,16 +166,16 @@ def _partial_violation(triples, rel: Rel, mul: Mul):
         if rel(a, b) and rel(b, c):
             ab, bc = mul(a, b), mul(b, c)
             left_in, right_in = rel(ab, c), rel(a, bc)
-            if left_in != right_in:
-                if right_in:
-                    detail = f"({ab},{c}) undefined, ({a},{bc}) defined"
-                else:
-                    detail = f"({a},{bc}) undefined, ({ab},{c}) defined"
-                yield fail("partial-membership", (a, b, c), detail)
-            elif left_in:
+            if left_in and right_in:
                 lhs, rhs = mul(ab, c), mul(a, bc)
                 if lhs != rhs:
                     yield fail("partial-assoc", (a, b, c), f"{lhs}!={rhs}")
+            elif right_in:
+                yield fail("partial-membership", (a, b, c),
+                           f"({ab},{c}) undefined, ({a},{bc}) defined")
+            elif left_in:
+                yield fail("partial-membership", (a, b, c),
+                           f"({a},{bc}) undefined, ({ab},{c}) defined")
 
 
 def _transitive_violation(triples, rel: Rel, mul: Mul):
@@ -200,7 +212,8 @@ def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tupl
 
 # ---------------------------------------------------------------------------
 # flat tables: cell i*n+j holds the index of the product of elements i and j,
-# or -1 where the pair is unrelated
+# or -1 where the pair is unrelated.  A closed table's products stay in its
+# carrier; an open table also indexes the products that leave it.
 
 def _flat_table(m: FinitePartialMagma) -> list[int]:
     """m's flat table, indexed in the order of m.elements, which is label order."""
@@ -212,7 +225,49 @@ def _flat_table(m: FinitePartialMagma) -> list[int]:
     return t
 
 
-def _table_flags(n: int, t: list[int]) -> tuple[bool, bool, bool, bool, bool]:
+def _open_table(elems: Sequence, rel: Rel, mul: Mul):
+    """Compile the slice ``elems`` into an open table: (t, (m, left, RP, CP), rows).
+
+    The slice S holds indices 0..n-1.  P, the products of related slice pairs
+    that fall outside S, holds n..m-1 in the order first met.  t has the rows
+    a*y for a in S and y in S or P (stride m); left has the rows x*c for x in
+    S or P and c in S (stride n).  For the j-th product x of P, RP[j] is the
+    mask of the c in S related from x, CP[j] that of the a in S related to x;
+    the kernel reads the masks of S from t.  Further products get ids from m
+    on, only so that they compare equal exactly when the values do.  rows is
+    the in-slice relation as byte rows for _linked_triples.  The compile
+    reads each pair once and takes a product only on a related pair with a
+    factor in S.
+    """
+    n = len(elems)
+    first = {x: i for i, x in enumerate(elems)}
+    # a value met for the first time takes the next id: P from n, then the rest
+    ids = defaultdict(itertools.count(n).__next__, first)
+    cells = [[ids[mul(a, b)] if rel(a, b) else -1 for b in elems] for a in elems]
+    P = list(ids)[len(first):]
+    m = n + len(P)
+    t = array("i", [-1]) * (n * m)
+    left = array("i", [-1]) * (m * n)
+    for a, row in enumerate(cells):
+        t[a * m:a * m + n] = left[a * n:a * n + n] = array("i", row)
+    RP, CP = [], []
+    for y, v in enumerate(P, n):
+        # the column a*v and the row v*c of a product v outside the slice
+        column = row = 0
+        for k, e in enumerate(elems):
+            if rel(e, v):
+                t[k * m + y] = ids[mul(e, v)]
+                column |= 1 << k
+            if rel(v, e):
+                left[y * n + k] = ids[mul(v, e)]
+                row |= 1 << k
+        RP.append(row)
+        CP.append(column)
+    rows = [bytes(i >= 0 for i in row) for row in cells]
+    return t, (m, left, RP, CP), rows
+
+
+def _table_flags(n: int, t, open_table=None) -> tuple[bool, bool, bool, bool, bool]:
     """(locality, strong, refined, partial, transitive) in one pass over defined pairs.
 
     R[a] and C[b] are the row and column bitmasks of defined cells.  Each
@@ -222,23 +277,36 @@ def _table_flags(n: int, t: list[int]) -> tuple[bool, bool, bool, bool, bool]:
     R[b] == R[ab] and C[a] == C[ab], and the regroupings (ab)c, a(bc) over
     the defined (b,c) settle the associativity clauses.  Returns as soon as
     every flag is false.
+
+    A closed table is t alone: t gives the rows of (ab)c as well, and the
+    masks.  An open table from _open_table passes ``open_table`` =
+    (m, left, RP, CP): t then has stride m, the rows of (ab)c come from left,
+    the masks of the products outside the slice from RP and CP, and a, b, c
+    still run over the n slice elements only, so every clause is decided on
+    the slice even where products leave it.
     """
     rng = range(n)
-    R = [0] * n
-    C = [0] * n
+    if open_table is None:
+        m, left = n, t
+        R = [0] * n
+        C = [0] * n
+    else:
+        m, left, RP, CP = open_table
+        R = [0] * n + RP
+        C = [0] * n + CP
     for a in rng:
-        an = a * n
+        am = a * m
         for b in rng:
-            if t[an + b] >= 0:
+            if t[am + b] >= 0:
                 R[a] |= 1 << b
                 C[b] |= 1 << a
     loc = strong = refined = partial = trans = True
     for a in rng:
-        an = a * n
+        am = a * m
         Ra = R[a]
         Ca = C[a]
         for b in rng:
-            ab = t[an + b]
+            ab = t[am + b]
             if ab < 0:
                 continue
             Rb = R[b]
@@ -255,14 +323,14 @@ def _table_flags(n: int, t: list[int]) -> tuple[bool, bool, bool, bool, bool]:
             # a pair that fails strong fails refined membership, so refined
             # implies strong after every pair and neither test names it
             if loc or strong or partial:
-                bn = b * n
+                bm = b * m
                 abn = ab * n
                 for c in rng:
-                    bc = t[bn + c]
+                    bc = t[bm + c]
                     if bc < 0:
                         continue
-                    x = t[abn + c]
-                    if x != t[an + bc]:
+                    x = left[abn + c]
+                    if x != t[am + bc]:
                         strong = refined = partial = False
                         if Ra >> c & 1:
                             loc = False
@@ -517,11 +585,26 @@ def render_verdict(name: str, v: Verdict) -> str:
     return f"{name}=no[witness: {v.witness.axiom} {format_witness(v.witness)}]"
 
 
-def _assemble_report(elems, rel, mul, bound=None) -> ClassReport:
-    # one triple source shared by the five scans, so the relation is read once
-    triples = _linked_triples(elems, rel)
-    verdicts = {name: next(scan(triples, rel, mul), OK)
-                for name, scan in _CLASS_SCANS.items()}
+def _assemble_report(elems, rel, mul, bound=None, flags=None, rows=None) -> ClassReport:
+    """The report over ``elems``; each class's verdict is the first violation of its scan.
+
+    ``flags``, the kernel's five verdicts in _CLASS_SCANS order, skip the
+    scans of the classes that hold; a failing class still runs its scan for
+    the witness, which must then find one.  ``rows`` is the relation over
+    ``elems`` as byte rows, when the caller has read it already.
+    """
+    # one triple source shared by the scans, so the relation is read once
+    triples = None
+    verdicts = {}
+    for i, (name, scan) in enumerate(_CLASS_SCANS.items()):
+        if flags is not None and flags[i]:
+            verdicts[name] = OK
+            continue
+        if triples is None:
+            triples = _linked_triples(elems, rel, rows)
+        verdicts[name] = next(scan(triples, rel, mul), OK)
+        if flags is not None and verdicts[name].ok:
+            raise InvariantError(f"the kernel fails {name} but its scan finds no violation")
     li, ri, ident = _sided_elements(elems, rel, mul, lambda e, a: a)
     lz, rz, zero = _sided_elements(elems, rel, mul, lambda e, a: e)
     s = lambda xs: tuple(str(x) for x in xs)

@@ -8,12 +8,15 @@ outside the slice are still tested honestly.  A positive bounded verdict
 means "no counterexample within the bound", never a theorem; negative
 verdicts carry exact witnesses that persist at every larger bound.
 
-``sampled_classify`` runs all five class scans and the identity/zero
-searches; ``sampled_verdict`` runs the one scan of a named class and gives
-the same verdict and witness, at a fraction of the cost when that class
-fails early.  The coprimality relations test with ``math.gcd``; ``gcd``
-here is a remainder loop kept as an independent oracle, and ``totient``
-counts with it.
+``sampled_classify`` compiles the slice into an open table (the slice, the
+products of its related pairs that leave it, and their rows and columns;
+see ``checks._open_table``) and takes the five class verdicts from the flag
+kernel ``checks._table_flags``; only a failing class runs its ordered scan,
+for the witness.  ``sampled_verdict`` runs the one scan of a named class and
+gives the same verdict and witness, at a fraction of the cost when that
+class fails early.  The coprimality relations test with ``math.gcd``;
+``gcd`` here is a remainder loop kept as an independent oracle, and
+``totient`` counts with it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from typing import Any, Callable
 
 from .errors import CapacityError, DomainError
 from .magma import OK, FinitePartialMagma, Verdict, fail
-from .checks import _CLASS_SCANS, ClassReport, _assemble_report, _first
+from .checks import (_CLASS_SCANS, ClassReport, _assemble_report, _first, _open_table,
+                     _table_flags)
 
 
 def gcd(a: int, b: int) -> int:
@@ -50,8 +54,10 @@ class PredicateMagma:
     """An intensional structure: membership, relation and product as functions.
 
     ``slice_elements`` maps a bound to the finite element list used by
-    bounded scans; the product must be defined whenever the relation test
-    passes on sliced elements.
+    bounded scans.  The relation may answer with any truthy or falsy value.
+    Bounded checks take the product of every related pair with one factor in
+    the slice, so there it must be defined and hashable, and equal products
+    must hash alike.
     """
 
     description: str
@@ -154,8 +160,13 @@ def sampled_classify(p: PredicateMagma, bound: int) -> ClassReport:
 
     The relation and products are evaluated exactly even when a product
     exceeds the bound.  Identity and zero searches quantify over the slice.
+    The kernel decides the five classes; each failing class runs its scan
+    for the witness, exactly as a report of five scans gives it.
     """
-    return _assemble_report(_sorted_slice(p, bound), p.related, p.product, bound=bound)
+    elems = _sorted_slice(p, bound)
+    t, table, rows = _open_table(elems, p.related, p.product)
+    flags = _table_flags(len(elems), t, table)
+    return _assemble_report(elems, p.related, p.product, bound=bound, flags=flags, rows=rows)
 
 
 def sampled_verdict(p: PredicateMagma, bound: int, name: str) -> Verdict:

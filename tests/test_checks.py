@@ -448,6 +448,23 @@ def test_linked_scans_yield_every_violation_of_the_full_scan():
             assert list(scan(linked, rel, mul)) == want, (name, scan.__name__)
 
 
+def test_open_compile_of_finite_structures_gives_classify_flags():
+    cases = [decode_magma(n, code) for n in (1, 2) for code in range(search_space_size(n))]
+    rng = random.Random(7)
+    for n in range(3, 9):
+        labels = tuple(f"x{i}" for i in range(n))
+        for density in (0.1, 0.3, 0.6, 0.95, 1.0):
+            for _ in range(5):
+                cases.append(FinitePartialMagma(labels, {
+                    (a, b): rng.choice(labels) for a in labels for b in labels
+                    if rng.random() < density}))
+    for m in cases:
+        elems, rel, mul = checks._accessors(m)
+        t, table, rows = checks._open_table(elems, rel, mul)
+        assert checks._table_flags(len(elems), t, table) == classify(m).flags(), m
+        assert rows == [bytes(rel(a, b) for b in elems) for a in elems]
+
+
 _TOTAL4 = {(a, b) for a in range(4) for b in range(4)}
 
 

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from locsemi import (CapacityError, DomainError, PredicateMagma, adjoin_zero,
-                     bounded_magma, classify, coprime_magma, coprime_with_zero,
+from locsemi import (CapacityError, DomainError, InvariantError, PredicateMagma,
+                     adjoin_zero, bounded_magma, checks, classify,
+                     coprime_magma, coprime_with_zero,
                      find_identities, find_zeros, gcd, is_locality_semigroup,
                      is_transitive, natural_multiplication, powerset_magma,
                      sampled_classify, sampled_verdict, totient,
                      totient_hom_check)
+from locsemi.magma import OK
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
@@ -126,9 +128,10 @@ def test_sampled_classify_needs_slicer():
         bounded_magma(sliceless, 5)
 
 
-@pytest.mark.parametrize("bound", [1, 2, 12, 30])
+@pytest.mark.parametrize("bound", [1, 2, 12, 30, 45])
 @pytest.mark.parametrize("make", [coprime_magma, coprime_with_zero, natural_multiplication])
 def test_sampled_verdict_matches_sampled_classify(make, bound):
+    # sampled_verdict runs one scan; sampled_classify takes holding classes from the kernel
     p = make()
     report = sampled_classify(p, bound)
     for name in ("locality", "strong", "refined", "partial", "transitive"):
@@ -171,3 +174,70 @@ def test_totient_hom_check():
     assert totient_hom_check(2)
     with pytest.raises(DomainError):
         totient_hom_check(1)
+
+
+_COPRIME_REPORT = ("CLASS bound={} locality=yes strong=no[witness: strong-left (2,3),(3,4)] "
+                   "refined=no[witness: refined-left {}] partial=yes "
+                   "transitive=no[witness: transitivity (2,3),(3,4)] identities=1 zeros={}")
+
+
+@pytest.mark.parametrize("bound", [60, 70])
+def test_builtin_renders_at_large_bounds(bound):
+    assert sampled_classify(coprime_magma(), bound).render() == \
+        _COPRIME_REPORT.format(bound, "(2,3),(3,4)", "")
+    assert sampled_classify(coprime_with_zero(), bound).render() == \
+        _COPRIME_REPORT.format(bound, "(0,2),(2,4)", "0")
+    assert sampled_classify(natural_multiplication(), bound).render() == (
+        f"CLASS bound={bound} locality=yes strong=yes refined=yes partial=yes "
+        "transitive=yes identities=1 zeros=")
+
+
+# truthy and falsy answers a user relation may give
+_YES = (True, 1, 2, 256, "yes", (0,), [1])
+_NO = (False, 0, None, "", (), [])
+
+
+@st.composite
+def open_predicates(draw):
+    """A seeded predicate on an integer slice whose products may leave it."""
+    lo = draw(st.integers(-3, 3))
+    salt = draw(st.integers(0, 2 ** 30))
+    density = draw(st.sampled_from((0.15, 0.4, 0.7, 0.9, 1.0)))
+    kind = draw(st.sampled_from(("modular", "sum", "max", "mixed")))
+    modulus = draw(st.integers(1, 12))
+    h = lambda *key: hash((salt,) + key) & 0xFFFF
+
+    def related(a, b):
+        answers = _YES if h(0, a, b) % 100 < 100 * density else _NO
+        return answers[h(1, a, b) % len(answers)]
+
+    def product(a, b):
+        k = kind if kind != "mixed" else ("modular", "sum", "max", "times")[h(2, a, b) % 4]
+        if k == "modular":
+            return a * b % modulus + lo
+        if k == "sum":
+            return a + b
+        if k == "max":
+            return max(a, b) + h(3, a, b) % 2
+        return a * b
+
+    return PredicateMagma(f"open-{kind}", lambda a: isinstance(a, int), related, product,
+                          lambda bound: list(range(lo, lo + bound)))
+
+
+@given(open_predicates(), st.integers(1, 7))
+def test_sampled_classify_matches_all_scans(p, bound):
+    # the kernel decides the classes that hold, so compare with every scan run
+    elems = sorted(p.slice_elements(bound))
+    triples = checks._linked_triples(elems, p.related)
+    want = [next(scan(triples, p.related, p.product), OK)
+            for scan in checks._CLASS_SCANS.values()]
+    report = sampled_classify(p, bound)
+    assert [getattr(report, name) for name in checks._CLASS_SCANS] == want
+
+
+def test_kernel_and_scan_disagreement_raises(monkeypatch):
+    # an explicit raise, so `python -O` keeps it
+    monkeypatch.setitem(checks._CLASS_SCANS, "strong", lambda *args: iter(()))
+    with pytest.raises(InvariantError, match="strong"):
+        sampled_classify(coprime_magma(), 12)
