@@ -13,12 +13,14 @@ scans of finite tables, the bounded scans of predicate-defined structures,
 and witness replay, which re-runs a scan on the witness's own elements.
 
 Every axiom is stated in this module.  The fused flat-table kernel
-``_table_flags`` and the literal subset oracle ``_polar_subset_violations``
-sit beside the scan clauses.  The kernel decides closed tables, the census's
-and those ``_flat_table`` compiles, and open ones: ``_open_table`` compiles a
-bounded slice of a predicate structure together with the products that
-leave it, so the kernel gives the bounded report's verdicts and only the
-failing classes run their scans, for the witness.
+``_table_flags``, its bit-sliced twin ``_block_flags``, which decides a block
+of closed tables at once for the census, and the literal subset oracle
+``_polar_subset_violations`` sit beside the scan clauses.  ``_table_flags``
+decides closed tables, those of ``scan_flags`` and those ``_flat_table``
+compiles, and open ones: ``_open_table`` compiles a bounded slice of a
+predicate structure together with the products that leave it, so the kernel
+gives the bounded report's verdicts and only the failing classes run their
+scans, for the witness.
 
 Full scans walk only linked triples, those whose (a,b) or (b,c) is related.
 Every clause tests rel(a, b) (refined-right alone tests rel(b, c)) before it
@@ -339,6 +341,73 @@ def _table_flags(n: int, t, open_table=None) -> tuple[bool, bool, bool, bool, bo
             if not (loc or strong or partial or trans):
                 return (False, False, False, False, False)
     return (loc, strong, refined, partial, trans)
+
+
+def _block_flags(n: int, digits, full: int) -> tuple[int, int, int, int, int]:
+    """_table_flags bit-sliced: the five flag sets of a block of closed tables.
+
+    Bit i of an int stands for the block's i-th table, and ``full`` has one bit
+    per table.  digits[a*n+b][v] is the set of tables whose cell (a,b) holds
+    digit v: 0 where the pair is undefined, v where the product is v-1.  Each
+    clause of _table_flags becomes a few AND/OR/XOR over whole sets, in the
+    same order, for every triple (a,b,c): transitivity (ab and bc defined
+    force ac), both halves of singleton polar closure, refined membership on
+    both sides, and the regroupings (ab)c and a(bc), whose digits are read
+    bit plane by bit plane, value by value of ab (resp. bc).  A set of
+    tables failing a clause is gathered per flag; no complement is taken
+    until the end, since ``~`` on a big int costs ten times an AND.
+    """
+    rng = range(n)
+    values = range(1, n + 1)
+    planes = range(n.bit_length())
+    # defined[k]: cell k defined; bits[k][j]: bit j of cell k's digit (a
+    # cell's digit sets are disjoint, so their sum is their union)
+    defined = [full ^ d[0] for d in digits]
+    bits = [[sum(d[v] for v in values if v >> j & 1) for j in planes] for d in digits]
+    # products[k]: (value, tables where cell k holds it) for each value held
+    products = [[(v - 1, d[v]) for v in values if d[v]] for d in digits]
+    loc_bad = strong_bad = refined_bad = partial_bad = trans_bad = 0
+    for a in rng:
+        for b in rng:
+            ab_k = a * n + b
+            dab = defined[ab_k]
+            for c in rng:
+                bc_k = b * n + c
+                dbc = defined[bc_k]
+                if not (dab or dbc):
+                    continue
+                # x[j], y[j]: bit j of the digits of (ab)c and a(bc), kept
+                # only where ab (resp. bc) is defined
+                x = [0] * len(planes)
+                for p, s in products[ab_k]:
+                    row = bits[p * n + c]
+                    for j in planes:
+                        x[j] |= s & row[j]
+                y = [0] * len(planes)
+                for q, s in products[bc_k]:
+                    row = bits[a * n + q]
+                    for j in planes:
+                        y[j] |= s & row[j]
+                left_in = right_in = diff = 0
+                for j in planes:
+                    left_in |= x[j]
+                    right_in |= y[j]
+                    diff |= x[j] ^ y[j]
+                both = dab & dbc
+                linked = both & defined[a * n + c]
+                trans_bad |= both ^ linked
+                # left closure: ab, ac, bc defined force (ab)c; right closure:
+                # ab, ac, bc defined force a(bc) (the pair (a,b) of the dual
+                # clause read at the triple (c,a,b))
+                loc_bad |= linked ^ (linked & left_in & right_in)
+                # R[b] == R[ab] at column c, C[b] == C[bc] at row a
+                refined_bad |= (both ^ left_in) | (both ^ right_in)
+                mismatch = both & diff
+                loc_bad |= linked & mismatch
+                partial_bad |= mismatch
+                strong_bad |= mismatch | (both ^ (both & left_in))
+    return (full ^ loc_bad, full ^ strong_bad, full ^ (refined_bad | strong_bad),
+            full ^ partial_bad, full ^ trans_bad)
 
 
 def _polar_subset_violations(n: int, t: list[int]):

@@ -96,7 +96,7 @@ def _cmd_ideal(args) -> int:
 
 def _cmd_quiver_paths(args) -> int:
     q = quiver.parse_quiver(_read(args.file))
-    magma, boundary = quiver.materialize_path_magma(q, args.max_len)
+    boundary = quiver.path_boundary(q, args.max_len)
     paths = sorted(q.paths_upto(args.max_len), key=lambda p: (p.length, p.label))
     for p in paths:
         print(f"path {p.label}: {p.source} -> {p.target} length={p.length}")

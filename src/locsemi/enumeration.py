@@ -5,15 +5,19 @@ the cell is undefined, digit k means the product is element k-1.  Enumeration
 is counting, which gives exact coverage of the (n+1)**(n*n) search space
 and a deterministic order.
 
-This module states no axiom: each table's five flags come from the fused
-kernel ``checks._table_flags``.  ``_decode_table`` reads the flat table at
-a code, ``decode_magma`` labels it, and ``encode_magma`` reads the digits
-back from ``checks._flat_table``.  Every flag is invariant under relabeling
-the carrier, so the census and the witness search classify only the tables
-whose code is the minimum over every relabeling (the orderly-generation
-test); the raw census weights each by its class size n!/|Aut(t)|, and no
-canonical form is built or stored.  Raw, deduplicated and sampled censuses
-share one path from codes to rows, ``_tally_rows``.
+This module states no axiom.  ``scan_flags`` takes each table's five flags
+from the per-table kernel ``checks._table_flags``.  The census, the sampled
+census and the witness search decide whole blocks of tables at once with
+its bit-sliced twin ``checks._block_flags``: one int per cell and digit
+holds a bit per table of the block, and the kernel returns the five flags
+as five such sets.  The exhaustive pass cuts the space by the digit of the
+most significant cell, so its blocks share the lower cells' digit sets; a
+sample is cut into chunks of _SAMPLE_CHUNK sorted codes.  A pattern counts
+the tables of its set, its witness is the lowest table of the first block
+that holds it, and ``--dedup`` counts isomorphism classes by Burnside's
+lemma over the sets of tables each relabeling fixes.  ``_decode_table``
+reads the flat table at a code, ``decode_magma`` labels it, and
+``encode_magma`` reads the digits back from ``checks._flat_table``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .checks import _flat_table, _table_flags
-from .errors import CapacityError, DomainError
+from .checks import _block_flags, _flat_table, _table_flags
+from .errors import CapacityError, DomainError, InvariantError
 from .magma import FinitePartialMagma, serialize_magma
 
 _LETTERS = ("a", "b", "c", "d")
@@ -99,56 +103,119 @@ def _iter_tables(n: int):
             i += 1
 
 
-def _relabelings(n: int) -> list[tuple[list[int], list[tuple[int, int]]]]:
-    """Each non-identity carrier permutation p as (values, cells).
+def _tile(unit: int, width: int, times: int) -> int:
+    """``unit``, a pattern of ``width`` bits, repeated ``times`` times from bit 0."""
+    out = shift = 0
+    while times:
+        if times & 1:
+            out |= unit << shift
+            shift += width
+        unit |= unit << width
+        width *= 2
+        times >>= 1
+    return out
 
-    Relabeling by p moves cell (i,j) holding v to (p[i],p[j]) holding p[v].
-    ``values`` is p with -1 appended, so values[-1] keeps undefined cells
-    undefined; ``cells`` pairs each target cell, most significant digit
-    first, with the source cell it is read from.
+
+def _blocks(n: int):
+    """(first code, digit sets, full) for each block of the exhaustive pass.
+
+    A block holds, in order, the codes whose most significant cell holds one
+    digit, and bit i stands for its i-th code.  Cell k holds digit v on the
+    codes whose k-th base-(n+1) digit is v: runs of (n+1)**k ones, one run
+    every (n+1)**(k+1) codes.  Those sets are the same in every block, so
+    they are built once and shared.
+    """
+    base = n + 1
+    top = n * n - 1
+    size = base ** top
+    full = (1 << size) - 1
+    lower = []
+    for k in range(top):
+        run = base ** k
+        zero = _tile((1 << run) - 1, run * base, size // (run * base))
+        lower.append([zero << (v * run) for v in range(base)])
+    for d in range(base):
+        yield d * size, lower + [[full if v == d else 0 for v in range(base)]], full
+
+
+# codes per block of a sampled census, so its sets stay small at any count
+_SAMPLE_CHUNK = 4096
+
+
+def _sampled_blocks(n: int, codes: list[int]):
+    """(position of the first code, digit sets, full) per chunk of ``codes``."""
+    base = n + 1
+    # to_bits[v] maps byte v to "1" and every other byte to "0", so that
+    # int(..., 2) reads a cell's digit string as the set of tables holding v
+    to_bits = [bytes(49 if i == v else 48 for i in range(256)) for v in range(base)]
+    for start in range(0, len(codes), _SAMPLE_CHUNK):
+        chunk = codes[start:start + _SAMPLE_CHUNK]
+        digits = []
+        power = 1
+        for _ in range(n * n):
+            # the last code first, so that bit i stands for the i-th code
+            cell = bytes([c // power % base for c in reversed(chunk)])
+            digits.append([int(cell.translate(t), 2) for t in to_bits])
+            power *= base
+        yield start, digits, (1 << len(chunk)) - 1
+
+
+def _flag_sets(n: int, digits, full: int) -> tuple[int, int, int, int, int]:
+    """The kernel's five flag sets of a block, after checking the class inclusions."""
+    loc, strong, refined, partial, trans = flags = _block_flags(n, digits, full)
+    for sub, sup, what in ((refined, strong, "refined tables that are not strong"),
+                           (strong, loc & partial,
+                            "strong tables that are not both locality and partial"),
+                           (trans & loc, partial,
+                            "transitive locality tables that are not partial")):
+        if sub & ~sup:
+            raise InvariantError(f"the block kernel gives {what}")
+    return flags
+
+
+def _lowest(tables: int) -> int:
+    """The index of the lowest table in a nonempty set."""
+    return (tables & -tables).bit_length() - 1
+
+
+def _patterns(flags, full: int) -> list[tuple[str, int]]:
+    """(pattern, tables) for each flag pattern that some table of the block carries."""
+    split = [("", full)]
+    for letter, held in zip(_FLAG_LETTERS, flags):
+        parts = []
+        for pattern, tables in split:
+            on = tables & held
+            if on:
+                parts.append((pattern + letter, on))
+            if on != tables:
+                parts.append((pattern + "-", tables ^ on))
+        split = parts
+    return split
+
+
+def _fixed_sets(n: int, digits, full: int) -> list[int]:
+    """For each non-identity relabeling p, the tables of the block that p fixes.
+
+    Relabeling by p moves cell (i,j) holding v to (p[i],p[j]) holding p[v], so
+    a table is fixed when every cell's digit, moved by p, is the digit of the
+    cell it lands on.
     """
     out = []
     for p in itertools.permutations(range(n)):
         if p == tuple(range(n)):
             continue
-        inv = [p.index(v) for v in range(n)]
-        cells = [(k, inv[k // n] * n + inv[k % n]) for k in reversed(range(n * n))]
-        out.append((list(p) + [-1], cells))
-    return out
-
-
-def _orbit_size(t: list[int], relabelings, n_fact: int) -> int:
-    """0 if some relabeling of t has a smaller code, else n!/|Aut(t)|.
-
-    Codes compare digit by digit from the most significant cell, so each
-    relabeling is settled at the first cell where it differs from t; one
-    that matches t on every cell is an automorphism.
-    """
-    automorphisms = 1
-    for values, cells in relabelings:
-        for k, src in cells:
-            y = values[t[src]]
-            if y != t[k]:
-                if y < t[k]:
-                    return 0
+        moved = [0] + [v + 1 for v in p]
+        fixed = full
+        for k, source in enumerate(digits):
+            target = digits[p[k // n] * n + p[k % n]]
+            same = 0
+            for v, tables in enumerate(source):
+                same |= tables & target[moved[v]]
+            fixed &= same
+            if not fixed:
                 break
-        else:
-            automorphisms += 1
-    return n_fact // automorphisms
-
-
-def _representatives(n: int):
-    """Yield (code, table, class size) for each isomorphism-class minimum, in order.
-
-    A class's first table in enumeration order is its minimum, so the first
-    representative with given flags is also the first table with them.
-    """
-    relabelings = _relabelings(n)
-    n_fact = math.factorial(n)
-    for code, t in _iter_tables(n):
-        size = _orbit_size(t, relabelings, n_fact)
-        if size:
-            yield code, t, size
+        out.append(fixed)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,46 +268,53 @@ class CensusRow:
     witness: str
 
 
-def _tally_rows(n: int, items) -> list[CensusRow]:
-    """Census rows from (code, table, weight) items in increasing code order.
+def _rows(n: int, blocks, code_at, dedup: bool = False) -> list[CensusRow]:
+    """Census rows over ``blocks``, which come in increasing code order.
 
-    A pattern counts the weights of its tables, and its witness is its
-    first code, which the order makes its minimum.
+    A pattern counts the tables of its sets, and its witness is its lowest
+    table in the first block that holds it, which the order makes its first
+    code; ``code_at(first, i)`` is the code of the i-th table of the block at
+    ``first``.  With dedup a pattern counts isomorphism classes by Burnside's
+    lemma: the tables each relabeling fixes, summed over all n! relabelings,
+    over n!.
     """
-    tally: dict[tuple, list[int]] = {}
-    for code, t, weight in items:
-        flags = _table_flags(n, t)
-        row = tally.get(flags)
-        if row is None:
-            tally[flags] = [weight, code]
-        else:
-            row[0] += weight
-    rows = [CensusRow("".join(l if f else "-" for l, f in zip(_FLAG_LETTERS, flags)),
-                      count, code, serialize_magma(decode_magma(n, code)))
-            for flags, (count, code) in tally.items()]
-    return sorted(rows, key=lambda r: r.pattern)
+    tally: dict[str, list[int]] = {}
+    for first, digits, full in blocks:
+        flags = _flag_sets(n, digits, full)
+        fixed = _fixed_sets(n, digits, full) if dedup else ()
+        for pattern, tables in _patterns(flags, full):
+            count = tables.bit_count() + sum((tables & f).bit_count() for f in fixed)
+            row = tally.get(pattern)
+            if row is None:
+                tally[pattern] = [count, code_at(first, _lowest(tables))]
+            else:
+                row[0] += count
+    if dedup:
+        n_fact = math.factorial(n)
+        for pattern, row in tally.items():
+            classes, rest = divmod(row[0], n_fact)
+            if rest:
+                raise InvariantError(f"Burnside sum of {pattern} is not a multiple of {n_fact}")
+            row[0] = classes
+    return [CensusRow(pattern, count, code, serialize_magma(decode_magma(n, code)))
+            for pattern, (count, code) in sorted(tally.items())]
 
 
 def census(n: int, dedup: bool = False) -> list[CensusRow]:
     """Classify every structure of size n and aggregate by flag pattern.
 
-    Only isomorphism-class minima are classified, since the flags are
-    invariant under relabeling.  The raw census counts each class as its
-    n!/|Aut(t)| tables, and these counts sum to the closed-form
-    search-space size; with dedup=True each class counts once.  Either way
-    a pattern's witness is its first table, a class minimum.
+    The raw counts sum to the closed-form search-space size; with
+    dedup=True each isomorphism class counts once.  Either way a pattern's
+    witness is its first table, which is the minimum of its class.
     """
     _check_exhaustive(n, "exhaustive census", "use sample_census")
-    items = _representatives(n)
-    if dedup:
-        items = ((code, t, 1) for code, t, _ in items)
-    return _tally_rows(n, items)
+    return _rows(n, _blocks(n), lambda first, i: first + i, dedup)
 
 
 def sample_census(n: int, count: int, seed: int) -> list[CensusRow]:
     """Census over ``count`` random codes; counts are sample tallies, not totals."""
     codes = sorted(_sampled_codes(n, count, seed))
-    return _tally_rows(n, ((code, _decode_table(n, code), 1) for code in codes))
+    return _rows(n, _sampled_blocks(n, codes), lambda first, i: codes[first + i])
 
 
 def parse_flag_pattern(wanted: Mapping[str, bool]) -> dict[int, bool]:
@@ -257,10 +331,14 @@ def find_witness(pattern: Mapping[str, bool], n: int) -> FinitePartialMagma | No
     """First structure in enumeration order matching every specified flag."""
     wanted = parse_flag_pattern(pattern)
     _check_exhaustive(n, "witness search")
-    for code, t, _ in _representatives(n):
-        flags = _table_flags(n, t)
-        if all(flags[pos] == val for pos, val in wanted.items()):
-            return decode_magma(n, code)
+    for first, digits, full in _blocks(n):
+        flags = _flag_sets(n, digits, full)
+        tables = full
+        for pos, val in wanted.items():
+            held = tables & flags[pos]
+            tables = held if val else tables ^ held
+        if tables:
+            return decode_magma(n, first + _lowest(tables))
     return None
 
 

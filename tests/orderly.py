@@ -1,0 +1,63 @@
+"""Orderly generation over isomorphism-class minima: the independent dedup oracle.
+
+The census counts isomorphism classes by Burnside's lemma over bit-sliced
+blocks; these helpers count them the other way, walking every table and
+keeping those whose code is the minimum over every relabeling.
+"""
+
+import itertools
+import math
+
+from locsemi.enumeration import _iter_tables
+
+
+def _relabelings(n: int) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """Each non-identity carrier permutation p as (values, cells).
+
+    Relabeling by p moves cell (i,j) holding v to (p[i],p[j]) holding p[v].
+    ``values`` is p with -1 appended, so values[-1] keeps undefined cells
+    undefined; ``cells`` pairs each target cell, most significant digit
+    first, with the source cell it is read from.
+    """
+    out = []
+    for p in itertools.permutations(range(n)):
+        if p == tuple(range(n)):
+            continue
+        inv = [p.index(v) for v in range(n)]
+        cells = [(k, inv[k // n] * n + inv[k % n]) for k in reversed(range(n * n))]
+        out.append((list(p) + [-1], cells))
+    return out
+
+
+def _orbit_size(t: list[int], relabelings, n_fact: int) -> int:
+    """0 if some relabeling of t has a smaller code, else n!/|Aut(t)|.
+
+    Codes compare digit by digit from the most significant cell, so each
+    relabeling is settled at the first cell where it differs from t; one
+    that matches t on every cell is an automorphism.
+    """
+    automorphisms = 1
+    for values, cells in relabelings:
+        for k, src in cells:
+            y = values[t[src]]
+            if y != t[k]:
+                if y < t[k]:
+                    return 0
+                break
+        else:
+            automorphisms += 1
+    return n_fact // automorphisms
+
+
+def _representatives(n: int):
+    """Yield (code, table, class size) for each isomorphism-class minimum, in order.
+
+    A class's first table in enumeration order is its minimum, so the first
+    representative with given flags is also the first table with them.
+    """
+    relabelings = _relabelings(n)
+    n_fact = math.factorial(n)
+    for code, t in _iter_tables(n):
+        size = _orbit_size(t, relabelings, n_fact)
+        if size:
+            yield code, t, size

@@ -12,6 +12,8 @@ from locsemi.fixtures import fixture_names, fixture_text
 
 
 LOOP_QUIVER = "vertices: v\narrow: g v v\n"
+# 8,191 paths up to length 12, and 8,191**2 composable pairs
+TWO_LOOP_QUIVER = "vertices: v\narrow: g v v\narrow: h v v\n"
 Z3_MAGMA = serialize_magma(full_relation_magma(
     ("0", "1", "2"), lambda a, b: str((int(a) + int(b)) % 3)))
 
@@ -144,6 +146,83 @@ def test_enumerate_census_sampled(capsys):
     assert "sampled census size=4 count=50 seed=1" in out
 
 
+# byte-exact stdout of three census runs
+CENSUS3_RAW_STDOUT = """\
+census size=3 mode=raw
+pattern       count       code
+-----        202898         70
+----T         51484          6
+---P-           322        206
+---PT           434          2
+L----          4126         72
+L--P-          1055         68
+LS-P-           546         69
+LS-PT          1002          4
+LSRP-             6      15873
+LSRPT           271          0
+total        262144
+pattern=----- count=202898 code=70
+pattern=----T count=51484 code=6
+pattern=---P- count=322 code=206
+pattern=---PT count=434 code=2
+pattern=L---- count=4126 code=72
+pattern=L--P- count=1055 code=68
+pattern=LS-P- count=546 code=69
+pattern=LS-PT count=1002 code=4
+pattern=LSRP- count=6 code=15873
+pattern=LSRPT count=271 code=0
+"""
+CENSUS3_DEDUP_STDOUT = """\
+census size=3 mode=dedup
+pattern       count       code
+-----         33909         70
+----T          8687          6
+---P-            57        206
+---PT            80          2
+L----           715         72
+L--P-           184         68
+LS-P-            95         69
+LS-PT           182          4
+LSRP-             1      15873
+LSRPT            58          0
+total         43968
+pattern=----- count=33909 code=70
+pattern=----T count=8687 code=6
+pattern=---P- count=57 code=206
+pattern=---PT count=80 code=2
+pattern=L---- count=715 code=72
+pattern=L--P- count=184 code=68
+pattern=LS-P- count=95 code=69
+pattern=LS-PT count=182 code=4
+pattern=LSRP- count=1 code=15873
+pattern=LSRPT count=58 code=0
+"""
+SAMPLE4_SEED5_STDOUT = """\
+sampled census size=4 count=4000 seed=5
+pattern       count       code
+-----          3850   34965465
+----T           148  156460994
+L----             2 25099642005
+total          4000
+pattern=----- count=3850 code=34965465
+pattern=----T count=148 code=156460994
+pattern=L---- count=2 code=25099642005
+"""
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["enumerate", "census", "--size", "3"], CENSUS3_RAW_STDOUT),
+    (["enumerate", "census", "--size", "3", "--dedup"], CENSUS3_DEDUP_STDOUT),
+    (["enumerate", "census", "--size", "4", "--sample", "4000", "--seed", "5"],
+     SAMPLE4_SEED5_STDOUT),
+])
+def test_enumerate_census_stdout_pinned(argv, stdout, capsys):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == stdout
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "census", "--size", "-1", "--jobs", "1"],
     ["enumerate", "census", "--size", "0", "--jobs", "1"],
@@ -158,9 +237,11 @@ def test_enumerate_census_sampled(capsys):
     ["quiver", "free-ext", "@loop", "--target", "@z3", "--map", "g=1", "--max-len", "-3"],
     ["enumerate", "census", "--size", "4", "--sample", "3", "--jobs", "0"],
     ["enumerate", "census", "--size", "3", "--sample", "10", "--dedup"],
+    ["quiver", "paths", "@two-loops", "--max-len", "12"],
 ])
 def test_bad_census_and_scan_arguments_exit_2(argv, tmp_path, capsys):
     files = {"@loop": write(tmp_path, "loop.quiver", LOOP_QUIVER),
+             "@two-loops": write(tmp_path, "two-loops.quiver", TWO_LOOP_QUIVER),
              "@z3": write(tmp_path, "z3.magma", Z3_MAGMA)}
     assert run([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()

@@ -15,10 +15,11 @@ from locsemi import (DomainError, FinitePartialMagma, NotAssociative,
                      parse_semigroup_with_zero, partial_from_semigroup,
                      powerset_magma, serialize_semigroup_with_zero)
 from locsemi.checks import _table_flags
-from locsemi.enumeration import (_FLAG_NAMES, _decode_table, _representatives,
-                                 decode_magma, search_space_size)
+from locsemi.enumeration import (_FLAG_NAMES, _decode_table, decode_magma,
+                                 search_space_size)
 from locsemi.fixtures import fixture_magma, fixture_quiver
 
+from orderly import _representatives
 from strategies import magma_with_subset
 
 EX3_8 = fixture_magma("ex3_8")

@@ -1,16 +1,21 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsemi import (CapacityError, DomainError, FinitePartialMagma, census,
-                     classify, decode_magma, encode_magma, enumerate_magmas,
-                     find_witness, format_census_table, parse_magma,
-                     sample_census, sample_magmas, scan_flags,
-                     search_space_size)
+import locsemi.enumeration as enumeration
+from locsemi import (CapacityError, DomainError, FinitePartialMagma,
+                     InvariantError, census, classify, decode_magma,
+                     encode_magma, enumerate_magmas, find_witness,
+                     format_census_table, parse_magma, sample_census,
+                     sample_magmas, scan_flags, search_space_size,
+                     serialize_magma)
 from locsemi.checks import _table_flags
 from locsemi.enumeration import _decode_table, _iter_tables
+
+from orderly import _representatives
 
 
 def test_search_space_sizes():
@@ -247,14 +252,22 @@ def test_find_witness_patterns():
 _FLAG_NAMES = ("locality", "strong", "refined", "partial", "transitive")
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_find_witness_is_first_match_small(n):
-    flags = [classify(decode_magma(n, code)).flags() for code in range(search_space_size(n))]
+    if n < 3:
+        flags = [classify(decode_magma(n, code)).flags() for code in range(search_space_size(n))]
+    else:
+        flags = [f for _, f in scan_flags(n)]
+    # the first code of each full flag tuple; a partial pattern's first match
+    # is the least of those it admits
+    firsts = {}
+    for code, f in enumerate(flags):
+        firsts.setdefault(f, code)
     # all 243 partial patterns: each flag unspecified (None), required or forbidden
     for values in itertools.product((None, True, False), repeat=5):
         wanted = {name: v for name, v in zip(_FLAG_NAMES, values) if v is not None}
-        first = next((code for code, f in enumerate(flags)
-                      if all(v is None or f[i] == v for i, v in enumerate(values))), None)
+        first = min((code for f, code in firsts.items()
+                     if all(v is None or f[i] == v for i, v in enumerate(values))), default=None)
         found = find_witness(wanted, n)
         assert (None if found is None else encode_magma(found)) == first, wanted
 
@@ -280,3 +293,94 @@ def test_format_census_table():
     text = format_census_table(census(2))
     assert "pattern=LSRPT count=16 code=0" in text
     assert text.splitlines()[0].startswith("pattern")
+
+
+# ---------------------------------------------------------------------------
+# the bit-sliced block kernel against the per-table kernel and orderly minima
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_flags_match_table_flags_on_every_code(n):
+    # the per-table kernel over the whole space, bit c for code c
+    columns = [bytearray() for _ in _FLAG_NAMES]
+    for _, flags in scan_flags(n):
+        for column, f in zip(columns, flags):
+            column.append(49 if f else 48)
+    want = [int(bytes(column[::-1]), 2) for column in columns]
+    covered = 0
+    for first, digits, full in enumeration._blocks(n):
+        got = enumeration._block_flags(n, digits, full)
+        assert got == tuple(w >> first & full for w in want), (n, first)
+        assert first == covered
+        covered += full.bit_length()
+    assert covered == search_space_size(n)
+
+
+def _per_table_rows(n, codes):
+    """Census rows of sorted ``codes``, one _table_flags call per code."""
+    tally = {}
+    for code in codes:
+        flags = _table_flags(n, _decode_table(n, code))
+        pattern = "".join(l if f else "-" for l, f in zip("LSRPT", flags))
+        tally.setdefault(pattern, [0, code])[0] += 1
+    return [enumeration.CensusRow(p, count, code, serialize_magma(decode_magma(n, code)))
+            for p, (count, code) in sorted(tally.items())]
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(0, search_space_size(4) - 1) | st.sampled_from(
+           [0, 1, 2, 5 ** 16 - 1, 47301721, 2449563726]), max_size=40),
+       st.sampled_from([1, 2, 3, 7, 4096]))
+def test_sampled_batches_match_per_table_rows(codes, chunk):
+    # duplicate codes (from the small pool), counts 0 and 1, and counts that
+    # cross a chunk boundary at the narrow widths
+    with mock.patch.object(enumeration, "_sampled_codes", lambda n, count, seed: iter(codes)), \
+            mock.patch.object(enumeration, "_SAMPLE_CHUNK", chunk):
+        got = sample_census(4, len(codes), seed=0)
+    assert got == _per_table_rows(4, sorted(codes))
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
+def test_sample_census_matches_per_table_rows(count):
+    codes = sorted(enumeration._sampled_codes(4, count, 21))
+    assert sample_census(4, count, seed=21) == _per_table_rows(4, codes)
+
+
+def test_burnside_dedup_counts_equal_orbit_minimum_counts():
+    tally = {}
+    for code, t, _ in _representatives(3):
+        pattern = "".join(l if f else "-" for l, f in zip("LSRPT", _table_flags(3, t)))
+        tally.setdefault(pattern, [0, code])[0] += 1
+    want = sorted((p, count, code) for p, (count, code) in tally.items())
+    assert _row_triples(census(3, dedup=True)) == want
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda f, full: (f[0], 0, full, f[3], f[4]), "refined tables that are not strong"),
+    (lambda f, full: (0, full, 0, f[3], f[4]),
+     "strong tables that are not both locality and partial"),
+    (lambda f, full: (full, 0, 0, 0, full), "transitive locality tables that are not partial"),
+])
+def test_block_inclusion_checks_survive_optimize(monkeypatch, corrupt, message):
+    # the checks are explicit raises, so `python -O` cannot strip them
+    kernel = enumeration._block_flags
+    monkeypatch.setattr(enumeration, "_block_flags",
+                        lambda n, digits, full: corrupt(kernel(n, digits, full), full))
+    for call in (lambda: census(2), lambda: census(2, dedup=True),
+                 lambda: find_witness({}, 2), lambda: sample_census(2, 5, seed=1)):
+        with pytest.raises(InvariantError, match=message):
+            call()
+
+
+# sample_census(4, 4000, seed) rows (pattern, count, witness code) for two seeds
+SAMPLE4_ROWS = {
+    2: [("-----", 3849, 47301721), ("----T", 150, 12949563202), ("L----", 1, 2449563726)],
+    13: [("-----", 3840, 16100606), ("----T", 159, 1169920627), ("L----", 1, 149365631850)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLE4_ROWS))
+def test_sample_census_n4_rows_pinned(seed):
+    rows = sample_census(4, 4000, seed)
+    assert _row_triples(rows) == SAMPLE4_ROWS[seed]
+    for r in rows:
+        assert r.witness == serialize_magma(decode_magma(4, r.witness_code))
