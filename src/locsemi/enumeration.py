@@ -12,12 +12,12 @@ its bit-sliced twin ``checks._block_flags``: one int per cell and digit
 holds a bit per table of the block, and the kernel returns the five flags
 as five such sets.  The exhaustive pass cuts the space by the digit of the
 most significant cell, so its blocks share the lower cells' digit sets; a
-sample is cut into chunks of _SAMPLE_CHUNK sorted codes.  A pattern counts
-the tables of its set, its witness is the lowest table of the first block
-that holds it, and ``--dedup`` counts isomorphism classes by Burnside's
-lemma over the sets of tables each relabeling fixes.  ``_decode_table``
-reads the flat table at a code, ``decode_magma`` labels it, and
-``encode_magma`` reads the digits back from ``checks._flat_table``.
+sample is drawn and sorted in chunks of _SAMPLE_CHUNK codes.  A pattern
+counts the tables of its set, its witness is its least code, the lowest
+table of some block that holds it, and ``--dedup`` counts isomorphism
+classes by Burnside's lemma over the sets of tables each relabeling fixes.
+``_decode_table`` reads the flat table at a code, ``decode_magma`` labels
+it, and ``encode_magma`` reads the digits back from ``checks._flat_table``.
 """
 
 from __future__ import annotations
@@ -103,19 +103,6 @@ def _iter_tables(n: int):
             i += 1
 
 
-def _tile(unit: int, width: int, times: int) -> int:
-    """``unit``, a pattern of ``width`` bits, repeated ``times`` times from bit 0."""
-    out = shift = 0
-    while times:
-        if times & 1:
-            out |= unit << shift
-            shift += width
-        unit |= unit << width
-        width *= 2
-        times >>= 1
-    return out
-
-
 def _blocks(n: int):
     """(first code, digit sets, full) for each block of the exhaustive pass.
 
@@ -130,26 +117,28 @@ def _blocks(n: int):
     size = base ** top
     full = (1 << size) - 1
     lower = []
-    for k in range(top):
+    spans = 1  # one bit at the start of every run of cell k
+    for k in reversed(range(top)):
         run = base ** k
-        zero = _tile((1 << run) - 1, run * base, size // (run * base))
-        lower.append([zero << (v * run) for v in range(base)])
+        zero = (spans << run) - spans
+        lower.insert(0, [zero << (v * run) for v in range(base)])
+        spans = sum(spans << v * run for v in range(base))
     for d in range(base):
         yield d * size, lower + [[full if v == d else 0 for v in range(base)]], full
 
 
-# codes per block of a sampled census, so its sets stay small at any count
+# codes per block of a sampled census, so that neither its sets nor its codes
+# grow with the count
 _SAMPLE_CHUNK = 4096
 
 
-def _sampled_blocks(n: int, codes: list[int]):
-    """(position of the first code, digit sets, full) per chunk of ``codes``."""
+def _sampled_blocks(n: int, codes: Iterator[int]):
+    """(sorted chunk, digit sets, full) per chunk of _SAMPLE_CHUNK drawn codes."""
     base = n + 1
     # to_bits[v] maps byte v to "1" and every other byte to "0", so that
     # int(..., 2) reads a cell's digit string as the set of tables holding v
     to_bits = [bytes(49 if i == v else 48 for i in range(256)) for v in range(base)]
-    for start in range(0, len(codes), _SAMPLE_CHUNK):
-        chunk = codes[start:start + _SAMPLE_CHUNK]
+    while chunk := sorted(itertools.islice(codes, _SAMPLE_CHUNK)):
         digits = []
         power = 1
         for _ in range(n * n):
@@ -157,7 +146,7 @@ def _sampled_blocks(n: int, codes: list[int]):
             cell = bytes([c // power % base for c in reversed(chunk)])
             digits.append([int(cell.translate(t), 2) for t in to_bits])
             power *= base
-        yield start, digits, (1 << len(chunk)) - 1
+        yield chunk, digits, (1 << len(chunk)) - 1
 
 
 def _flag_sets(n: int, digits, full: int) -> tuple[int, int, int, int, int]:
@@ -269,26 +258,25 @@ class CensusRow:
 
 
 def _rows(n: int, blocks, code_at, dedup: bool = False) -> list[CensusRow]:
-    """Census rows over ``blocks``, which come in increasing code order.
+    """Census rows over ``blocks``; a block's tables come in increasing code order.
 
-    A pattern counts the tables of its sets, and its witness is its lowest
-    table in the first block that holds it, which the order makes its first
-    code; ``code_at(first, i)`` is the code of the i-th table of the block at
-    ``first``.  With dedup a pattern counts isomorphism classes by Burnside's
-    lemma: the tables each relabeling fixes, summed over all n! relabelings,
-    over n!.
+    A pattern counts the tables of its sets, and its witness is its least
+    code: the least, over the blocks, of its lowest table there, where
+    ``code_at(block, i)`` is the code of the i-th table of the block that
+    ``block`` names.  With dedup a pattern counts isomorphism classes by
+    Burnside's lemma: the tables each relabeling fixes, summed over all n!
+    relabelings, over n!.
     """
     tally: dict[str, list[int]] = {}
-    for first, digits, full in blocks:
+    for block, digits, full in blocks:
         flags = _flag_sets(n, digits, full)
         fixed = _fixed_sets(n, digits, full) if dedup else ()
         for pattern, tables in _patterns(flags, full):
             count = tables.bit_count() + sum((tables & f).bit_count() for f in fixed)
-            row = tally.get(pattern)
-            if row is None:
-                tally[pattern] = [count, code_at(first, _lowest(tables))]
-            else:
-                row[0] += count
+            code = code_at(block, _lowest(tables))
+            row = tally.setdefault(pattern, [0, code])
+            row[0] += count
+            row[1] = min(row[1], code)
     if dedup:
         n_fact = math.factorial(n)
         for pattern, row in tally.items():
@@ -313,8 +301,8 @@ def census(n: int, dedup: bool = False) -> list[CensusRow]:
 
 def sample_census(n: int, count: int, seed: int) -> list[CensusRow]:
     """Census over ``count`` random codes; counts are sample tallies, not totals."""
-    codes = sorted(_sampled_codes(n, count, seed))
-    return _rows(n, _sampled_blocks(n, codes), lambda first, i: codes[first + i])
+    blocks = _sampled_blocks(n, _sampled_codes(n, count, seed))
+    return _rows(n, blocks, lambda chunk, i: chunk[i])
 
 
 def parse_flag_pattern(wanted: Mapping[str, bool]) -> dict[int, bool]:

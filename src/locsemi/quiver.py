@@ -176,7 +176,7 @@ def compose(p: Path, q: Path) -> Path:
 PAIR_CAPACITY = 10 ** 6
 
 
-def _composable_pairs(q: Quiver, max_len: int, capacity: int):
+def _composable_pairs(q: Quiver, max_len: int, capacity: int = 10000):
     """(paths, pairs): the paths up to max_len in label order, and (p, r) for
     each pair of them where p ends at r's start, in that order.
 
@@ -218,9 +218,9 @@ def materialize_path_magma(q: Quiver, max_len: int,
     return FinitePartialMagma(tuple(p.label for p in paths), table), sorted(boundary)
 
 
-def path_boundary(q: Quiver, max_len: int, capacity: int = 10000) -> list[tuple[str, str]]:
+def path_boundary(q: Quiver, max_len: int) -> list[tuple[str, str]]:
     """The boundary list of materialize_path_magma, without building its table."""
-    _, pairs = _composable_pairs(q, max_len, capacity)
+    _, pairs = _composable_pairs(q, max_len)
     return sorted((p.label, r.label) for p, r in pairs if p.length + r.length > max_len)
 
 

@@ -345,6 +345,31 @@ def test_sample_census_matches_per_table_rows(count):
     assert sample_census(4, count, seed=21) == _per_table_rows(4, codes)
 
 
+def test_sample_census_draws_one_chunk_per_block():
+    # codes are drawn as their chunk is decided, so a sample never holds more
+    # than one chunk of them
+    drawn = []
+
+    def codes(n, count, seed):
+        for code in range(count):
+            drawn.append(code)
+            yield code
+
+    seen = []
+    flag_sets = enumeration._flag_sets
+
+    def spy(n, digits, full):
+        seen.append(len(drawn))
+        return flag_sets(n, digits, full)
+
+    with mock.patch.object(enumeration, "_sampled_codes", codes), \
+            mock.patch.object(enumeration, "_SAMPLE_CHUNK", 3), \
+            mock.patch.object(enumeration, "_flag_sets", spy):
+        got = sample_census(4, 10, seed=0)
+    assert seen == [3, 6, 9, 10]
+    assert got == _per_table_rows(4, range(10))
+
+
 def test_burnside_dedup_counts_equal_orbit_minimum_counts():
     tally = {}
     for code, t, _ in _representatives(3):
