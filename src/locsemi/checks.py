@@ -14,13 +14,13 @@ and witness replay, which re-runs a scan on the witness's own elements.
 
 Every axiom is stated in this module.  The fused flat-table kernel
 ``_table_flags``, its bit-sliced twin ``_block_flags``, which decides a block
-of closed tables at once for the census, and the literal subset oracle
-``_polar_subset_violations`` sit beside the scan clauses.  ``_table_flags``
-decides closed tables, those of ``scan_flags`` and those ``_flat_table``
-compiles, and open ones: ``_open_table`` compiles a bounded slice of a
-predicate structure together with the products that leave it, so the kernel
-gives the bounded report's verdicts and only the failing classes run their
-scans, for the witness.
+of closed tables at once for ``scan_flags`` and the census, and the literal
+subset oracle ``_polar_subset_violations`` sit beside the scan clauses.
+``_table_flags`` decides closed tables, those ``_flat_table`` compiles, and
+open ones: ``_open_table`` compiles a bounded slice of a predicate structure
+together with the products that leave it, so the kernel gives the bounded
+report's verdicts and only the failing classes run their scans, for the
+witness.
 
 Full scans walk only linked triples, those whose (a,b) or (b,c) is related.
 Every clause tests rel(a, b) (refined-right alone tests rel(b, c)) before it

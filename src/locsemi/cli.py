@@ -131,7 +131,7 @@ def _cmd_quiver_free_ext(args) -> int:
 def _cmd_enumerate_census(args) -> int:
     if args.jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {args.jobs}")
-    if args.sample:
+    if args.sample is not None:
         if args.dedup:
             raise DomainError("--dedup cannot be combined with --sample")
         rows = enumeration.sample_census(args.size, args.sample, args.seed)
@@ -252,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; the census runs in one process")
     p.add_argument("--dedup", action="store_true",
                    help="count isomorphism classes instead of raw tables (not with --sample)")
-    p.add_argument("--sample", type=int, default=0,
+    p.add_argument("--sample", type=int, default=None,
                    help="sample this many random tables instead of enumerating")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_enumerate_census)

@@ -5,19 +5,20 @@ the cell is undefined, digit k means the product is element k-1.  Enumeration
 is counting, which gives exact coverage of the (n+1)**(n*n) search space
 and a deterministic order.
 
-This module states no axiom.  ``scan_flags`` takes each table's five flags
-from the per-table kernel ``checks._table_flags``.  The census, the sampled
+This module states no axiom.  ``scan_flags``, the census, the sampled
 census and the witness search decide whole blocks of tables at once with
-its bit-sliced twin ``checks._block_flags``: one int per cell and digit
+the bit-sliced kernel ``checks._block_flags``: one int per cell and digit
 holds a bit per table of the block, and the kernel returns the five flags
 as five such sets.  The exhaustive pass cuts the space by the digit of the
 most significant cell, so its blocks share the lower cells' digit sets; a
-sample is drawn and sorted in chunks of _SAMPLE_CHUNK codes.  A pattern
-counts the tables of its set, its witness is its least code, the lowest
-table of some block that holds it, and ``--dedup`` counts isomorphism
-classes by Burnside's lemma over the sets of tables each relabeling fixes.
-``_decode_table`` reads the flat table at a code, ``decode_magma`` labels
-it, and ``encode_magma`` reads the digits back from ``checks._flat_table``.
+sample is drawn and sorted in chunks of _SAMPLE_CHUNK codes, whose digit
+sets are read several cells to a byte.  ``scan_flags`` expands a block's
+sets back to one flag tuple per code.  A pattern counts the tables of its
+set, its witness is its least code, the lowest table of some block that
+holds it, and ``--dedup`` counts isomorphism classes by Burnside's lemma
+over the sets of tables each relabeling fixes.  ``_decode_table`` reads
+the flat table at a code, ``decode_magma`` labels it, and ``encode_magma``
+reads the digits back from ``checks._flat_table``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .checks import _block_flags, _flat_table, _table_flags
+from .checks import _block_flags, _flat_table
 from .errors import CapacityError, DomainError, InvariantError
 from .magma import FinitePartialMagma, serialize_magma
 
@@ -88,21 +89,6 @@ def encode_magma(m: FinitePartialMagma) -> int:
     return code
 
 
-def _iter_tables(n: int):
-    """Yield (code, table) for every code in order; the table list is reused."""
-    cells = n * n
-    t = [-1] * cells
-    for code in range(search_space_size(n)):
-        yield code, t
-        i = 0
-        while i < cells:
-            t[i] += 1
-            if t[i] < n:
-                break
-            t[i] = -1
-            i += 1
-
-
 def _blocks(n: int):
     """(first code, digit sets, full) for each block of the exhaustive pass.
 
@@ -133,19 +119,32 @@ _SAMPLE_CHUNK = 4096
 
 
 def _sampled_blocks(n: int, codes: Iterator[int]):
-    """(sorted chunk, digit sets, full) per chunk of _SAMPLE_CHUNK drawn codes."""
+    """(sorted chunk, digit sets, full) per chunk of _SAMPLE_CHUNK drawn codes.
+
+    A byte holds g base-(n+1) digits, g as large as fits, so each pass over
+    the chunk peels g cells at once: ``rest % radix`` packs them into a
+    bytes object, and one 256-entry translate table per (cell of the group,
+    digit) maps it to "1" where that cell holds the digit and "0" elsewhere,
+    so that int(..., 2) reads the set of tables holding it.
+    """
     base = n + 1
-    # to_bits[v] maps byte v to "1" and every other byte to "0", so that
-    # int(..., 2) reads a cell's digit string as the set of tables holding v
-    to_bits = [bytes(49 if i == v else 48 for i in range(256)) for v in range(base)]
+    cells = n * n
+    g = 1
+    while base ** (g + 1) <= 256:
+        g += 1
+    radix = base ** g
+    to_bits = [[bytes(49 if b // base ** j % base == v else 48 for b in range(256))
+                for v in range(base)] for j in range(g)]
     while chunk := sorted(itertools.islice(codes, _SAMPLE_CHUNK)):
         digits = []
-        power = 1
-        for _ in range(n * n):
-            # the last code first, so that bit i stands for the i-th code
-            cell = bytes([c // power % base for c in reversed(chunk)])
-            digits.append([int(cell.translate(t), 2) for t in to_bits])
-            power *= base
+        # the last code first, so that bit i stands for the i-th code
+        rest = chunk[::-1]
+        for start in range(0, cells, g):
+            group = bytes(map(radix.__rmod__, rest))
+            if start + g < cells:
+                rest = list(map(radix.__rfloordiv__, rest))
+            for tables in to_bits[:cells - start]:
+                digits.append([int(group.translate(t), 2) for t in tables])
         yield chunk, digits, (1 << len(chunk)) - 1
 
 
@@ -211,10 +210,19 @@ def _fixed_sets(n: int, digits, full: int) -> list[int]:
 # public operations
 
 def scan_flags(n: int) -> Iterator[tuple[int, tuple[bool, bool, bool, bool, bool]]]:
-    """(code, flags) for every structure of carrier size n, in enumeration order."""
+    """(code, flags) for every structure of carrier size n, in enumeration order.
+
+    Each block's five flag sets are written as bit strings, lowest table
+    first, and zipped, so a table's flags are read at C speed as one key of
+    five characters; every table with the same flags shares one tuple.
+    """
     _check_exhaustive(n, "exhaustive scan", "use sampling")
-    for code, t in _iter_tables(n):
-        yield code, _table_flags(n, t)
+    shared = {key: tuple(c == "1" for c in key)
+              for key in itertools.product("01", repeat=len(_FLAG_NAMES))}
+    for first, digits, full in _blocks(n):
+        width = full.bit_length()
+        columns = [f"{s:0{width}b}"[::-1] for s in _flag_sets(n, digits, full)]
+        yield from zip(range(first, first + width), map(shared.__getitem__, zip(*columns)))
 
 
 def enumerate_magmas(n: int) -> Iterator[FinitePartialMagma]:
@@ -231,7 +239,7 @@ def _sampled_codes(n: int, count: int, seed: int) -> Iterator[int]:
         raise DomainError(f"sample count must be non-negative, got {count}")
     rng = random.Random(seed)
     total = search_space_size(n)
-    return (rng.randrange(total) for _ in range(count))
+    return map(rng.randrange, itertools.repeat(total, count))
 
 
 def sample_magmas(n: int, count: int, seed: int) -> Iterator[FinitePartialMagma]:

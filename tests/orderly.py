@@ -1,14 +1,30 @@
-"""Orderly generation over isomorphism-class minima: the independent dedup oracle.
+"""Per-table walks: the oracles independent of the bit-sliced block kernel.
 
-The census counts isomorphism classes by Burnside's lemma over bit-sliced
-blocks; these helpers count them the other way, walking every table and
-keeping those whose code is the minimum over every relabeling.
+``_iter_tables`` walks every flat table in code order, one at a time.  The
+census counts isomorphism classes by Burnside's lemma over bit-sliced
+blocks; ``_representatives`` counts them the other way, walking every table
+and keeping those whose code is the minimum over every relabeling.
 """
 
 import itertools
 import math
 
-from locsemi.enumeration import _iter_tables
+from locsemi.enumeration import search_space_size
+
+
+def _iter_tables(n: int):
+    """Yield (code, table) for every code in order; the table list is reused."""
+    cells = n * n
+    t = [-1] * cells
+    for code in range(search_space_size(n)):
+        yield code, t
+        i = 0
+        while i < cells:
+            t[i] += 1
+            if t[i] < n:
+                break
+            t[i] = -1
+            i += 1
 
 
 def _relabelings(n: int) -> list[tuple[list[int], list[tuple[int, int]]]]:

@@ -19,9 +19,10 @@ from locsemi import (NotAssociative, adjoin_identity, adjoin_zero, census,
                      totient, totient_hom_check, verify_free_property)
 from locsemi.checks import (_polar_closure_violation, _polar_subset_violations,
                             _table_flags)
-from locsemi.enumeration import _iter_tables
 from locsemi.fixtures import fixture_magma, fixture_quiver
 from locsemi.quiver import Quiver
+
+from orderly import _iter_tables
 
 
 def test_criterion_1_fixture_exactness():

@@ -146,6 +146,15 @@ def test_enumerate_census_sampled(capsys):
     assert "sampled census size=4 count=50 seed=1" in out
 
 
+@pytest.mark.parametrize("size", ["1", "4"])
+def test_enumerate_census_sample_zero_is_an_empty_sample(size, capsys):
+    # an explicit --sample 0 is a sample of no tables, not "no --sample"
+    assert run(["enumerate", "census", "--size", size, "--sample", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"sampled census size={size} count=0 seed=0"
+    assert lines[-1].split() == ["total", "0"]
+
+
 # byte-exact stdout of three census runs
 CENSUS3_RAW_STDOUT = """\
 census size=3 mode=raw
@@ -238,6 +247,7 @@ def test_enumerate_census_stdout_pinned(argv, stdout, capsys):
     ["enumerate", "census", "--size", "4", "--sample", "3", "--jobs", "0"],
     ["enumerate", "census", "--size", "3", "--sample", "10", "--dedup"],
     ["quiver", "paths", "@two-loops", "--max-len", "12"],
+    ["enumerate", "census", "--size", "3", "--sample", "0", "--dedup"],
 ])
 def test_bad_census_and_scan_arguments_exit_2(argv, tmp_path, capsys):
     files = {"@loop": write(tmp_path, "loop.quiver", LOOP_QUIVER),

@@ -13,9 +13,9 @@ from locsemi import (CapacityError, DomainError, FinitePartialMagma,
                      sample_magmas, scan_flags, search_space_size,
                      serialize_magma)
 from locsemi.checks import _table_flags
-from locsemi.enumeration import _decode_table, _iter_tables
+from locsemi.enumeration import _decode_table
 
-from orderly import _representatives
+from orderly import _iter_tables, _representatives
 
 
 def test_search_space_sizes():
@@ -257,7 +257,7 @@ def test_find_witness_is_first_match_small(n):
     if n < 3:
         flags = [classify(decode_magma(n, code)).flags() for code in range(search_space_size(n))]
     else:
-        flags = [f for _, f in scan_flags(n)]
+        flags = [_table_flags(n, t) for _, t in _iter_tables(n)]
     # the first code of each full flag tuple; a partial pattern's first match
     # is the least of those it admits
     firsts = {}
@@ -302,7 +302,8 @@ def test_format_census_table():
 def test_block_flags_match_table_flags_on_every_code(n):
     # the per-table kernel over the whole space, bit c for code c
     columns = [bytearray() for _ in _FLAG_NAMES]
-    for _, flags in scan_flags(n):
+    for _, t in _iter_tables(n):
+        flags = _table_flags(n, t)
         for column, f in zip(columns, flags):
             column.append(49 if f else 48)
     want = [int(bytes(column[::-1]), 2) for column in columns]
@@ -313,6 +314,14 @@ def test_block_flags_match_table_flags_on_every_code(n):
         assert first == covered
         covered += full.bit_length()
     assert covered == search_space_size(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scan_flags_matches_table_flags(n):
+    # the same codes in order, each with the per-table kernel's flags
+    want = ((code, _table_flags(n, t)) for code, t in _iter_tables(n))
+    for got, expected in itertools.zip_longest(scan_flags(n), want):
+        assert got == expected, n
 
 
 def _per_table_rows(n, codes):
