@@ -8,6 +8,7 @@ per line.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import checks, constructions, enumeration, fixtures, predicates, quiver
@@ -191,7 +192,12 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first ``run`` and kept for the process.
+
+    Parsing leaves no state in it: every call fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="locsemi",
         description="check, build and enumerate partial multiplicative structures")

@@ -10,15 +10,18 @@ census and the witness search decide whole blocks of tables at once with
 the bit-sliced kernel ``checks._block_flags``: one int per cell and digit
 holds a bit per table of the block, and the kernel returns the five flags
 as five such sets.  The exhaustive pass cuts the space by the digit of the
-most significant cell, so its blocks share the lower cells' digit sets; a
-sample is drawn and sorted in chunks of _SAMPLE_CHUNK codes, whose digit
-sets are read several cells to a byte.  ``scan_flags`` expands a block's
-sets back to one flag tuple per code.  A pattern counts the tables of its
-set, its witness is its least code, the lowest table of some block that
-holds it, and ``--dedup`` counts isomorphism classes by Burnside's lemma
-over the sets of tables each relabeling fixes.  ``_decode_table`` reads
-the flat table at a code, ``decode_magma`` labels it, and ``encode_magma``
-reads the digits back from ``checks._flat_table``.
+most significant cell, so its blocks share the lower cells' digit sets.  A
+sample (n <= 4, the sizes with labels) is drawn by filtered
+``getrandbits`` calls and sorted in chunks of _SAMPLE_CHUNK codes; a
+chunk's codes are the lanes of one int, so its digit sets are read several
+cells to a byte for all codes at once.  ``scan_flags`` expands a block's
+sets back to one flag tuple per code through one byte key per table.  A
+pattern counts the tables of its set, its witness is its least code, the
+lowest table of some block that holds it, and ``--dedup`` counts
+isomorphism classes by Burnside's lemma over the sets of tables each
+relabeling fixes.  ``_decode_table`` reads the flat table at a code,
+``decode_magma`` labels it, and ``encode_magma`` reads the digits back
+from ``checks._flat_table``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -57,6 +62,12 @@ def _check_exhaustive(n: int, what: str, hint: str = "") -> None:
         raise CapacityError(f"{what} supported for n <= {EXHAUSTIVE_MAX}{tail}")
 
 
+def _check_decodable(n: int) -> None:
+    """The sizes that have labels, and whose codes fit a 64-bit lane."""
+    if not 1 <= n <= len(_LETTERS):
+        raise DomainError(f"carrier size must be 1..{len(_LETTERS)}")
+
+
 def _decode_table(n: int, code: int) -> list[int]:
     """The flat table at ``code``: cell i*n+j holds the product's index, or -1."""
     base = n + 1
@@ -69,8 +80,7 @@ def _decode_table(n: int, code: int) -> list[int]:
 
 def decode_magma(n: int, code: int) -> FinitePartialMagma:
     """The magma at position ``code`` in enumeration order."""
-    if not 1 <= n <= len(_LETTERS):
-        raise DomainError(f"carrier size must be 1..{len(_LETTERS)}")
+    _check_decodable(n)
     if not 0 <= code < search_space_size(n):
         raise DomainError(f"code {code} out of range for n={n}")
     labels = _LETTERS[:n]
@@ -122,10 +132,15 @@ def _sampled_blocks(n: int, codes: Iterator[int]):
     """(sorted chunk, digit sets, full) per chunk of _SAMPLE_CHUNK drawn codes.
 
     A byte holds g base-(n+1) digits, g as large as fits, so each pass over
-    the chunk peels g cells at once: ``rest % radix`` packs them into a
-    bytes object, and one 256-entry translate table per (cell of the group,
-    digit) maps it to "1" where that cell holds the digit and "0" elsewhere,
-    so that int(..., 2) reads the set of tables holding it.
+    the chunk peels g cells at once.  The chunk is one int of 128-bit lanes,
+    code i in the low half of lane i, and every step of a pass treats all
+    lanes at once: ``rest // radix`` is one exact multiply by a magic number,
+    a shift and a mask (the high halves hold the products), and ``rest -
+    radix * quotient`` leaves each lane's g digits in its low byte.  Read
+    big-endian, those bytes come last code first, so one 256-entry translate
+    table per (cell of the group, digit) maps them to "1" where that cell
+    holds the digit and "0" elsewhere, and int(..., 2) reads the set of
+    tables holding it, bit i for the i-th code.
     """
     base = n + 1
     cells = n * n
@@ -135,14 +150,22 @@ def _sampled_blocks(n: int, codes: Iterator[int]):
     radix = base ** g
     to_bits = [[bytes(49 if b // base ** j % base == v else 48 for b in range(256))
                 for v in range(base)] for j in range(g)]
+    # (x * magic) >> shift == x // radix for every x below 2**bits
+    bits = (search_space_size(n) - 1).bit_length()
+    shift = bits + radix.bit_length()
+    magic = -(-(1 << shift) // radix)
+    low = int.from_bytes(bytes([255] * 8 + [0] * 8) * _SAMPLE_CHUNK, "little")
     while chunk := sorted(itertools.islice(codes, _SAMPLE_CHUNK)):
+        lanes = array("Q", bytes(16 * len(chunk)))
+        lanes[::2] = array("Q", chunk)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        rest = int.from_bytes(lanes, "little")
         digits = []
-        # the last code first, so that bit i stands for the i-th code
-        rest = chunk[::-1]
         for start in range(0, cells, g):
-            group = bytes(map(radix.__rmod__, rest))
-            if start + g < cells:
-                rest = list(map(radix.__rfloordiv__, rest))
+            quotient = rest * magic >> shift & low
+            group = (rest - radix * quotient).to_bytes(16 * len(chunk), "big")[15::16]
+            rest = quotient
             for tables in to_bits[:cells - start]:
                 digits.append([int(group.translate(t), 2) for t in tables])
         yield chunk, digits, (1 << len(chunk)) - 1
@@ -212,17 +235,21 @@ def _fixed_sets(n: int, digits, full: int) -> list[int]:
 def scan_flags(n: int) -> Iterator[tuple[int, tuple[bool, bool, bool, bool, bool]]]:
     """(code, flags) for every structure of carrier size n, in enumeration order.
 
-    Each block's five flag sets are written as bit strings, lowest table
-    first, and zipped, so a table's flags are read at C speed as one key of
-    five characters; every table with the same flags shares one tuple.
+    Flag set j of a block, written as a bit string, translates to bit j of
+    one byte per table; the five OR-ed together give each table a byte key,
+    read at C speed, and every table with the same key shares one tuple.
     """
     _check_exhaustive(n, "exhaustive scan", "use sampling")
-    shared = {key: tuple(c == "1" for c in key)
-              for key in itertools.product("01", repeat=len(_FLAG_NAMES))}
+    shared = [tuple(bool(key >> j & 1) for j in range(len(_FLAG_NAMES)))
+              for key in range(1 << len(_FLAG_NAMES))]
+    to_bit = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(len(_FLAG_NAMES))]
     for first, digits, full in _blocks(n):
         width = full.bit_length()
-        columns = [f"{s:0{width}b}"[::-1] for s in _flag_sets(n, digits, full)]
-        yield from zip(range(first, first + width), map(shared.__getitem__, zip(*columns)))
+        keys = 0
+        for tables, table in zip(_flag_sets(n, digits, full), to_bit):
+            keys |= int.from_bytes(f"{tables:0{width}b}".encode().translate(table), "big")
+        yield from zip(range(first, first + width),
+                       map(shared.__getitem__, keys.to_bytes(width, "little")))
 
 
 def enumerate_magmas(n: int) -> Iterator[FinitePartialMagma]:
@@ -233,13 +260,20 @@ def enumerate_magmas(n: int) -> Iterator[FinitePartialMagma]:
 
 
 def _sampled_codes(n: int, count: int, seed: int) -> Iterator[int]:
-    """``count`` codes drawn uniformly (with replacement); checks run at the call."""
+    """``count`` codes drawn uniformly (with replacement); checks run at the call.
+
+    ``Random.randrange(total)`` returns the first ``getrandbits(k)`` below
+    ``total``, k its bit length (Python 3.10-3.13), so filtering the raw
+    draws yields the same codes with no Python-level call per code.
+    """
     _check_size(n)
+    _check_decodable(n)
     if count < 0:
         raise DomainError(f"sample count must be non-negative, got {count}")
     rng = random.Random(seed)
     total = search_space_size(n)
-    return map(rng.randrange, itertools.repeat(total, count))
+    draws = map(rng.getrandbits, itertools.repeat(total.bit_length()))
+    return itertools.islice(filter(total.__gt__, draws), count)
 
 
 def sample_magmas(n: int, count: int, seed: int) -> Iterator[FinitePartialMagma]:

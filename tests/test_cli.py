@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from locsemi import (full_relation_magma, parse_magma, parse_semigroup_with_zero,
+from locsemi import (adjoin_identity, adjoin_zero, census, format_census_table,
+                     full_relation_magma, parse_magma, parse_semigroup_with_zero,
                      serialize_magma)
+from locsemi import cli
 from locsemi.cli import run
 from locsemi.fixtures import fixture_names, fixture_text
 
@@ -82,6 +84,33 @@ def test_adjoin_output_reparses(tmp_path, capsys):
     assert run(["adjoin", f, "--zero", "z"]) == 0
     m = parse_magma(capsys.readouterr().out)
     assert m.table[("z", "1")] == "z"
+
+
+def test_cached_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    # the parser is built once per process; each run must parse afresh
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["enumerate", "census", "--size", "2", "--dedup"]) == 0
+    assert capsys.readouterr().out.startswith("census size=2 mode=dedup\n")
+    assert run(["enumerate", "census", "--size", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "census size=2 mode=raw\n" + format_census_table(census(2)) + "\n")
+
+    f = fixture_file(tmp_path, "ex3_8")
+    m = parse_magma(fixture_text("ex3_8"))
+    assert run(["adjoin", f, "--identity", "e"]) == 0
+    assert capsys.readouterr().out == serialize_magma(adjoin_identity(m, "e"))
+    assert run(["adjoin", f, "--zero", "z"]) == 0
+    assert capsys.readouterr().out == serialize_magma(adjoin_zero(m, "z"))
+
+    assert run(["classify", f]) == 0
+    report = capsys.readouterr().out
+    assert report.startswith("CLASS ") and len(report.splitlines()) == 7
+    for usage_error in (["adjoin", f, "--identity", "e", "--zero", "z"],
+                        ["classify", f, "--set", "a"], ["frobnicate"]):
+        assert run(usage_error) == 2
+        assert capsys.readouterr().out == ""
+        assert run(["classify", f]) == 0
+        assert capsys.readouterr().out == report
 
 
 def test_generate(tmp_path, capsys):

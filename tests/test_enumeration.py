@@ -1,4 +1,5 @@
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from locsemi import (CapacityError, DomainError, FinitePartialMagma,
                      sample_magmas, scan_flags, search_space_size,
                      serialize_magma)
 from locsemi.checks import _table_flags
+from locsemi.cli import run
 from locsemi.enumeration import _decode_table
 
 from orderly import _iter_tables, _representatives
@@ -377,6 +379,61 @@ def test_sample_census_draws_one_chunk_per_block():
         got = sample_census(4, 10, seed=0)
     assert seen == [3, 6, 9, 10]
     assert got == _per_table_rows(4, range(10))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampled_codes_equal_randrange_draws(n):
+    # the filtered getrandbits stream is the randrange stream on every
+    # supported Python, which the pinned sampled censuses rest on
+    total = search_space_size(n)
+    for seed in (0, 1, 5, 21, 2 ** 40 + 3):
+        rng = random.Random(seed)
+        want = [rng.randrange(total) for _ in range(300)]
+        assert list(enumeration._sampled_codes(n, 300, seed)) == want, (n, seed)
+        assert list(enumeration._sampled_codes(n, 0, seed)) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampled_digit_sets_match_decoded_codes(n):
+    # the lane split at its edges: the least and greatest codes at both ends
+    # of the draw, so that both the full first chunk and the short second one
+    # hold them, in the bottom and top lanes
+    total = search_space_size(n)
+    rng = random.Random(n)
+    edges = [0, total - 1]
+    codes = edges + [rng.randrange(total) for _ in range(enumeration._SAMPLE_CHUNK)] + edges
+    blocks = list(enumeration._sampled_blocks(n, iter(codes)))
+    assert [len(chunk) for chunk, _, _ in blocks] == [enumeration._SAMPLE_CHUNK, 4]
+    for chunk, digits, full in blocks:
+        assert full == (1 << len(chunk)) - 1
+        want = [[0] * (n + 1) for _ in range(n * n)]
+        for i, code in enumerate(chunk):
+            for k, v in enumerate(_decode_table(n, code)):
+                want[k][v + 1] |= 1 << i
+        assert digits == want, n
+
+
+def test_sample_census_rejects_unlabelled_sizes_before_drawing(capsys):
+    # codes at n=5 have no labels and do not fit a 64-bit lane, so the size is
+    # rejected before the first draw, not after deciding the whole sample
+    drawn = []
+    sampled_codes = enumeration._sampled_codes
+
+    def spy(n, count, seed):
+        for code in sampled_codes(n, count, seed):
+            drawn.append(code)
+            yield code
+
+    with mock.patch.object(enumeration, "_sampled_codes", spy):
+        with pytest.raises(DomainError, match=r"^carrier size must be 1\.\.4$"):
+            sample_census(5, 10 ** 6, seed=1)
+        with pytest.raises(DomainError, match=r"^carrier size must be 1\.\.4$"):
+            next(sample_magmas(5, 3, seed=1))
+        assert run(["enumerate", "census", "--size", "5", "--sample", "1000000"]) == 2
+    assert drawn == []
+    captured = capsys.readouterr()
+    assert captured.err == "error: carrier size must be 1..4\n"
+    assert captured.out == ""
 
 
 def test_burnside_dedup_counts_equal_orbit_minimum_counts():
