@@ -20,7 +20,9 @@ subset oracle ``_polar_subset_violations`` sit beside the scan clauses.
 open ones: ``_open_table`` compiles a bounded slice of a predicate structure
 together with the products that leave it, so the kernel gives the bounded
 report's verdicts and only the failing classes run their scans, for the
-witness.
+witness.  The kernel compares each defined pair's two regroupings, (ab)c and
+a(bc) over b's defined columns, as two C-speed row gathers, so its Python
+work per pair does not grow with the slice.
 
 Full scans walk only linked triples, those whose (a,b) or (b,c) is related.
 Every clause tests rel(a, b) (refined-right alone tests rel(b, c)) before it
@@ -34,10 +36,12 @@ path semigroups.
 from __future__ import annotations
 
 import itertools
+import sys
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CapacityError, DomainError, InvariantError
@@ -236,10 +240,13 @@ def _open_table(elems: Sequence, rel: Rel, mul: Mul):
     S or P and c in S (stride n).  For the j-th product x of P, RP[j] is the
     mask of the c in S related from x, CP[j] that of the a in S related to x;
     the kernel reads the masks of S from t.  Further products get ids from m
-    on, only so that they compare equal exactly when the values do.  rows is
-    the in-slice relation as byte rows for _linked_triples.  The compile
-    reads each pair once and takes a product only on a related pair with a
-    factor in S.
+    on, only so that they compare equal exactly when the values do: product
+    by product of P, its column before its row.  rows is the in-slice
+    relation as byte rows for _linked_triples.  The compile reads each pair
+    once and takes a product only on a related pair with a factor in S.  A
+    product of P gets its column and its row from one comprehension each,
+    written with one slice store each (t[y::m] and left[y*n:y*n+n]), and its
+    masks from those arrays' bytes (_defined_mask).
     """
     n = len(elems)
     first = {x: i for i, x in enumerate(elems)}
@@ -255,18 +262,27 @@ def _open_table(elems: Sequence, rel: Rel, mul: Mul):
     RP, CP = [], []
     for y, v in enumerate(P, n):
         # the column a*v and the row v*c of a product v outside the slice
-        column = row = 0
-        for k, e in enumerate(elems):
-            if rel(e, v):
-                t[k * m + y] = ids[mul(e, v)]
-                column |= 1 << k
-            if rel(v, e):
-                left[y * n + k] = ids[mul(v, e)]
-                row |= 1 << k
-        RP.append(row)
-        CP.append(column)
-    rows = [bytes(i >= 0 for i in row) for row in cells]
+        column = array("i", [ids[mul(e, v)] if rel(e, v) else -1 for e in elems])
+        row = array("i", [ids[mul(v, e)] if rel(v, e) else -1 for e in elems])
+        t[y::m] = column
+        left[y * n:y * n + n] = row
+        RP.append(_defined_mask(row))
+        CP.append(_defined_mask(column))
+    rows = [bytes(map((-1).__ne__, row)) for row in cells]
     return t, (m, left, RP, CP), rows
+
+
+# A cell of an array('i') is -1, undefined, exactly when its sign bit is set.
+# _SIGNS picks each cell's most significant byte, last cell first, from the
+# array's bytes; _DEFINED translates a byte below 0x80 to "1", others to "0".
+_WIDTH = array("i").itemsize
+_SIGNS = slice(None, None, -_WIDTH) if sys.byteorder == "little" else slice(-_WIDTH, None, -_WIDTH)
+_DEFINED = b"1" * 128 + b"0" * 128
+
+
+def _defined_mask(cells: array) -> int:
+    """The mask with bit k set when cells[k] is defined, read at C speed."""
+    return int(cells.tobytes()[_SIGNS].translate(_DEFINED), 2)
 
 
 def _table_flags(n: int, t, open_table=None) -> tuple[bool, bool, bool, bool, bool]:
@@ -279,6 +295,16 @@ def _table_flags(n: int, t, open_table=None) -> tuple[bool, bool, bool, bool, bo
     R[b] == R[ab] and C[a] == C[ab], and the regroupings (ab)c, a(bc) over
     the defined (b,c) settle the associativity clauses.  Returns as soon as
     every flag is false.
+
+    The regroupings of a pair are two tuples over b's defined columns c:
+    (ab)c, row ab of left at those columns, and a(bc), row a of t at b's
+    products bc, each taken at C speed by an operator.itemgetter built once
+    per row b.  Equal tuples fail strong exactly when they hold -1 (an
+    undefined regrouping); unequal ones fail strong, refined and partial,
+    and only then is the row walked in Python for a c related from a where
+    they differ, which fails locality.  A row's first use walks it whole
+    instead, so the small closed tables, which mostly use a row once, build
+    no getter.
 
     A closed table is t alone: t gives the rows of (ab)c as well, and the
     masks.  An open table from _open_table passes ``open_table`` =
@@ -302,11 +328,17 @@ def _table_flags(n: int, t, open_table=None) -> tuple[bool, bool, bool, bool, bo
             if t[am + b] >= 0:
                 R[a] |= 1 << b
                 C[b] |= 1 << a
+    # gathers[b]: None before row b's first use, which walks it, False after
+    # it, then (cs, at_c, at_bc), b's defined columns and the getters of
+    # (ab)c and a(bc).  A row with one defined cell names its index twice,
+    # so that both getters give tuples; one with none (Rb == 0) is skipped.
+    gathers = [None] * n
     loc = strong = refined = partial = trans = True
     for a in rng:
         am = a * m
         Ra = R[a]
         Ca = C[a]
+        row_a = t[am:am + m]
         for b in rng:
             ab = t[am + b]
             if ab < 0:
@@ -324,19 +356,43 @@ def _table_flags(n: int, t, open_table=None) -> tuple[bool, bool, bool, bool, bo
                 refined = False
             # a pair that fails strong fails refined membership, so refined
             # implies strong after every pair and neither test names it
-            if loc or strong or partial:
-                bm = b * m
-                abn = ab * n
-                for c in rng:
-                    bc = t[bm + c]
-                    if bc < 0:
-                        continue
-                    x = left[abn + c]
-                    if x != t[am + bc]:
+            if Rb and (loc or strong or partial):
+                g = gathers[b]
+                if g is None:
+                    gathers[b] = False
+                    bm = b * m
+                    abn = ab * n
+                    for c in rng:
+                        bc = t[bm + c]
+                        if bc < 0:
+                            continue
+                        x = left[abn + c]
+                        if x != row_a[bc]:
+                            strong = refined = partial = False
+                            if Ra >> c & 1:
+                                loc = False
+                        elif x < 0:
+                            strong = False
+                else:
+                    if g is False:
+                        bm = b * m
+                        cs = [c for c in rng if t[bm + c] >= 0]
+                        bcs = [t[bm + c] for c in cs]
+                        if len(cs) == 1:
+                            cs *= 2
+                            bcs *= 2
+                        g = gathers[b] = (cs, itemgetter(*cs), itemgetter(*bcs))
+                    cs, at_c, at_bc = g
+                    lhs = at_c(left[ab * n:ab * n + n])
+                    rhs = at_bc(row_a)
+                    if lhs != rhs:
                         strong = refined = partial = False
-                        if Ra >> c & 1:
-                            loc = False
-                    elif x < 0:
+                        if loc:
+                            for c, x, y in zip(cs, lhs, rhs):
+                                if x != y and Ra >> c & 1:
+                                    loc = False
+                                    break
+                    elif -1 in lhs:
                         strong = False
             if not (loc or strong or partial or trans):
                 return (False, False, False, False, False)

@@ -1,4 +1,6 @@
 import math
+import operator
+import random
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from locsemi import (CapacityError, DomainError, InvariantError, PredicateMagma,
                      sampled_classify, sampled_verdict, totient,
                      totient_hom_check)
 from locsemi.magma import OK
+from locsemi.predicates import MAX_SLICE
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
@@ -138,6 +141,25 @@ def test_sampled_verdict_matches_sampled_classify(make, bound):
         assert sampled_verdict(p, bound, name) == getattr(report, name)
 
 
+def test_slices_past_the_limit_raise_capacity_error():
+    asked = []
+    spy = PredicateMagma("spy", lambda a: True, lambda a, b: False, lambda a, b: a,
+                         lambda bound: asked.append(bound) or list(range(1, bound + 1)))
+    entry_points = (sampled_classify, bounded_magma, lambda p, b: sampled_verdict(p, b, "strong"))
+    for check in entry_points:
+        with pytest.raises(CapacityError):
+            check(spy, 10 ** 11)
+        with pytest.raises(CapacityError):
+            check(spy, MAX_SLICE + 1)
+    # the bound is refused before the slicer runs
+    assert asked == []
+    # the slice with zero has one element more than its bound
+    for check in entry_points:
+        with pytest.raises(CapacityError):
+            check(coprime_with_zero(), MAX_SLICE)
+    assert len(bounded_magma(spy, MAX_SLICE).elements) == MAX_SLICE
+
+
 def test_sampled_verdict_argument_errors():
     sliceless = PredicateMagma("no slicer", lambda a: True,
                                lambda a, b: True, lambda a, b: a)
@@ -197,14 +219,12 @@ _YES = (True, 1, 2, 256, "yes", (0,), [1])
 _NO = (False, 0, None, "", (), [])
 
 
-@st.composite
-def open_predicates(draw):
+_DENSITIES = (0.15, 0.4, 0.7, 0.9, 1.0)
+_KINDS = ("modular", "sum", "max", "mixed")
+
+
+def open_predicate(lo, salt, density, kind, modulus):
     """A seeded predicate on an integer slice whose products may leave it."""
-    lo = draw(st.integers(-3, 3))
-    salt = draw(st.integers(0, 2 ** 30))
-    density = draw(st.sampled_from((0.15, 0.4, 0.7, 0.9, 1.0)))
-    kind = draw(st.sampled_from(("modular", "sum", "max", "mixed")))
-    modulus = draw(st.integers(1, 12))
     h = lambda *key: hash((salt,) + key) & 0xFFFF
 
     def related(a, b):
@@ -225,6 +245,13 @@ def open_predicates(draw):
                           lambda bound: list(range(lo, lo + bound)))
 
 
+@st.composite
+def open_predicates(draw):
+    return open_predicate(draw(st.integers(-3, 3)), draw(st.integers(0, 2 ** 30)),
+                          draw(st.sampled_from(_DENSITIES)), draw(st.sampled_from(_KINDS)),
+                          draw(st.integers(1, 12)))
+
+
 @given(open_predicates(), st.integers(1, 7))
 def test_sampled_classify_matches_all_scans(p, bound):
     # the kernel decides the classes that hold, so compare with every scan run
@@ -234,6 +261,77 @@ def test_sampled_classify_matches_all_scans(p, bound):
             for scan in checks._CLASS_SCANS.values()]
     report = sampled_classify(p, bound)
     assert [getattr(report, name) for name in checks._CLASS_SCANS] == want
+
+
+def _scanned_flags(p, bound):
+    elems = sorted(p.slice_elements(bound))
+    triples = checks._linked_triples(elems, p.related)
+    return tuple(next(scan(triples, p.related, p.product), OK).ok
+                 for scan in checks._CLASS_SCANS.values())
+
+
+def _kernel_flags(p, bound):
+    elems = sorted(p.slice_elements(bound))
+    t, table, _ = checks._open_table(elems, p.related, p.product)
+    return checks._table_flags(len(elems), t, table)
+
+
+_OPS = {"times": operator.mul, "sum": operator.add, "max": max, "min": min}
+_RELATIONS = {"coprime": lambda a, b: math.gcd(a, b) == 1, "full": lambda a, b: True,
+              "ordered": lambda a, b: a <= b, "even-sum": lambda a, b: (a + b) % 2 == 0}
+
+
+def lawful_predicate(lo, salt, op, relation, noise):
+    """An associative product and a structured relation on an integer slice,
+    each changed on a seeded ``noise`` share of pairs, so that classes hold
+    or fail late."""
+    h = lambda *key: hash((salt,) + key) & 0xFFFF
+    mul, rel = _OPS[op], _RELATIONS[relation]
+    flip = lambda k, a, b: h(k, a, b) < noise * 0x10000
+    return PredicateMagma(f"lawful-{op}-{relation}-{noise}", lambda a: isinstance(a, int),
+                          lambda a, b: rel(a, b) != flip(0, a, b),
+                          lambda a, b: mul(a, b) + flip(1, a, b),
+                          lambda bound: list(range(lo, lo + bound)))
+
+
+def test_open_kernel_matches_scans_on_larger_slices():
+    # slices of 8-40 elements, past the hypothesis test's 7: longer rows for
+    # the kernel's per-row gathers, and many products leaving the slice; the
+    # random predicates fail every class early, the lawful ones hold or fail late
+    rng = random.Random(1301)
+    cases = [open_predicate(rng.randint(-3, 3), rng.randrange(2 ** 30), rng.choice(_DENSITIES),
+                            rng.choice(_KINDS), rng.randint(1, 12)) for _ in range(6)]
+    cases += [lawful_predicate(rng.randint(-3, 3), rng.randrange(2 ** 30), rng.choice(list(_OPS)),
+                               rng.choice(list(_RELATIONS)), rng.choice((0, 0.0005, 0.002, 0.01)))
+              for _ in range(10)]
+    for p in cases:
+        bound = rng.randint(8, 40)
+        assert _kernel_flags(p, bound) == _scanned_flags(p, bound), (p.description, bound)
+
+
+def _listed(products):
+    """The slice 0, 1, 2 with the relation and products of ``products``."""
+    return PredicateMagma("listed", lambda a: isinstance(a, int), lambda a, b: (a, b) in products,
+                          lambda a, b: products[a, b], lambda bound: list(range(bound)))
+
+
+# In each case row 1 is used by the pairs (0,1) and then (2,1): the kernel
+# walks a row on its first use and gathers it from the second.
+@pytest.mark.parametrize("products, flags", [
+    # row 1 has no defined cell: no c to regroup over
+    ({(0, 1): 2, (2, 1): 2}, (True, True, False, True, True)),
+    # row 1 has one defined cell, (1,2): (2*1)*2 = 2*(1*2) = 2
+    ({(0, 1): 2, (2, 1): 2, (1, 2): 2, (2, 2): 2, (0, 2): 2}, (True, True, False, True, False)),
+    # (2*1)*0 = 12*0 = 20 and 2*(1*0) = 2*11 = 21 differ only at c = 0, with
+    # (2,0) unrelated, so partial fails and locality holds; (2,1) is related
+    # and (1,1) is not, so a gather over every column would meet (12,1)
+    ({(0, 1): 10, (1, 0): 11, (2, 1): 12, (10, 0): 30, (0, 11): 30, (12, 0): 20,
+      (2, 11): 21, (12, 1): 40}, (True, False, False, False, False)),
+])
+def test_open_kernel_gathers_edge_rows(products, flags):
+    p = _listed(products)
+    assert _scanned_flags(p, 3) == flags
+    assert _kernel_flags(p, 3) == flags
 
 
 def test_kernel_and_scan_disagreement_raises(monkeypatch):
