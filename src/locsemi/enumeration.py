@@ -12,12 +12,12 @@ holds a bit per table of the block, and the kernel returns the five flags
 as five such sets.  The exhaustive pass cuts the space by the digit of the
 most significant cell, so its blocks share the lower cells' digit sets.  A
 sample (n <= 4, the sizes with labels) is drawn by filtered
-``getrandbits`` calls and sorted in chunks of _SAMPLE_CHUNK codes; a
-chunk's codes are the lanes of one int, so its digit sets are read several
-cells to a byte for all codes at once.  ``scan_flags`` expands a block's
-sets back to one flag tuple per code through one byte key per table.  A
-pattern counts the tables of its set, its witness is its least code, the
-lowest table of some block that holds it, and ``--dedup`` counts
+``getrandbits`` calls and taken in chunks of _SAMPLE_CHUNK codes, kept in
+draw order; a chunk's codes are the lanes of one int, so its digit sets
+are read several cells to a byte for all codes at once.  ``scan_flags``
+expands a block's sets back to one flag tuple per code through one byte
+key per table.  A pattern counts the tables of its set, its witness is its
+least code over the blocks that hold it, and ``--dedup`` counts
 isomorphism classes by Burnside's lemma over the sets of tables each
 relabeling fixes.  ``_decode_table`` reads the flat table at a code,
 ``decode_magma`` labels it, and ``encode_magma`` reads the digits back
@@ -128,47 +128,84 @@ def _blocks(n: int):
 _SAMPLE_CHUNK = 4096
 
 
-def _sampled_blocks(n: int, codes: Iterator[int]):
-    """(sorted chunk, digit sets, full) per chunk of _SAMPLE_CHUNK drawn codes.
+def _digit_bytes(n: int) -> list[list[bytes]]:
+    """Translate tables that read the base-(n+1) digits packed in a byte.
 
-    A byte holds g base-(n+1) digits, g as large as fits, so each pass over
-    the chunk peels g cells at once.  The chunk is one int of 128-bit lanes,
-    code i in the low half of lane i, and every step of a pass treats all
-    lanes at once: ``rest // radix`` is one exact multiply by a magic number,
-    a shift and a mask (the high halves hold the products), and ``rest -
-    radix * quotient`` leaves each lane's g digits in its low byte.  Read
-    big-endian, those bytes come last code first, so one 256-entry translate
-    table per (cell of the group, digit) maps them to "1" where that cell
-    holds the digit and "0" elsewhere, and int(..., 2) reads the set of
-    tables holding it, bit i for the i-th code.
+    A byte holds g digits, g as large as fits, and entry [j][v - 1] maps a
+    byte to "1" where its digit at place j is v and to "0" elsewhere, for v
+    = 1..n.  Place j holds v on runs of (n+1)**j bytes, one run every
+    (n+1)**(j+1), and bytes from the radix (n+1)**g up never occur.
     """
     base = n + 1
-    cells = n * n
     g = 1
     while base ** (g + 1) <= 256:
         g += 1
     radix = base ** g
-    to_bits = [[bytes(49 if b // base ** j % base == v else 48 for b in range(256))
-                for v in range(base)] for j in range(g)]
-    # (x * magic) >> shift == x // radix for every x below 2**bits
-    bits = (search_space_size(n) - 1).bit_length()
-    shift = bits + radix.bit_length()
-    magic = -(-(1 << shift) // radix)
-    low = int.from_bytes(bytes([255] * 8 + [0] * 8) * _SAMPLE_CHUNK, "little")
-    while chunk := sorted(itertools.islice(codes, _SAMPLE_CHUNK)):
-        lanes = array("Q", bytes(16 * len(chunk)))
-        lanes[::2] = array("Q", chunk)
+    return [[(b"0" * (v * run) + b"1" * run + b"0" * ((base - 1 - v) * run))
+             * (radix // (base * run)) + bytes(256 - radix) for v in range(1, base)]
+            for run in (base ** j for j in range(g))]
+
+
+def _sampled_blocks(n: int, codes: Iterator[int]):
+    """(chunk, digit sets, full) per chunk of _SAMPLE_CHUNK drawn codes, in draw order.
+
+    A byte holds g base-(n+1) digits (``_digit_bytes``), so each pass over
+    the chunk peels g cells at once.  The chunk is one int of lanes, code i
+    in lane i, and every step of a pass treats all lanes at once: ``rest //
+    radix`` is one exact multiply by a magic number, a shift and a mask (a
+    lane is wide enough for its product), and ``rest - radix * quotient``
+    leaves each lane's g digits in its low byte.  Lanes are 128 bits wide
+    while the codes need it and 64 bits once what is left of them fits (at
+    n=4, after the first pass).  Read big-endian, the low bytes come last
+    code first, so one 256-entry translate table per (cell of the group,
+    nonzero digit) maps them to "1" where that cell holds the digit and "0"
+    elsewhere, and int(..., 2) reads the set of tables holding it, bit i for
+    the i-th code.  A cell's digit sets are disjoint and cover the chunk, so
+    its digit-0 set is the rest of the chunk.
+    """
+    base = n + 1
+    cells = n * n
+    to_bits = _digit_bytes(n)
+    g = len(to_bits)
+    radix = base ** g
+
+    def divider(top: int) -> tuple[int, int, int, int]:
+        """(lane bytes, magic, shift, mask) that divide lanes up to ``top`` by the radix."""
+        # (x * magic) >> shift == x // radix for every x <= top
+        shift = top.bit_length() + radix.bit_length()
+        magic = -(-(1 << shift) // radix)
+        quotient_bits = (top // radix).bit_length()
+        # a lane's product stays in its lane, and the next lane's, shifted
+        # down, stays above the quotient
+        width = 8 if (top * magic).bit_length() <= 64 and shift + quotient_bits <= 64 else 16
+        mask = ((1 << quotient_bits) - 1).to_bytes(width, "little") * _SAMPLE_CHUNK
+        return width, magic, shift, int.from_bytes(mask, "little")
+
+    first = divider(search_space_size(n) - 1)
+    later = divider(base ** max(cells - g, 0) - 1)
+    while chunk := list(itertools.islice(codes, _SAMPLE_CHUNK)):
+        width, magic, shift, mask = first
+        lanes = array("Q", bytes(width * len(chunk)))
+        lanes[::width // 8] = array("Q", chunk)
         if sys.byteorder == "big":
             lanes.byteswap()
         rest = int.from_bytes(lanes, "little")
+        full = (1 << len(chunk)) - 1
         digits = []
         for start in range(0, cells, g):
-            quotient = rest * magic >> shift & low
-            group = (rest - radix * quotient).to_bytes(16 * len(chunk), "big")[15::16]
+            if start == g:
+                if later[0] < width:
+                    # keep the low 64 bits of each 128-bit lane
+                    rest = int.from_bytes(array("Q", rest.to_bytes(width * len(chunk), "little"))[::2],
+                                          "little")
+                width, magic, shift, mask = later
+            quotient = rest * magic >> shift & mask
+            group = (rest - radix * quotient).to_bytes(width * len(chunk), "big")[width - 1::width]
             rest = quotient
             for tables in to_bits[:cells - start]:
-                digits.append([int(group.translate(t), 2) for t in tables])
-        yield chunk, digits, (1 << len(chunk)) - 1
+                sets = [int(group.translate(t), 2) for t in tables]
+                digits.append([full ^ sum(sets)] + sets)
+        yield chunk, digits, full
 
 
 def _flag_sets(n: int, digits, full: int) -> tuple[int, int, int, int, int]:
@@ -238,7 +275,14 @@ def scan_flags(n: int) -> Iterator[tuple[int, tuple[bool, bool, bool, bool, bool
     Flag set j of a block, written as a bit string, translates to bit j of
     one byte per table; the five OR-ed together give each table a byte key,
     read at C speed, and every table with the same key shares one tuple.
+    The pairs come from one ``zip`` per block, chained, so none passes
+    through a Python frame; the size is checked on the first ``next``.
     """
+    return itertools.chain.from_iterable(_scan_blocks(n))
+
+
+def _scan_blocks(n: int):
+    """One iterator of scan_flags pairs per block of the exhaustive pass."""
     _check_exhaustive(n, "exhaustive scan", "use sampling")
     shared = [tuple(bool(key >> j & 1) for j in range(len(_FLAG_NAMES)))
               for key in range(1 << len(_FLAG_NAMES))]
@@ -248,8 +292,8 @@ def scan_flags(n: int) -> Iterator[tuple[int, tuple[bool, bool, bool, bool, bool
         keys = 0
         for tables, table in zip(_flag_sets(n, digits, full), to_bit):
             keys |= int.from_bytes(f"{tables:0{width}b}".encode().translate(table), "big")
-        yield from zip(range(first, first + width),
-                       map(shared.__getitem__, keys.to_bytes(width, "little")))
+        yield zip(range(first, first + width),
+                  map(shared.__getitem__, keys.to_bytes(width, "little")))
 
 
 def enumerate_magmas(n: int) -> Iterator[FinitePartialMagma]:
@@ -299,15 +343,14 @@ class CensusRow:
     witness: str
 
 
-def _rows(n: int, blocks, code_at, dedup: bool = False) -> list[CensusRow]:
-    """Census rows over ``blocks``; a block's tables come in increasing code order.
+def _rows(n: int, blocks, least, dedup: bool = False) -> list[CensusRow]:
+    """Census rows over ``blocks``.
 
     A pattern counts the tables of its sets, and its witness is its least
-    code: the least, over the blocks, of its lowest table there, where
-    ``code_at(block, i)`` is the code of the i-th table of the block that
-    ``block`` names.  With dedup a pattern counts isomorphism classes by
-    Burnside's lemma: the tables each relabeling fixes, summed over all n!
-    relabelings, over n!.
+    code: the least, over the blocks, of ``least(block, tables)``, the least
+    code among the tables ``tables`` of the block that ``block`` names.
+    With dedup a pattern counts isomorphism classes by Burnside's lemma: the
+    tables each relabeling fixes, summed over all n! relabelings, over n!.
     """
     tally: dict[str, list[int]] = {}
     for block, digits, full in blocks:
@@ -315,7 +358,7 @@ def _rows(n: int, blocks, code_at, dedup: bool = False) -> list[CensusRow]:
         fixed = _fixed_sets(n, digits, full) if dedup else ()
         for pattern, tables in _patterns(flags, full):
             count = tables.bit_count() + sum((tables & f).bit_count() for f in fixed)
-            code = code_at(block, _lowest(tables))
+            code = least(block, tables)
             row = tally.setdefault(pattern, [0, code])
             row[0] += count
             row[1] = min(row[1], code)
@@ -338,13 +381,26 @@ def census(n: int, dedup: bool = False) -> list[CensusRow]:
     witness is its first table, which is the minimum of its class.
     """
     _check_exhaustive(n, "exhaustive census", "use sample_census")
-    return _rows(n, _blocks(n), lambda first, i: first + i, dedup)
+    return _rows(n, _blocks(n), lambda first, tables: first + _lowest(tables), dedup)
 
 
 def sample_census(n: int, count: int, seed: int) -> list[CensusRow]:
     """Census over ``count`` random codes; counts are sample tallies, not totals."""
     blocks = _sampled_blocks(n, _sampled_codes(n, count, seed))
-    return _rows(n, blocks, lambda chunk, i: chunk[i])
+    return _rows(n, blocks, _least_drawn)
+
+
+# a set's bits as bytes, "1" -> 1 and "0" -> 0, for itertools.compress
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _least_drawn(chunk: list[int], tables: int) -> int:
+    """The least code of a chunk, in draw order, among the tables of a set.
+
+    bin() writes the set most significant bit first, so its digits reversed
+    hold bit i at position i and select the codes of the set.
+    """
+    return min(itertools.compress(chunk, bin(tables)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def parse_flag_pattern(wanted: Mapping[str, bool]) -> dict[int, bool]:

@@ -16,7 +16,8 @@ regroupings as two C-speed row gathers; only a failing class runs its
 ordered scan, for the witness.  ``sampled_verdict`` runs the one scan of a
 named class and gives the same verdict and witness, at a fraction of the
 cost when that class fails early.  Slices hold at most ``MAX_SLICE``
-elements; a larger bound raises CapacityError before the slicer runs.  The
+elements; a larger bound raises CapacityError before the slicer runs, and
+``totient_hom_check`` takes bounds up to the same limit.  The
 coprimality relations test with ``math.gcd``; ``gcd`` here is a remainder
 loop kept as an independent oracle, and ``totient`` counts with it.
 """
@@ -33,10 +34,10 @@ from .checks import (_CLASS_SCANS, ClassReport, _assemble_report, _first, _open_
                      _table_flags)
 
 
-# The most elements a bounded check or slice takes.  At the limit, the full
-# ``builtin coprime`` report peaks at 155 MB RSS in about 9 s (2-core x86-64
-# host, Python 3.11); its tables and triple masks grow about as the cube of
-# the slice.
+# The most elements a bounded check or slice takes, and the largest bound of
+# ``totient_hom_check``.  At the limit, the full ``builtin coprime`` report
+# peaks at 155 MB RSS in about 9 s (2-core x86-64 host, Python 3.11); its
+# tables and triple masks grow about as the cube of the slice.
 MAX_SLICE = 300
 
 
@@ -206,12 +207,20 @@ def sampled_verdict(p: PredicateMagma, bound: int, name: str) -> Verdict:
 
 
 def totient_hom_check(bound: int) -> Verdict:
-    """totient(ab) == totient(a) * totient(b) for every coprime a, b with ab <= bound."""
+    """totient(ab) == totient(a) * totient(b) for every coprime a, b with ab <= bound.
+
+    Each totient(k), k <= bound, is counted once, directly, so the check
+    stays independent of multiplicativity.  A bound past MAX_SLICE raises
+    CapacityError before any counting, since the counts cost about bound**2.
+    """
     if bound < 2:
         raise DomainError("bound must be at least 2")
+    if bound > MAX_SLICE:
+        raise CapacityError(f"bound {bound} exceeds the limit of {MAX_SLICE}")
+    phi = [0] + [totient(k) for k in range(1, bound + 1)]
     for a in range(1, bound + 1):
         for b in range(1, bound // a + 1):
-            if gcd(a, b) == 1 and totient(a * b) != totient(a) * totient(b):
+            if gcd(a, b) == 1 and phi[a * b] != phi[a] * phi[b]:
                 return fail("totient-multiplicative", (a, b),
-                            f"phi({a * b})={totient(a * b)} != {totient(a)}*{totient(b)}")
+                            f"phi({a * b})={phi[a * b]} != {phi[a]}*{phi[b]}")
     return OK

@@ -279,6 +279,7 @@ def test_enumerate_census_stdout_pinned(argv, stdout, capsys):
     ["enumerate", "census", "--size", "3", "--sample", "0", "--dedup"],
     # past the slice limit: refused before the slicer builds 10^11 elements
     ["builtin", "coprime", "--bound", "99999999999", "--check", "strong"],
+    ["builtin", "totient", "--bound", "99999999999"],
 ])
 def test_bad_census_and_scan_arguments_exit_2(argv, tmp_path, capsys):
     files = {"@loop": write(tmp_path, "loop.quiver", LOOP_QUIVER),

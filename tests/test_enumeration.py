@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from unittest import mock
@@ -379,6 +380,65 @@ def test_sample_census_draws_one_chunk_per_block():
         got = sample_census(4, 10, seed=0)
     assert seen == [3, 6, 9, 10]
     assert got == _per_table_rows(4, range(10))
+
+
+@functools.lru_cache(maxsize=None)
+def _draw_orders(count):
+    """Three draws at n=4 of ``count`` distinct codes whose least codes come late.
+
+    The least half of the codes are 0, 1, 2, ..., which carry many
+    patterns; the rest are random.  Drawn descending, each pattern's least
+    code is its last; "repeated" draws the least half descending twice, so
+    every least code comes again in a later chunk; "least-last" shuffles
+    the codes and draws code 0 last.
+    """
+    rng = random.Random(count)
+    codes = list(range(count // 2))
+    while len(codes) < count:
+        code = rng.randrange(count, search_space_size(4))
+        if code not in codes:
+            codes.append(code)
+    descending = sorted(codes, reverse=True)
+    least_last = codes[1:]
+    rng.shuffle(least_last)
+    orders = {"descending": descending, "repeated": descending[-(count // 2 + 1):] * 2,
+              "least-last": least_last + [0]}
+    return {name: (drawn, _per_table_rows(4, sorted(drawn))) for name, drawn in orders.items()}
+
+
+@pytest.mark.parametrize("order", ["descending", "repeated", "least-last"])
+@pytest.mark.parametrize("chunk, count", [(1, 300), (3, 300), (4096, 4101)])
+def test_sampled_witnesses_are_least_codes_in_draw_order(order, chunk, count):
+    # a chunk keeps its codes in draw order, so a pattern's lowest table in
+    # a chunk need not hold its least code there; at width 3 the last chunk
+    # of 300 codes is full, and at 4,096 the last of 4,101 holds 5 codes, so
+    # code 0 drawn last sits in the last lane of a later chunk
+    codes, want = _draw_orders(count)[order]
+    with mock.patch.object(enumeration, "_sampled_codes", lambda n, count, seed: iter(codes)), \
+            mock.patch.object(enumeration, "_SAMPLE_CHUNK", chunk):
+        got = sample_census(4, len(codes), seed=0)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_digit_bytes_match_per_byte_definition(n):
+    base = n + 1
+    tables = enumeration._digit_bytes(n)
+    radix = base ** len(tables)
+    assert radix <= 256 < radix * base
+    for j, row in enumerate(tables):
+        assert len(row) == n
+        for v, table in enumerate(row, start=1):
+            assert len(table) == 256
+            want = bytes(49 if b // base ** j % base == v else 48 for b in range(radix))
+            assert table[:radix] == want, (n, j, v)
+
+
+@pytest.mark.parametrize("n, error", [(0, DomainError), (4, CapacityError)])
+def test_scan_flags_checks_the_size_on_first_next(n, error):
+    flags = scan_flags(n)
+    with pytest.raises(error):
+        next(flags)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -13,7 +13,8 @@ from locsemi import (CapacityError, DomainError, InvariantError, PredicateMagma,
                      is_transitive, natural_multiplication, powerset_magma,
                      sampled_classify, sampled_verdict, totient,
                      totient_hom_check)
-from locsemi.magma import OK
+from locsemi import predicates
+from locsemi.magma import OK, fail
 from locsemi.predicates import MAX_SLICE
 
 
@@ -196,6 +197,42 @@ def test_totient_hom_check():
     assert totient_hom_check(2)
     with pytest.raises(DomainError):
         totient_hom_check(1)
+
+
+def _totient_hom_per_pair(bound, phi):
+    """The check as first written: three direct counts for every coprime pair."""
+    for a in range(1, bound + 1):
+        for b in range(1, bound // a + 1):
+            if gcd(a, b) == 1 and phi(a * b) != phi(a) * phi(b):
+                return fail("totient-multiplicative", (a, b),
+                            f"phi({a * b})={phi(a * b)} != {phi(a)}*{phi(b)}")
+    return OK
+
+
+def test_totient_hom_check_matches_per_pair_form(monkeypatch):
+    # the tabulated counts give the per-pair verdicts, and with a count made
+    # wrong at 35, 56 or 99 the same first witness: none below it, a factor
+    # pair of it from there, and for odd wrong (2, wrong) once 2 * wrong is
+    # in bound
+    for bound in range(2, 121):
+        assert totient_hom_check(bound) == _totient_hom_per_pair(bound, totient), bound
+    for wrong in (35, 56, 99):
+        bent = lambda k, wrong=wrong: totient(k) + (k == wrong)
+        monkeypatch.setattr(predicates, "totient", bent)
+        for bound in (wrong - 1, wrong, 2 * wrong - 1, 2 * wrong, 120):
+            got = totient_hom_check(bound)
+            assert got == _totient_hom_per_pair(bound, bent), (wrong, bound)
+            assert got.ok == (bound < wrong)
+
+
+def test_totient_hom_check_is_bounded_before_counting(monkeypatch):
+    counted = []
+    monkeypatch.setattr(predicates, "totient", lambda k: counted.append(k) or totient(k))
+    with pytest.raises(CapacityError, match=f"exceeds the limit of {MAX_SLICE}"):
+        totient_hom_check(MAX_SLICE + 1)
+    assert counted == []
+    assert totient_hom_check(MAX_SLICE)
+    assert counted == list(range(1, MAX_SLICE + 1))
 
 
 _COPRIME_REPORT = ("CLASS bound={} locality=yes strong=no[witness: strong-left (2,3),(3,4)] "
