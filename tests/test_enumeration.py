@@ -388,16 +388,12 @@ def _draw_orders(count):
 
     The least half of the codes are 0, 1, 2, ..., which carry many
     patterns; the rest are random.  Drawn descending, each pattern's least
-    code is its last; "repeated" draws the least half descending twice, so
-    every least code comes again in a later chunk; "least-last" shuffles
-    the codes and draws code 0 last.
+    code is its last; "repeated" draws the least half, descending, twice
+    over; "least-last" shuffles the codes and draws code 0 last.
     """
     rng = random.Random(count)
     codes = list(range(count // 2))
-    while len(codes) < count:
-        code = rng.randrange(count, search_space_size(4))
-        if code not in codes:
-            codes.append(code)
+    codes += rng.sample(range(count, search_space_size(4)), count - len(codes))
     descending = sorted(codes, reverse=True)
     least_last = codes[1:]
     rng.shuffle(least_last)
