@@ -16,13 +16,14 @@ Every axiom is stated in this module.  The fused flat-table kernel
 ``_table_flags``, its bit-sliced twin ``_block_flags``, which decides a block
 of closed tables at once for ``scan_flags`` and the census, and the literal
 subset oracle ``_polar_subset_violations`` sit beside the scan clauses.
-``_table_flags`` decides closed tables, those ``_flat_table`` compiles, and
-open ones: ``_open_table`` compiles a bounded slice of a predicate structure
-together with the products that leave it, so the kernel gives the bounded
-report's verdicts and only the failing classes run their scans, for the
-witness.  The kernel compares each defined pair's two regroupings, (ab)c and
-a(bc) over b's defined columns, as two C-speed row gathers, so its Python
-work per pair does not grow with the slice.
+``_table_flags`` decides open tables: ``_open_table`` compiles a bounded
+slice of a predicate structure together with the products that leave it, so
+the kernel gives the bounded report's verdicts and only the failing classes
+run their scans, for the witness.  A closed table, one ``_flat_table``
+compiles, is decided as the open form with no products outside it.  The
+kernel compares each defined pair's two regroupings, (ab)c and a(bc) over
+b's defined columns, as two C-speed row gathers built on the row's first
+use, so its Python work per pair does not grow with the slice.
 
 Full scans walk only linked triples, those whose (a,b) or (b,c) is related.
 Every clause tests rel(a, b) (refined-right alone tests rel(b, c)) before it
@@ -298,40 +299,36 @@ def _table_flags(n: int, t, open_table=None) -> tuple[bool, bool, bool, bool, bo
 
     The regroupings of a pair are two tuples over b's defined columns c:
     (ab)c, row ab of left at those columns, and a(bc), row a of t at b's
-    products bc, each taken at C speed by an operator.itemgetter built once
-    per row b.  Equal tuples fail strong exactly when they hold -1 (an
-    undefined regrouping); unequal ones fail strong, refined and partial,
-    and only then is the row walked in Python for a c related from a where
-    they differ, which fails locality.  A row's first use walks it whole
-    instead, so the small closed tables, which mostly use a row once, build
-    no getter.
+    products bc, each taken at C speed by an operator.itemgetter built on
+    row b's first use.  Equal tuples fail strong exactly when they hold -1
+    (an undefined regrouping); unequal ones fail strong, refined and
+    partial, and only then is the row walked in Python for a c related from
+    a where they differ, which fails locality.
 
-    A closed table is t alone: t gives the rows of (ab)c as well, and the
-    masks.  An open table from _open_table passes ``open_table`` =
-    (m, left, RP, CP): t then has stride m, the rows of (ab)c come from left,
-    the masks of the products outside the slice from RP and CP, and a, b, c
-    still run over the n slice elements only, so every clause is decided on
-    the slice even where products leave it.
+    An open table from _open_table passes ``open_table`` = (m, left, RP, CP):
+    t has stride m, the rows of (ab)c come from left, the masks of the
+    products outside the slice from RP and CP, and a, b, c run over the n
+    slice elements only, so every clause is decided on the slice even where
+    products leave it.  A closed table is the open form with no products
+    outside: t alone gives the rows of (ab)c as well.  The slice's masks are
+    read from t cell by cell, which on small closed tables costs less than
+    reading each row's and column's sign bytes (_defined_mask); the products
+    outside have theirs from the compile.
     """
     rng = range(n)
-    if open_table is None:
-        m, left = n, t
-        R = [0] * n
-        C = [0] * n
-    else:
-        m, left, RP, CP = open_table
-        R = [0] * n + RP
-        C = [0] * n + CP
+    m, left, RP, CP = open_table or (n, t, [], [])
+    R = [0] * n + RP
+    C = [0] * n + CP
     for a in rng:
         am = a * m
         for b in rng:
             if t[am + b] >= 0:
                 R[a] |= 1 << b
                 C[b] |= 1 << a
-    # gathers[b]: None before row b's first use, which walks it, False after
-    # it, then (cs, at_c, at_bc), b's defined columns and the getters of
-    # (ab)c and a(bc).  A row with one defined cell names its index twice,
-    # so that both getters give tuples; one with none (Rb == 0) is skipped.
+    # gathers[b]: None before row b's first use, then (cs, at_c, at_bc), b's
+    # defined columns and the getters of (ab)c and a(bc).  A row with one
+    # defined cell names its index twice, so that both getters give tuples;
+    # one with none (Rb == 0) is skipped.
     gathers = [None] * n
     loc = strong = refined = partial = trans = True
     for a in rng:
@@ -359,41 +356,25 @@ def _table_flags(n: int, t, open_table=None) -> tuple[bool, bool, bool, bool, bo
             if Rb and (loc or strong or partial):
                 g = gathers[b]
                 if g is None:
-                    gathers[b] = False
                     bm = b * m
-                    abn = ab * n
-                    for c in rng:
-                        bc = t[bm + c]
-                        if bc < 0:
-                            continue
-                        x = left[abn + c]
-                        if x != row_a[bc]:
-                            strong = refined = partial = False
-                            if Ra >> c & 1:
+                    cs = [c for c in rng if t[bm + c] >= 0]
+                    bcs = [t[bm + c] for c in cs]
+                    if len(cs) == 1:
+                        cs *= 2
+                        bcs *= 2
+                    g = gathers[b] = (cs, itemgetter(*cs), itemgetter(*bcs))
+                cs, at_c, at_bc = g
+                lhs = at_c(left[ab * n:ab * n + n])
+                rhs = at_bc(row_a)
+                if lhs != rhs:
+                    strong = refined = partial = False
+                    if loc:
+                        for c, x, y in zip(cs, lhs, rhs):
+                            if x != y and Ra >> c & 1:
                                 loc = False
-                        elif x < 0:
-                            strong = False
-                else:
-                    if g is False:
-                        bm = b * m
-                        cs = [c for c in rng if t[bm + c] >= 0]
-                        bcs = [t[bm + c] for c in cs]
-                        if len(cs) == 1:
-                            cs *= 2
-                            bcs *= 2
-                        g = gathers[b] = (cs, itemgetter(*cs), itemgetter(*bcs))
-                    cs, at_c, at_bc = g
-                    lhs = at_c(left[ab * n:ab * n + n])
-                    rhs = at_bc(row_a)
-                    if lhs != rhs:
-                        strong = refined = partial = False
-                        if loc:
-                            for c, x, y in zip(cs, lhs, rhs):
-                                if x != y and Ra >> c & 1:
-                                    loc = False
-                                    break
-                    elif -1 in lhs:
-                        strong = False
+                                break
+                elif -1 in lhs:
+                    strong = False
             if not (loc or strong or partial or trans):
                 return (False, False, False, False, False)
     return (loc, strong, refined, partial, trans)

@@ -1,14 +1,19 @@
 """Per-table walks: the oracles independent of the bit-sliced block kernel.
 
-``_iter_tables`` walks every flat table in code order, one at a time.  The
-census counts isomorphism classes by Burnside's lemma over bit-sliced
-blocks; ``_representatives`` counts them the other way, walking every table
-and keeping those whose code is the minimum over every relabeling.
+``_iter_tables`` walks every flat table in code order, one at a time.
+``_flags_by_code`` runs the per-table kernel ``_table_flags`` on each of them
+once per size and keeps the flags, so every test that needs the flags of
+every code with n <= 3 shares one sweep.  The census counts isomorphism
+classes by Burnside's lemma over bit-sliced blocks; ``_representatives``
+counts them the other way, walking every table and keeping those whose code
+is the minimum over every relabeling.
 """
 
+import functools
 import itertools
 import math
 
+from locsemi.checks import _table_flags
 from locsemi.enumeration import search_space_size
 
 
@@ -25,6 +30,13 @@ def _iter_tables(n: int):
                 break
             t[i] = -1
             i += 1
+
+
+@functools.cache
+def _flags_by_code(n: int) -> tuple[tuple[bool, bool, bool, bool, bool], ...]:
+    """_table_flags of every code in order; equal flag tuples are one object."""
+    shared = {}
+    return tuple(shared.setdefault(f, f) for f in (_table_flags(n, t) for _, t in _iter_tables(n)))
 
 
 def _relabelings(n: int) -> list[tuple[list[int], list[tuple[int, int]]]]:

@@ -17,12 +17,11 @@ from locsemi import (NotAssociative, adjoin_identity, adjoin_zero, census,
                      is_strong_semigroup_with_zero, materialize_path_magma,
                      powerset_magma, sampled_classify, search_space_size,
                      totient, totient_hom_check, verify_free_property)
-from locsemi.checks import (_polar_closure_violation, _polar_subset_violations,
-                            _table_flags)
+from locsemi.checks import _polar_closure_violation, _polar_subset_violations
 from locsemi.fixtures import fixture_magma, fixture_quiver
 from locsemi.quiver import Quiver
 
-from orderly import _iter_tables
+from orderly import _flags_by_code, _iter_tables
 
 
 def test_criterion_1_fixture_exactness():
@@ -69,8 +68,8 @@ def test_criterion_2_completion_theorem():
     t0 = time.perf_counter()
     refined_total = 0
     for n in (1, 2, 3):
-        for code, t in _iter_tables(n):
-            if _table_flags(n, t)[2]:  # refined
+        for code, flags in enumerate(_flags_by_code(n)):
+            if flags[2]:  # refined
                 total = complete_to_semigroup_with_zero(decode_magma(n, code))
                 assert is_strong_semigroup_with_zero(total), (n, code)
                 refined_total += 1
@@ -191,8 +190,8 @@ def test_criterion_7_predicate_structures():
 def test_criterion_8_adjunction():
     checked = 0
     for n in (1, 2):
-        for code, t in _iter_tables(n):
-            if not _table_flags(n, t)[0]:  # locality
+        for code, flags in enumerate(_flags_by_code(n)):
+            if not flags[0]:  # locality
                 continue
             m = decode_magma(n, code)
             with_id = adjoin_identity(m, "e")

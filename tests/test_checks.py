@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given
@@ -463,6 +464,16 @@ def test_open_compile_of_finite_structures_gives_classify_flags():
         t, table, rows = checks._open_table(elems, rel, mul)
         assert checks._table_flags(len(elems), t, table) == classify(m).flags(), m
         assert rows == [bytes(rel(a, b) for b in elems) for a in elems]
+
+
+@given(st.lists(st.integers(-1, 2**31 - 1), min_size=1, max_size=80))
+@example([-1])
+@example([0])
+@example([2**31 - 1, -1, 255, 128, 2**24])
+def test_defined_mask_sets_a_bit_per_defined_cell(values):
+    cells = array("i", values)
+    want = sum(1 << k for k, v in enumerate(cells) if v >= 0)
+    assert checks._defined_mask(cells) == want
 
 
 _TOTAL4 = {(a, b) for a in range(4) for b in range(4)}

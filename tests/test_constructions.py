@@ -19,7 +19,7 @@ from locsemi.enumeration import (_FLAG_NAMES, _decode_table, decode_magma,
                                  search_space_size)
 from locsemi.fixtures import fixture_magma, fixture_quiver
 
-from orderly import _representatives
+from orderly import _flags_by_code, _representatives
 from strategies import magma_with_subset
 
 EX3_8 = fixture_magma("ex3_8")
@@ -89,8 +89,8 @@ def test_adjunction_tallies_exhaustive(n):
     # every class is invariant under relabeling, so each isomorphism class
     # counts as its size
     tally = {kind: {name: [0, 0] for name in _FLAG_NAMES} for kind in ("identity", "zero")}
-    for code, t, size in _representatives(n):
-        before = _table_flags(n, t)
+    for code, _, size in _representatives(n):
+        before = _flags_by_code(n)[code]
         if not before[0]:  # locality
             continue
         m = decode_magma(n, code)

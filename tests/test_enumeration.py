@@ -18,7 +18,7 @@ from locsemi.checks import _table_flags
 from locsemi.cli import run
 from locsemi.enumeration import _decode_table
 
-from orderly import _iter_tables, _representatives
+from orderly import _flags_by_code, _representatives
 
 
 def test_search_space_sizes():
@@ -66,9 +66,9 @@ def test_decode_bounds():
 
 def test_kernel_matches_checkers_exhaustive_small():
     for n in (1, 2):
-        for code, t in _iter_tables(n):
+        for code, flags in enumerate(_flags_by_code(n)):
             m = decode_magma(n, code)
-            assert classify(m).flags() == _table_flags(n, t), (n, code)
+            assert classify(m).flags() == flags, (n, code)
 
 
 def test_kernel_matches_checkers_stride_n3():
@@ -260,7 +260,7 @@ def test_find_witness_is_first_match_small(n):
     if n < 3:
         flags = [classify(decode_magma(n, code)).flags() for code in range(search_space_size(n))]
     else:
-        flags = [_table_flags(n, t) for _, t in _iter_tables(n)]
+        flags = _flags_by_code(n)
     # the first code of each full flag tuple; a partial pattern's first match
     # is the least of those it admits
     firsts = {}
@@ -305,8 +305,7 @@ def test_format_census_table():
 def test_block_flags_match_table_flags_on_every_code(n):
     # the per-table kernel over the whole space, bit c for code c
     columns = [bytearray() for _ in _FLAG_NAMES]
-    for _, t in _iter_tables(n):
-        flags = _table_flags(n, t)
+    for flags in _flags_by_code(n):
         for column, f in zip(columns, flags):
             column.append(49 if f else 48)
     want = [int(bytes(column[::-1]), 2) for column in columns]
@@ -322,7 +321,7 @@ def test_block_flags_match_table_flags_on_every_code(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_scan_flags_matches_table_flags(n):
     # the same codes in order, each with the per-table kernel's flags
-    want = ((code, _table_flags(n, t)) for code, t in _iter_tables(n))
+    want = enumerate(_flags_by_code(n))
     for got, expected in itertools.zip_longest(scan_flags(n), want):
         assert got == expected, n
 
@@ -494,8 +493,8 @@ def test_sample_census_rejects_unlabelled_sizes_before_drawing(capsys):
 
 def test_burnside_dedup_counts_equal_orbit_minimum_counts():
     tally = {}
-    for code, t, _ in _representatives(3):
-        pattern = "".join(l if f else "-" for l, f in zip("LSRPT", _table_flags(3, t)))
+    for code, _, _ in _representatives(3):
+        pattern = "".join(l if f else "-" for l, f in zip("LSRPT", _flags_by_code(3)[code]))
         tally.setdefault(pattern, [0, code])[0] += 1
     want = sorted((p, count, code) for p, (count, code) in tally.items())
     assert _row_triples(census(3, dedup=True)) == want

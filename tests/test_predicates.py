@@ -353,7 +353,7 @@ def _listed(products):
 
 
 # In each case row 1 is used by the pairs (0,1) and then (2,1): the kernel
-# walks a row on its first use and gathers it from the second.
+# builds a row's getters on its first use and reuses them on the second.
 @pytest.mark.parametrize("products, flags", [
     # row 1 has no defined cell: no c to regroup over
     ({(0, 1): 2, (2, 1): 2}, (True, True, False, True, True)),
