@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -6,10 +8,11 @@ from hypothesis import strategies as st
 
 from locsemi import (CapacityError, CompositionUndefined, DomainError,
                      FinitePartialMagma, InvariantError, ParseError, Path,
-                     PreconditionError, Quiver, compose, free_extension,
-                     full_relation_magma, is_locality_map,
+                     PreconditionError, Quiver, Witness, compose, decode_magma,
+                     free_extension, full_relation_magma, is_locality_map,
                      is_refined_locality_semigroup, materialize_path_magma,
-                     parse_quiver, serialize_quiver, verify_free_property)
+                     parse_quiver, scan_flags, search_space_size,
+                     serialize_quiver, verify_free_property)
 from locsemi.fixtures import fixture_magma, fixture_quiver, fixture_text
 
 XYZ = fixture_quiver("ex2_17_quiver")
@@ -259,6 +262,77 @@ def test_free_property_loop_into_z3():
 def test_free_property_vacuous_quiver():
     lonely = Quiver(("x", "y"), (("a", "x", "y"),))
     assert verify_free_property(lonely, z3(), {"a": "2"}, 4)
+
+
+@pytest.mark.parametrize("wrong, axiom, elements, detail", [
+    # (a) runs before (b): beta2 also breaks the pair (alpha,beta2*beta2)
+    ({"beta2": "beta2*beta2", "beta1": "beta1*beta1"},
+     "free-arrow-restriction", ("beta1",), "beta1*beta1!=beta1"),
+    # (beta1,beta1) and (beta2,beta2) break the product later
+    ({"beta1*beta1": "alpha", "beta2*beta2": "alpha"},
+     "free-hom-relation", ("alpha", "beta2*beta2"), "(alpha,alpha) undefined"),
+    # (alpha,beta2) passes; (beta1,beta1) and (beta2,beta2) fail later
+    ({"beta1*beta1": "beta1", "beta2*beta2": "beta2"},
+     "free-hom-product", ("alpha", "beta2*beta2"), "alpha*beta2!=alpha*beta2*beta2"),
+])
+def test_free_property_first_witness(monkeypatch, wrong, axiom, elements, detail):
+    # the inclusion into the path magma, made wrong on a few paths, breaks
+    # several paths or pairs; the verdict names the first in paths_upto
+    # order, p before r
+    import locsemi.quiver as quiver
+    target, _ = materialize_path_magma(TWO_LOOPS, 3)
+    f = {name: name for name, _, _ in TWO_LOOPS.arrows}
+    monkeypatch.setattr(quiver, "free_extension",
+                        lambda q, s, f: lambda p: wrong.get(p.label, p.label))
+    verdict = verify_free_property(TWO_LOOPS, target, f, 3)
+    assert not verdict.ok
+    assert verdict.witness == Witness(axiom, elements, detail)
+
+
+# two loops on one vertex: every arrow pair composes
+LOOPS_AT_V = Quiver(("v",), (("g", "v", "v"), ("h", "v", "v")))
+
+
+def _homomorphisms(q, s, max_len):
+    """Every map from the nonempty paths up to max_len into s that is a
+    locality homomorphism on their composable pairs, by brute force."""
+    paths = [p for p in q.paths_upto(max_len) if p.length > 0]
+    index = {p: i for i, p in enumerate(paths)}
+    pairs = [(index[p], index[r], index[compose(p, r)])
+             for p, r in itertools.product(paths, repeat=2)
+             if p.target == r.source and p.length + r.length <= max_len]
+    for h in itertools.product(s.elements, repeat=len(paths)):
+        if all(s.table.get((h[i], h[j])) == h[k] for i, j, k in pairs):
+            yield dict(zip(paths, h))
+
+
+def _refined_targets():
+    small = [m for n in (1, 2) for m in map(functools.partial(decode_magma, n),
+                                            range(search_space_size(n)))
+             if is_refined_locality_semigroup(m)]
+    refined3 = [code for code, flags in scan_flags(3) if flags[2]]
+    return small + [decode_magma(3, c) for c in random.Random(16).sample(refined3, 20)]
+
+
+@pytest.mark.parametrize("q", [XYZ, TWO_LOOPS, LOOPS_AT_V], ids=["xyz", "two_loops", "loops_at_v"])
+def test_free_property_matches_brute_force_homomorphisms(q):
+    # the theorem, checked without the extension's fold: each locality arrow
+    # map into a refined target extends to exactly one homomorphism
+    arrows = [name for name, _, _ in q.arrows]
+    for s in _refined_targets():
+        assert is_refined_locality_semigroup(s)
+        by_arrows: dict[tuple[str, ...], list] = {}
+        for h in _homomorphisms(q, s, 2):
+            by_arrows.setdefault(tuple(h[q.path([a])] for a in arrows), []).append(h)
+        maps = [dict(zip(arrows, vals))
+                for vals in itertools.product(s.elements, repeat=len(arrows))]
+        local = [f for f in maps if is_locality_map(q.arrow_locality_set(), s, f)]
+        assert sorted(by_arrows) == sorted(tuple(f[a] for a in arrows) for f in local)
+        for f in local:
+            [h] = by_arrows[tuple(f[a] for a in arrows)]
+            fbar = free_extension(q, s, f)
+            assert {p: fbar(p) for p in h} == h
+            assert verify_free_property(q, s, f, 2)
 
 
 def test_fold_order_independence():
