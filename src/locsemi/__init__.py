@@ -28,9 +28,8 @@ from .predicates import (PredicateMagma, bounded_magma, coprime_magma,
                          powerset_magma, sampled_classify, sampled_verdict,
                          totient, totient_hom_check)
 from .enumeration import (CensusRow, census, decode_magma, encode_magma,
-                          enumerate_magmas, find_witness, format_census_table,
-                          sample_census, sample_magmas, scan_flags,
-                          search_space_size)
+                          find_witness, format_census_table, sample_census,
+                          sample_magmas, scan_flags, search_space_size)
 from .fixtures import (fixture_kind, fixture_magma, fixture_names,
                        fixture_quiver, fixture_text)
 

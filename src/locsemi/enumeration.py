@@ -296,13 +296,6 @@ def _scan_blocks(n: int):
                   map(shared.__getitem__, keys.to_bytes(width, "little")))
 
 
-def enumerate_magmas(n: int) -> Iterator[FinitePartialMagma]:
-    """Every structure of carrier size n exactly once, in enumeration order."""
-    _check_exhaustive(n, "exhaustive enumeration", "use sample_magmas")
-    for code in range(search_space_size(n)):
-        yield decode_magma(n, code)
-
-
 def _sampled_codes(n: int, count: int, seed: int) -> Iterator[int]:
     """``count`` codes drawn uniformly (with replacement); checks run at the call.
 

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 import locsemi.enumeration as enumeration
 from locsemi import (CapacityError, DomainError, FinitePartialMagma,
                      InvariantError, census, classify, decode_magma,
-                     encode_magma, enumerate_magmas, find_witness,
-                     format_census_table, parse_magma, sample_census,
-                     sample_magmas, scan_flags, search_space_size,
-                     serialize_magma)
+                     encode_magma, find_witness, format_census_table,
+                     parse_magma, sample_census, sample_magmas, scan_flags,
+                     search_space_size, serialize_magma)
 from locsemi.checks import _table_flags
 from locsemi.cli import run
 from locsemi.enumeration import _decode_table
@@ -25,22 +24,6 @@ def test_search_space_sizes():
     assert search_space_size(1) == 2
     assert search_space_size(2) == 81
     assert search_space_size(3) == 262144
-
-
-def test_enumerate_n1():
-    ms = list(enumerate_magmas(1))
-    assert len(ms) == 2
-    assert ms[0].table == {}
-    assert ms[1].table == {("a", "a"): "a"}
-
-
-def test_enumerate_n2_count():
-    assert sum(1 for _ in enumerate_magmas(2)) == 81
-
-
-def test_enumerate_capacity():
-    with pytest.raises(CapacityError):
-        next(iter(enumerate_magmas(4)))
 
 
 def test_sampling_is_seeded():
@@ -218,8 +201,6 @@ def test_census_capacity():
     lambda: next(scan_flags(-2)),
     lambda: find_witness({}, 0),
     lambda: find_witness({"locality": True}, -1),
-    lambda: next(enumerate_magmas(0)),
-    lambda: next(enumerate_magmas(-1)),
     lambda: next(sample_magmas(-1, 5, seed=1)),
     lambda: next(sample_magmas(4, -3, seed=1)),
 ])
