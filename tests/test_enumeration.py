@@ -201,6 +201,8 @@ def test_census_capacity():
     lambda: next(scan_flags(-2)),
     lambda: find_witness({}, 0),
     lambda: find_witness({"locality": True}, -1),
+    lambda: decode_magma(0, 0),
+    lambda: decode_magma(-1, 0),
     lambda: next(sample_magmas(-1, 5, seed=1)),
     lambda: next(sample_magmas(4, -3, seed=1)),
 ])
