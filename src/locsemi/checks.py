@@ -7,7 +7,7 @@ takes the first one as its witness, so reported counterexamples prefer
 distinct generic elements over degenerate repeats, and reports are stable
 across runs.
 
-The scans are written against bare accessors (tuple source, relation test,
+The scans are written against bare accessors (triple source, relation test,
 product function), so each axiom clause is stated once and drives the full
 scans of finite tables, the bounded scans of predicate-defined structures,
 and witness replay, which re-runs a scan on the witness's own elements.
@@ -25,13 +25,14 @@ kernel compares each defined pair's two regroupings, (ab)c and a(bc) over
 b's defined columns, as two C-speed row gathers built on the row's first
 use, so its Python work per pair does not grow with the slice.
 
-Full scans walk only linked triples, those whose (a,b) or (b,c) is related.
-Every clause tests rel(a, b) (refined-right alone tests rel(b, c)) before it
-can yield, so a triple with neither pair related yields nothing, and
-dropping it leaves each violation stream, and so each first witness,
-exactly as a walk over all n^3 triples gives it.  The cost falls from
-n^3 to about |R|*n triples, which matters on sparse structures such as
-path semigroups.
+A full scan reads its triples from a triple source, ``_Triples``, which
+offers the scan order as streams, each filtered by one guard, such as
+"(a,b) and (b,c) related".  Each clause reads the stream whose guard it
+needs and tests only what the guard leaves open; a triple outside that
+stream fails the guard and would yield nothing, so each violation stream,
+and each first witness, is exactly what a walk over all n^3 triples gives.
+The streams are built from the relation's rows, with nothing of size n^3,
+and a replay passes its lone triple through the same guards (``_Lone``).
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -52,37 +55,156 @@ Rel = Callable[[object, object], bool]
 Mul = Callable[[object, object], object]
 
 
-def _linked_triples(elems: Sequence, rel: Rel, rows: Sequence[bytes] | None = None):
-    """A triple source over the sorted ``elems``: the scan order, linked triples only.
+class _Triples:
+    """The triple streams of one structure over the sorted ``elems``.
 
-    The order is the strictly increasing triples lexicographically, then every
-    other triple lexicographically; a triple is kept when its (a,b) or (b,c)
-    is related.  The relation is read once per pair into byte rows (``rows``,
-    when the caller has read it already), and two byte masks over that order
-    let ``compress`` pick the triples at C speed.
+    ``rows[i]`` lists, in increasing order, the positions j with
+    (elems[i], elems[j]) related.  Each stream is the scan order filtered by
+    one guard, and each call starts a fresh pass:
+
+    - ``ab()``, (a,b) related: refined-left;
+    - ``bc()``, (b,c) related: refined-right;
+    - ``chained()``, (a,b) and (b,c) related: strong, refined-assoc,
+      partial and transitivity;
+    - ``left()``, (a,b), (b,c) and (a,c) related: left polar closure and
+      locality-assoc;
+    - ``right()``, (a,b), (c,a) and (c,b) related: right polar closure.
+
+    A stream chains C-speed runs of c, one per related pair (a,b) (for
+    ``bc``, three per element a): every element, b's row or column, or
+    those filtered by a's row or column, each cut to the pair's range in
+    the scan order.  A pass costs about the pairs plus the triples it
+    yields, and the source holds O(n + |R|), built on a stream's first call.
+    On a sparse structure such as a path semigroup only ``ab`` and ``bc``
+    yield about |R|*n triples.
     """
-    n = len(elems)
-    if rows is None:
-        rows = [bytes(bool(rel(a, b)) for b in elems) for a in elems]
-    ones = b"\1" * n
-    # ends[j]: first position past the elements equal to elems[j]
-    ends = [bisect_right(elems, b) for b in elems]
-    inc, rest = [], []
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            # the k-segment of pair (i, j): all ones when (a,b) is related, else b's row
-            seg = ones if rows[i][j] else rows[j]
-            if i < j:
-                inc.append(seg[j + 1:])
-            if a < b:
-                # the a < b < c triples come from combinations; skip them here
-                rest += (seg[:ends[j]], bytes(n - ends[j]))
-            else:
-                rest.append(seg)
-    inc, rest = b"".join(inc), b"".join(rest)
-    return lambda: itertools.chain(
-        itertools.compress(itertools.combinations(elems, 3), inc),
-        itertools.compress(itertools.product(elems, repeat=3), rest))
+
+    def __init__(self, elems: Sequence, rows: Sequence[Sequence[int]]):
+        self.elems = tuple(elems)
+        self.rows = rows
+        # ends[j]: first position past the elements equal to elems[j].  When
+        # a < b, the rest of the scan takes c only up to there: a triple with
+        # c > b is strictly increasing and came first
+        self.ends = [bisect_right(self.elems, b) for b in self.elems]
+
+    def _lines(self, lines):
+        """(tails, heads, whole, sets): per line j of positions (b's row or
+        column), the values past b's position, those up to b's value, all of
+        them, and all of them as a set."""
+        elems, ends = self.elems, self.ends
+        whole = [tuple(map(elems.__getitem__, line)) for line in lines]
+        tails = [v[bisect_right(line, j):] for j, (line, v) in enumerate(zip(lines, whole))]
+        heads = [v[:bisect_left(line, ends[j])] for j, (line, v) in enumerate(zip(lines, whole))]
+        return tails, heads, whole, [frozenset(v) for v in whole]
+
+    @cached_property
+    def _row_lines(self):
+        return self._lines(self.rows)
+
+    @cached_property
+    def _column_lines(self):
+        columns = [[] for _ in self.elems]
+        for i, row in enumerate(self.rows):
+            for j in row:
+                columns[j].append(i)
+        return self._lines(columns)
+
+    def _runs(self, tail, head, whole, keep=None):
+        """The runs of c, one per related pair (a,b) in scan order: tail(j)
+        in the increasing part, then head(j) when a < b, else whole(j).  When
+        keep is given, a run keeps only the c in keep[i]."""
+        elems, rows = self.elems, self.rows
+        for i, a in enumerate(elems):
+            row = rows[i]
+            inside = keep[i].__contains__ if keep else None
+            for j in row[bisect_right(row, i):]:
+                cs = tail(j)
+                if cs:
+                    yield zip(repeat(a), repeat(elems[j]), filter(inside, cs) if keep else cs)
+        for i, a in enumerate(elems):
+            inside = keep[i].__contains__ if keep else None
+            for j in rows[i]:
+                b = elems[j]
+                cs = head(j) if a < b else whole(j)
+                if cs:
+                    yield zip(repeat(a), repeat(b), filter(inside, cs) if keep else cs)
+
+    def _stream(self, lines, keep=False):
+        tails, heads, whole, sets = lines
+        return chain.from_iterable(self._runs(tails.__getitem__, heads.__getitem__,
+                                              whole.__getitem__, sets if keep else None))
+
+    def ab(self):
+        elems, ends = self.elems, self.ends
+        return chain.from_iterable(self._runs(lambda j: elems[j + 1:], lambda j: elems[:ends[j]],
+                                              lambda j: elems))
+
+    def chained(self):
+        return self._stream(self._row_lines)
+
+    def left(self):
+        return self._stream(self._row_lines, keep=True)
+
+    def right(self):
+        return self._stream(self._column_lines, keep=True)
+
+    @cached_property
+    def _pairs(self):
+        """The related pairs (b,c) in scan order, as a list of b and one of c,
+        with the count of pairs before each position of b: all of them, those
+        with c past b's position, and those with c up to b's value."""
+        tails, heads, whole, _ = self._row_lines
+        cuts = []
+        for lines in (whole, tails, heads):
+            bs, cs, before = [], [], [0]
+            for b, run in zip(self.elems, lines):
+                bs += repeat(b, len(run))
+                cs += run
+                before.append(len(cs))
+            cuts.append((bs, cs, before))
+        return cuts
+
+    def bc(self):
+        (bs, cs, before), (up_b, up_c, up_before), (down_b, down_c, down_before) = self._pairs
+
+        def runs():
+            for i, a in enumerate(self.elems):
+                k = up_before[i + 1]
+                yield zip(repeat(a), up_b[k:], up_c[k:])
+            for a, e in zip(self.elems, self.ends):
+                # b up to a's value takes every c, a larger b only c up to b
+                yield zip(repeat(a), bs[:before[e]], cs[:before[e]])
+                yield zip(repeat(a), down_b[down_before[e]:], down_c[down_before[e]:])
+        return chain.from_iterable(runs())
+
+
+class _Lone:
+    """One triple as a triple source: a stream holds it when the pairs of its guard are related."""
+
+    def __init__(self, triple, rel: Rel):
+        a, b, c = triple
+        held = lambda *guard: (triple,) if all(rel(x, y) for x, y in guard) else ()
+        self.ab = lambda: held((a, b))
+        self.bc = lambda: held((b, c))
+        self.chained = lambda: held((a, b), (b, c))
+        self.left = lambda: held((a, b), (b, c), (a, c))
+        self.right = lambda: held((a, b), (c, a), (c, b))
+
+
+def _related_rows(elems: Sequence, rel: Rel) -> list[list[int]]:
+    """The rows of _Triples, read by calling rel on every pair."""
+    return [[j for j, b in enumerate(elems) if rel(a, b)] for a in elems]
+
+
+def _table_rows(m: FinitePartialMagma) -> list[list[int]]:
+    """The rows of _Triples over m.elements, read from the table's keys."""
+    index = {x: i for i, x in enumerate(m.elements)}
+    rows = [[] for _ in index]
+    for a, b in m.table:
+        rows[index[a]].append(index[b])
+    for row in rows:
+        row.sort()
+    return rows
 
 
 def _ordered_pairs(elems: Sequence):
@@ -95,99 +217,94 @@ def _ordered_pairs(elems: Sequence):
 # ---------------------------------------------------------------------------
 # scan bodies, generic over (triple source, related, product)
 #
-# Each scan yields every violation in scan order.  ``triples`` returns a fresh
-# iterable per pass.  A full scan is read only up to its first violation, so
-# a later pass runs only once the earlier ones hold and its products are
-# defined; a replay passes one triple and a product that is None where
+# Each scan yields every violation in scan order.  A clause reads the stream
+# of its source (_Triples, or _Lone for a replay) whose guard it needs, and
+# tests only what that guard leaves open.  A full scan is read only up to its
+# first violation, so a later pass runs only once the earlier ones hold and
+# its products are defined; a replay passes a product that is None where
 # undefined, so every clause must also be exact on a lone triple.  A relation
 # may answer with any truthy or falsy value, so clauses branch on the answers
 # and never compare two of them.
 
-def _polar_closure_violation(triples, rel: Rel, mul: Mul):
+def _polar_closure_violation(src, rel: Rel, mul: Mul):
     # left closure: a, b both related into c and (a,b) related force (ab, c) related
-    for a, b, c in triples():
-        if rel(a, c) and rel(b, c) and rel(a, b) and not rel(mul(a, b), c):
+    for a, b, c in src.left():
+        if not rel(mul(a, b), c):
             yield fail("left-polar-closure", (a, b, c), f"U={{{c}}}")
     # right closure: c related into a, b and (a,b) related force (c, ab) related
-    for a, b, c in triples():
-        if rel(c, a) and rel(c, b) and rel(a, b) and not rel(c, mul(a, b)):
+    for a, b, c in src.right():
+        if not rel(c, mul(a, b)):
             yield fail("right-polar-closure", (a, b, c), f"U={{{c}}}")
 
 
-def _locality_violation(triples, rel: Rel, mul: Mul):
-    yield from _polar_closure_violation(triples, rel, mul)
-    for a, b, c in triples():
-        if rel(a, b) and rel(b, c) and rel(a, c):
-            ab, bc = mul(a, b), mul(b, c)
+def _locality_violation(src, rel: Rel, mul: Mul):
+    yield from _polar_closure_violation(src, rel, mul)
+    for a, b, c in src.left():
+        ab, bc = mul(a, b), mul(b, c)
+        lhs, rhs = mul(ab, c), mul(a, bc)
+        if lhs != rhs and rel(ab, c) and rel(a, bc):
+            yield fail("locality-assoc", (a, b, c), f"{lhs}!={rhs}")
+
+
+def _strong_violation(src, rel: Rel, mul: Mul):
+    for a, b, c in src.chained():
+        ab, bc = mul(a, b), mul(b, c)
+        left_in, right_in = rel(ab, c), rel(a, bc)
+        if not left_in:
+            yield fail("strong-left", (a, b, c), f"({ab},{c}) undefined")
+        if not right_in:
+            yield fail("strong-right", (a, b, c), f"({a},{bc}) undefined")
+        if left_in and right_in:
             lhs, rhs = mul(ab, c), mul(a, bc)
-            if lhs != rhs and rel(ab, c) and rel(a, bc):
-                yield fail("locality-assoc", (a, b, c), f"{lhs}!={rhs}")
+            if lhs != rhs:
+                yield fail("strong-assoc", (a, b, c), f"{lhs}!={rhs}")
 
 
-def _strong_violation(triples, rel: Rel, mul: Mul):
-    for a, b, c in triples():
-        if rel(a, b) and rel(b, c):
-            ab, bc = mul(a, b), mul(b, c)
-            left_in, right_in = rel(ab, c), rel(a, bc)
-            if not left_in:
-                yield fail("strong-left", (a, b, c), f"({ab},{c}) undefined")
-            if not right_in:
-                yield fail("strong-right", (a, b, c), f"({a},{bc}) undefined")
-            if left_in and right_in:
-                lhs, rhs = mul(ab, c), mul(a, bc)
-                if lhs != rhs:
-                    yield fail("strong-assoc", (a, b, c), f"{lhs}!={rhs}")
-
-
-def _refined_violation(triples, rel: Rel, mul: Mul):
-    for a, b, c in triples():
-        if rel(a, b):
-            ab = mul(a, b)
-            if rel(b, c):
-                if not rel(ab, c):
-                    yield fail("refined-left", (a, b, c),
-                               f"({b},{c}) defined but ({ab},{c}) undefined")
-            elif rel(ab, c):
-                yield fail("refined-left", (a, b, c),
-                           f"({ab},{c}) defined but ({b},{c}) undefined")
-    for a, b, c in triples():
+def _refined_violation(src, rel: Rel, mul: Mul):
+    for a, b, c in src.ab():
+        ab = mul(a, b)
         if rel(b, c):
-            bc = mul(b, c)
-            if rel(a, b):
-                if not rel(a, bc):
-                    yield fail("refined-right", (a, b, c),
-                               f"({a},{b}) defined but ({a},{bc}) undefined")
-            elif rel(a, bc):
+            if not rel(ab, c):
+                yield fail("refined-left", (a, b, c),
+                           f"({b},{c}) defined but ({ab},{c}) undefined")
+        elif rel(ab, c):
+            yield fail("refined-left", (a, b, c),
+                       f"({ab},{c}) defined but ({b},{c}) undefined")
+    for a, b, c in src.bc():
+        bc = mul(b, c)
+        if rel(a, b):
+            if not rel(a, bc):
                 yield fail("refined-right", (a, b, c),
-                           f"({a},{bc}) defined but ({a},{b}) undefined")
-    for a, b, c in triples():
-        if rel(a, b) and rel(b, c):
-            ab, bc = mul(a, b), mul(b, c)
+                           f"({a},{b}) defined but ({a},{bc}) undefined")
+        elif rel(a, bc):
+            yield fail("refined-right", (a, b, c),
+                       f"({a},{bc}) defined but ({a},{b}) undefined")
+    for a, b, c in src.chained():
+        ab, bc = mul(a, b), mul(b, c)
+        lhs, rhs = mul(ab, c), mul(a, bc)
+        if lhs != rhs and rel(ab, c) and rel(a, bc):
+            yield fail("refined-assoc", (a, b, c), f"{lhs}!={rhs}")
+
+
+def _partial_violation(src, rel: Rel, mul: Mul):
+    for a, b, c in src.chained():
+        ab, bc = mul(a, b), mul(b, c)
+        left_in, right_in = rel(ab, c), rel(a, bc)
+        if left_in and right_in:
             lhs, rhs = mul(ab, c), mul(a, bc)
-            if lhs != rhs and rel(ab, c) and rel(a, bc):
-                yield fail("refined-assoc", (a, b, c), f"{lhs}!={rhs}")
+            if lhs != rhs:
+                yield fail("partial-assoc", (a, b, c), f"{lhs}!={rhs}")
+        elif right_in:
+            yield fail("partial-membership", (a, b, c),
+                       f"({ab},{c}) undefined, ({a},{bc}) defined")
+        elif left_in:
+            yield fail("partial-membership", (a, b, c),
+                       f"({a},{bc}) undefined, ({ab},{c}) defined")
 
 
-def _partial_violation(triples, rel: Rel, mul: Mul):
-    for a, b, c in triples():
-        if rel(a, b) and rel(b, c):
-            ab, bc = mul(a, b), mul(b, c)
-            left_in, right_in = rel(ab, c), rel(a, bc)
-            if left_in and right_in:
-                lhs, rhs = mul(ab, c), mul(a, bc)
-                if lhs != rhs:
-                    yield fail("partial-assoc", (a, b, c), f"{lhs}!={rhs}")
-            elif right_in:
-                yield fail("partial-membership", (a, b, c),
-                           f"({ab},{c}) undefined, ({a},{bc}) defined")
-            elif left_in:
-                yield fail("partial-membership", (a, b, c),
-                           f"({a},{bc}) undefined, ({ab},{c}) defined")
-
-
-def _transitive_violation(triples, rel: Rel, mul: Mul):
-    for a, b, c in triples():
-        if rel(a, b) and rel(b, c) and not rel(a, c):
+def _transitive_violation(src, rel: Rel, mul: Mul):
+    for a, b, c in src.chained():
+        if not rel(a, c):
             yield fail("transitivity", (a, b, c), f"({a},{c}) undefined")
 
 
@@ -201,9 +318,10 @@ _CLASS_SCANS = {
 }
 
 
-def _first(scan, elems, rel: Rel, mul: Mul) -> Verdict:
-    """The first violation of a full scan over ``elems``, or OK."""
-    return next(scan(_linked_triples(elems, rel), rel, mul), OK)
+def _first(scan, m: FinitePartialMagma) -> Verdict:
+    """The first violation of a full scan over m, or OK."""
+    elems, rel, mul = _accessors(m)
+    return next(scan(_Triples(elems, _table_rows(m)), rel, mul), OK)
 
 
 def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tuple]:
@@ -243,7 +361,7 @@ def _open_table(elems: Sequence, rel: Rel, mul: Mul):
     the kernel reads the masks of S from t.  Further products get ids from m
     on, only so that they compare equal exactly when the values do: product
     by product of P, its column before its row.  rows is the in-slice
-    relation as byte rows for _linked_triples.  The compile reads each pair
+    relation as the position rows of _Triples.  The compile reads each pair
     once and takes a product only on a related pair with a factor in S.  A
     product of P gets its column and its row from one comprehension each,
     written with one slice store each (t[y::m] and left[y*n:y*n+n]), and its
@@ -269,7 +387,7 @@ def _open_table(elems: Sequence, rel: Rel, mul: Mul):
         left[y * n:y * n + n] = row
         RP.append(_defined_mask(row))
         CP.append(_defined_mask(column))
-    rows = [bytes(map((-1).__ne__, row)) for row in cells]
+    rows = [list(itertools.compress(range(n), map((-1).__ne__, row))) for row in cells]
     return t, (m, left, RP, CP), rows
 
 
@@ -482,7 +600,7 @@ def polar_closure_singletons(m: FinitePartialMagma) -> Verdict:
     the polars of its singletons; check_polar_closure_subsets is the literal
     exponential evaluation kept as a cross-validation oracle.
     """
-    return _first(_polar_closure_violation, *_accessors(m))
+    return _first(_polar_closure_violation, m)
 
 
 def check_polar_closure_subsets(m: FinitePartialMagma) -> Verdict:
@@ -499,26 +617,26 @@ def check_polar_closure_subsets(m: FinitePartialMagma) -> Verdict:
 
 def is_locality_semigroup(m: FinitePartialMagma) -> Verdict:
     """Polar closures (singleton reduction) plus associativity on pairwise-related triples."""
-    return _first(_locality_violation, *_accessors(m))
+    return _first(_locality_violation, m)
 
 
 def is_strong_locality_semigroup(m: FinitePartialMagma) -> Verdict:
     """Two chained related pairs force both regrouped products, defined and equal."""
-    return _first(_strong_violation, *_accessors(m))
+    return _first(_strong_violation, m)
 
 
 def is_refined_locality_semigroup(m: FinitePartialMagma) -> Verdict:
     """Strong, with biconditional membership transfer on both sides."""
-    return _first(_refined_violation, *_accessors(m))
+    return _first(_refined_violation, m)
 
 
 def is_partial_semigroup(m: FinitePartialMagma) -> Verdict:
     """(ab,c) related iff (a,bc) related, products equal when both are defined."""
-    return _first(_partial_violation, *_accessors(m))
+    return _first(_partial_violation, m)
 
 
 def is_transitive(m: FinitePartialMagma) -> Verdict:
-    return _first(_transitive_violation, *_accessors(m))
+    return _first(_transitive_violation, m)
 
 
 def find_identities(m: FinitePartialMagma) -> tuple[tuple, tuple, tuple]:
@@ -691,24 +809,24 @@ def render_verdict(name: str, v: Verdict) -> str:
     return f"{name}=no[witness: {v.witness.axiom} {format_witness(v.witness)}]"
 
 
-def _assemble_report(elems, rel, mul, bound=None, flags=None, rows=None) -> ClassReport:
+def _assemble_report(elems, rows, rel, mul, bound=None, flags=None) -> ClassReport:
     """The report over ``elems``; each class's verdict is the first violation of its scan.
 
-    ``flags``, the kernel's five verdicts in _CLASS_SCANS order, skip the
-    scans of the classes that hold; a failing class still runs its scan for
-    the witness, which must then find one.  ``rows`` is the relation over
-    ``elems`` as byte rows, when the caller has read it already.
+    ``rows`` is the relation over ``elems`` as the position rows of
+    _Triples.  ``flags``, the kernel's five verdicts in _CLASS_SCANS order,
+    skip the scans of the classes that hold; a failing class still runs its
+    scan for the witness, which must then find one.
     """
-    # one triple source shared by the scans, so the relation is read once
-    triples = None
+    # one triple source shared by the scans, made when a scan first runs
+    src = None
     verdicts = {}
     for i, (name, scan) in enumerate(_CLASS_SCANS.items()):
         if flags is not None and flags[i]:
             verdicts[name] = OK
             continue
-        if triples is None:
-            triples = _linked_triples(elems, rel, rows)
-        verdicts[name] = next(scan(triples, rel, mul), OK)
+        if src is None:
+            src = _Triples(elems, rows)
+        verdicts[name] = next(scan(src, rel, mul), OK)
         if flags is not None and verdicts[name].ok:
             raise InvariantError(f"the kernel fails {name} but its scan finds no violation")
     li, ri, ident = _sided_elements(elems, rel, mul, lambda e, a: a)
@@ -730,7 +848,7 @@ def _assemble_report(elems, rel, mul, bound=None, flags=None, rows=None) -> Clas
 def classify(m: FinitePartialMagma) -> ClassReport:
     """Run every class predicate and the identity/zero searches."""
     elems, rel, mul = _accessors(m)
-    return _assemble_report(elems, rel, mul)
+    return _assemble_report(elems, _table_rows(m), rel, mul)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +870,8 @@ _PAIR_SCANS = {"sub-closure": _sub_closure_violation, "left-ideal": _left_ideal_
 def replay_witness(m: FinitePartialMagma, w: Witness) -> bool:
     """True exactly when the named axiom is violated on the witness elements.
 
-    Runs the axiom's scan on the witness triple alone.
+    Runs the axiom's scan on the witness triple alone, which each of its
+    streams passes through that stream's guard.
     """
     if len(w.elements) != 3:
         return False
@@ -760,8 +879,8 @@ def replay_witness(m: FinitePartialMagma, w: Witness) -> bool:
     if scan is None:
         raise DomainError(f"cannot replay axiom {w.axiom!r}")
     table = m.table
-    found = scan(lambda: (tuple(w.elements),), lambda a, b: (a, b) in table,
-                 lambda a, b: table.get((a, b)))
+    rel = lambda a, b: (a, b) in table
+    found = scan(_Lone(tuple(w.elements), rel), rel, lambda a, b: table.get((a, b)))
     return any(v.witness.axiom == w.axiom for v in found)
 
 

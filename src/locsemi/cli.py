@@ -124,7 +124,8 @@ def _cmd_quiver_free_ext(args) -> int:
     fbar = quiver.free_extension(q, target, f)
     for p in [p for p in q.paths_upto(args.max_len) if p.length > 0]:
         print(f"fbar {p.label} = {fbar(p)}")
-    verdict = quiver.verify_free_property(q, target, f, args.max_len)
+    # the extension already built, so the target's refined scan runs once
+    verdict = quiver._verify_extension(q, target, f, fbar, args.max_len)
     print(checks.render_verdict("free_property", verdict))
     return 0 if verdict.ok else 1
 

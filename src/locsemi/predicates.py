@@ -30,14 +30,14 @@ from typing import Any, Callable
 
 from .errors import CapacityError, DomainError
 from .magma import OK, FinitePartialMagma, Verdict, fail
-from .checks import (_CLASS_SCANS, ClassReport, _assemble_report, _first, _open_table,
-                     _table_flags)
+from .checks import (_CLASS_SCANS, ClassReport, _assemble_report, _open_table,
+                     _related_rows, _table_flags, _Triples)
 
 
 # The most elements a bounded check or slice takes, and the largest bound of
 # ``totient_hom_check``.  At the limit, the full ``builtin coprime`` report
-# peaks at 155 MB RSS in about 9 s (2-core x86-64 host, Python 3.11); its
-# tables and triple masks grow about as the cube of the slice.
+# peaks at 128 MB RSS in about 6 s (2-core Intel Xeon, Python 3.11.7); its
+# open table grows about as the cube of the slice.
 MAX_SLICE = 300
 
 
@@ -189,7 +189,7 @@ def sampled_classify(p: PredicateMagma, bound: int) -> ClassReport:
     elems = _sorted_slice(p, bound)
     t, table, rows = _open_table(elems, p.related, p.product)
     flags = _table_flags(len(elems), t, table)
-    return _assemble_report(elems, p.related, p.product, bound=bound, flags=flags, rows=rows)
+    return _assemble_report(elems, rows, p.related, p.product, bound=bound, flags=flags)
 
 
 def sampled_verdict(p: PredicateMagma, bound: int, name: str) -> Verdict:
@@ -203,7 +203,8 @@ def sampled_verdict(p: PredicateMagma, bound: int, name: str) -> Verdict:
     scan = _CLASS_SCANS.get(name)
     if scan is None:
         raise DomainError(f"unknown class {name!r}, expected one of {', '.join(_CLASS_SCANS)}")
-    return _first(scan, elems, p.related, p.product)
+    src = _Triples(elems, _related_rows(elems, p.related))
+    return next(scan(src, p.related, p.product), OK)
 
 
 def totient_hom_check(bound: int) -> Verdict:

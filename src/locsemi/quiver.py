@@ -292,7 +292,13 @@ def verify_free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str],
     P[:i] and P[i:], which give their values, and (b) on (P[:i], P[i:]) says
     these are related and multiply to P's value.
     """
-    fbar = free_extension(q, s, f)
+    return _verify_extension(q, s, f, free_extension(q, s, f), max_len, capacity)
+
+
+def _verify_extension(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str],
+                      fbar: Callable[[Path], str], max_len: int,
+                      capacity: int = 10000) -> Verdict:
+    """verify_free_property for fbar, the extension free_extension(q, s, f) gave."""
     paths = [p for p in q.paths_upto(max_len, capacity) if p.length > 0]
     value = {p.arrows: fbar(p) for p in paths}
     for p in paths:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from locsemi import (CapacityError, DomainError, FinitePartialMagma,
-                     InvariantError, bounded_magma, checks,
+                     InvariantError, Quiver, bounded_magma, checks,
                      check_polar_closure_subsets, classify,
                      coprime_magma, coprime_with_zero, find_identities,
                      find_zeros,
@@ -415,6 +416,99 @@ _SCANS = (checks._polar_closure_violation, checks._locality_violation,
           checks._partial_violation, checks._transitive_violation)
 
 
+# The oracle of the scans: each clause body as it was written over every
+# triple, its guards included, before the guards moved into the streams.
+
+def _oracle_polar(triples, rel, mul):
+    for a, b, c in triples():
+        if rel(a, c) and rel(b, c) and rel(a, b) and not rel(mul(a, b), c):
+            yield fail("left-polar-closure", (a, b, c), f"U={{{c}}}")
+    for a, b, c in triples():
+        if rel(c, a) and rel(c, b) and rel(a, b) and not rel(c, mul(a, b)):
+            yield fail("right-polar-closure", (a, b, c), f"U={{{c}}}")
+
+
+def _oracle_locality(triples, rel, mul):
+    yield from _oracle_polar(triples, rel, mul)
+    for a, b, c in triples():
+        if rel(a, b) and rel(b, c) and rel(a, c):
+            ab, bc = mul(a, b), mul(b, c)
+            lhs, rhs = mul(ab, c), mul(a, bc)
+            if lhs != rhs and rel(ab, c) and rel(a, bc):
+                yield fail("locality-assoc", (a, b, c), f"{lhs}!={rhs}")
+
+
+def _oracle_strong(triples, rel, mul):
+    for a, b, c in triples():
+        if rel(a, b) and rel(b, c):
+            ab, bc = mul(a, b), mul(b, c)
+            left_in, right_in = rel(ab, c), rel(a, bc)
+            if not left_in:
+                yield fail("strong-left", (a, b, c), f"({ab},{c}) undefined")
+            if not right_in:
+                yield fail("strong-right", (a, b, c), f"({a},{bc}) undefined")
+            if left_in and right_in:
+                lhs, rhs = mul(ab, c), mul(a, bc)
+                if lhs != rhs:
+                    yield fail("strong-assoc", (a, b, c), f"{lhs}!={rhs}")
+
+
+def _oracle_refined(triples, rel, mul):
+    for a, b, c in triples():
+        if rel(a, b):
+            ab = mul(a, b)
+            if rel(b, c):
+                if not rel(ab, c):
+                    yield fail("refined-left", (a, b, c),
+                               f"({b},{c}) defined but ({ab},{c}) undefined")
+            elif rel(ab, c):
+                yield fail("refined-left", (a, b, c),
+                           f"({ab},{c}) defined but ({b},{c}) undefined")
+    for a, b, c in triples():
+        if rel(b, c):
+            bc = mul(b, c)
+            if rel(a, b):
+                if not rel(a, bc):
+                    yield fail("refined-right", (a, b, c),
+                               f"({a},{b}) defined but ({a},{bc}) undefined")
+            elif rel(a, bc):
+                yield fail("refined-right", (a, b, c),
+                           f"({a},{bc}) defined but ({a},{b}) undefined")
+    for a, b, c in triples():
+        if rel(a, b) and rel(b, c):
+            ab, bc = mul(a, b), mul(b, c)
+            lhs, rhs = mul(ab, c), mul(a, bc)
+            if lhs != rhs and rel(ab, c) and rel(a, bc):
+                yield fail("refined-assoc", (a, b, c), f"{lhs}!={rhs}")
+
+
+def _oracle_partial(triples, rel, mul):
+    for a, b, c in triples():
+        if rel(a, b) and rel(b, c):
+            ab, bc = mul(a, b), mul(b, c)
+            left_in, right_in = rel(ab, c), rel(a, bc)
+            if left_in and right_in:
+                lhs, rhs = mul(ab, c), mul(a, bc)
+                if lhs != rhs:
+                    yield fail("partial-assoc", (a, b, c), f"{lhs}!={rhs}")
+            elif right_in:
+                yield fail("partial-membership", (a, b, c),
+                           f"({ab},{c}) undefined, ({a},{bc}) defined")
+            elif left_in:
+                yield fail("partial-membership", (a, b, c),
+                           f"({a},{bc}) undefined, ({ab},{c}) defined")
+
+
+def _oracle_transitive(triples, rel, mul):
+    for a, b, c in triples():
+        if rel(a, b) and rel(b, c) and not rel(a, c):
+            yield fail("transitivity", (a, b, c), f"({a},{c}) undefined")
+
+
+_ORACLES = (_oracle_polar, _oracle_locality, _oracle_strong, _oracle_refined,
+            _oracle_partial, _oracle_transitive)
+
+
 def _table_accessors(m):
     # table.get, not table[...]: a scan read past its first violation may
     # multiply pairs whose product is undefined
@@ -443,10 +537,36 @@ def _stream_cases():
 
 def test_linked_scans_yield_every_violation_of_the_full_scan():
     for name, (elems, rel, mul) in _stream_cases():
-        linked = checks._linked_triples(elems, rel)
-        for scan in _SCANS:
-            want = list(scan(lambda: _all_triples(elems), rel, mul))
-            assert list(scan(linked, rel, mul)) == want, (name, scan.__name__)
+        src = checks._Triples(elems, checks._related_rows(elems, rel))
+        for scan, oracle in zip(_SCANS, _ORACLES):
+            want = list(oracle(lambda: _all_triples(elems), rel, mul))
+            assert list(scan(src, rel, mul)) == want, (name, scan.__name__)
+
+
+def test_classify_of_a_sparse_path_magma_allocates_no_cube():
+    # 40 disjoint chains of 4 vertices: 400 paths and 800 related pairs.
+    # Triple masks over every triple would take 2*n**3 bytes, 128 MB here;
+    # the streams hold O(n + |R|).
+    vertices, arrows = [], []
+    for k in range(40):
+        vertices += [f"v{k}_{i}" for i in range(4)]
+        arrows += [(f"x{k}_{i}", f"v{k}_{i}", f"v{k}_{i + 1}") for i in range(3)]
+    m, boundary = materialize_path_magma(Quiver(tuple(vertices), tuple(arrows)), 3)
+    n = len(m.elements)
+    assert n == 400 and not boundary
+    tracemalloc.start()
+    try:
+        report = classify(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert report.flags() == checks._table_flags(n, checks._flat_table(m))
+    assert report.refined.ok and not report.transitive.ok
+    for name in checks._CLASS_SCANS:
+        v = getattr(report, name)
+        if not v.ok:
+            assert replay_witness(m, v.witness), v.witness
 
 
 def test_open_compile_of_finite_structures_gives_classify_flags():
@@ -463,7 +583,7 @@ def test_open_compile_of_finite_structures_gives_classify_flags():
         elems, rel, mul = checks._accessors(m)
         t, table, rows = checks._open_table(elems, rel, mul)
         assert checks._table_flags(len(elems), t, table) == classify(m).flags(), m
-        assert rows == [bytes(rel(a, b) for b in elems) for a in elems]
+        assert rows == [[j for j, b in enumerate(elems) if rel(a, b)] for a in elems]
 
 
 @given(st.lists(st.integers(-1, 2**31 - 1), min_size=1, max_size=80))
@@ -478,6 +598,15 @@ def test_defined_mask_sets_a_bit_per_defined_cell(values):
 
 _TOTAL4 = {(a, b) for a in range(4) for b in range(4)}
 
+# each stream of a triple source, with the guard that filters the scan order
+_STREAM_GUARDS = {
+    "ab": lambda R, a, b, c: (a, b) in R,
+    "bc": lambda R, a, b, c: (b, c) in R,
+    "chained": lambda R, a, b, c: (a, b) in R and (b, c) in R,
+    "left": lambda R, a, b, c: (a, b) in R and (b, c) in R and (a, c) in R,
+    "right": lambda R, a, b, c: (a, b) in R and (c, a) in R and (c, b) in R,
+}
+
 
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=6).map(sorted),
        st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5))))
@@ -488,7 +617,12 @@ _TOTAL4 = {(a, b) for a in range(4) for b in range(4)}
 @example([0, 1, 1, 2, 3], _TOTAL4 - {(1, 1), (0, 2)})
 def test_linked_triples_are_the_full_scan_order_filtered(elems, R):
     rel = lambda a, b: (a, b) in R
-    want = [t for t in _all_triples(elems) if (t[0], t[1]) in R or (t[1], t[2]) in R]
-    source = checks._linked_triples(elems, rel)
-    assert list(source()) == want
-    assert list(source()) == want  # every call starts a fresh pass
+    source = checks._Triples(elems, checks._related_rows(elems, rel))
+    for stream, guard in _STREAM_GUARDS.items():
+        want = [t for t in _all_triples(elems) if guard(R, *t)]
+        assert list(getattr(source, stream)()) == want, stream
+        assert list(getattr(source, stream)()) == want, stream  # every call starts a fresh pass
+        # a replay passes its lone triple through the same guard
+        for t in _all_triples(elems):
+            lone = list(getattr(checks._Lone(t, rel), stream)())
+            assert lone == ([t] if guard(R, *t) else []), (stream, t)

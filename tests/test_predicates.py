@@ -293,8 +293,8 @@ def open_predicates(draw):
 def test_sampled_classify_matches_all_scans(p, bound):
     # the kernel decides the classes that hold, so compare with every scan run
     elems = sorted(p.slice_elements(bound))
-    triples = checks._linked_triples(elems, p.related)
-    want = [next(scan(triples, p.related, p.product), OK)
+    src = checks._Triples(elems, checks._related_rows(elems, p.related))
+    want = [next(scan(src, p.related, p.product), OK)
             for scan in checks._CLASS_SCANS.values()]
     report = sampled_classify(p, bound)
     assert [getattr(report, name) for name in checks._CLASS_SCANS] == want
@@ -302,8 +302,8 @@ def test_sampled_classify_matches_all_scans(p, bound):
 
 def _scanned_flags(p, bound):
     elems = sorted(p.slice_elements(bound))
-    triples = checks._linked_triples(elems, p.related)
-    return tuple(next(scan(triples, p.related, p.product), OK).ok
+    src = checks._Triples(elems, checks._related_rows(elems, p.related))
+    return tuple(next(scan(src, p.related, p.product), OK).ok
                  for scan in checks._CLASS_SCANS.values())
 
 
