@@ -12,8 +12,7 @@ from .checks import (ClassReport, check_polar_closure_subsets, classify,
                      is_left_locality_ideal, is_partial_semigroup,
                      is_refined_locality_semigroup, is_right_locality_ideal,
                      is_strong_locality_semigroup, is_sub_locality_semigroup,
-                     is_transitive, polar_closure_singletons, render_verdict,
-                     replay_subset_witness, replay_witness)
+                     is_transitive, render_verdict, replay_witness)
 from .constructions import (SemigroupWithZero, adjoin_identity, adjoin_zero,
                             complete_to_semigroup_with_zero,
                             generated_sub_locality_semigroup,
@@ -29,7 +28,7 @@ from .predicates import (PredicateMagma, bounded_magma, coprime_magma,
                          totient, totient_hom_check)
 from .enumeration import (CensusRow, census, decode_magma, encode_magma,
                           find_witness, format_census_table, sample_census,
-                          sample_magmas, scan_flags, search_space_size)
+                          scan_flags, search_space_size)
 from .fixtures import (fixture_kind, fixture_magma, fixture_names,
                        fixture_quiver, fixture_text)
 

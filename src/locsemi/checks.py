@@ -593,16 +593,6 @@ def _accessors(m: FinitePartialMagma):
     return m.elements, (lambda a, b: (a, b) in table), (lambda a, b: table[(a, b)])
 
 
-def polar_closure_singletons(m: FinitePartialMagma) -> Verdict:
-    """Left and right polar closure, reduced to singleton subsets.
-
-    Sufficient for all subsets because the polar of U is the intersection of
-    the polars of its singletons; check_polar_closure_subsets is the literal
-    exponential evaluation kept as a cross-validation oracle.
-    """
-    return _first(_polar_closure_violation, m)
-
-
 def check_polar_closure_subsets(m: FinitePartialMagma) -> Verdict:
     """Literal polar closure over every subset of the carrier (2^n scan)."""
     labels = m.elements
@@ -694,56 +684,38 @@ def _check_nonempty_subset(m: FinitePartialMagma, A) -> frozenset[str]:
     return A
 
 
-# Subset scans take the pairs to test, the subset and the product table.
-# They test membership in A themselves, because a replayed pair was not
-# drawn from A.
-
-def _sub_closure_violation(pairs, A: frozenset, table):
-    for a, b in pairs:
-        c = table.get((a, b))
-        if c is not None and a in A and b in A and c not in A:
-            yield fail("sub-closure", (a, b), f"product {c} escapes")
-
-
-def _left_ideal_violation(pairs, A: frozenset, table):
-    for s, a in pairs:
-        if a in A:
-            c = table.get((s, a))
-            if c is not None and c not in A:
-                yield fail("left-ideal", (s, a), f"product {c} escapes")
-
-
-def _right_ideal_violation(pairs, A: frozenset, table):
-    for a, s in pairs:
-        if a in A:
-            c = table.get((a, s))
-            if c is not None and c not in A:
-                yield fail("right-ideal", (a, s), f"product {c} escapes")
+def _first_escape(m: FinitePartialMagma, A: frozenset, axiom: str, pairs) -> Verdict:
+    """The first related pair of ``pairs`` whose product leaves A, else OK."""
+    for p in pairs:
+        c = m.table.get(p)
+        if c is not None and c not in A:
+            return fail(axiom, p, f"product {c} escapes")
+    return OK
 
 
 def is_sub_locality_semigroup(m: FinitePartialMagma, A: Iterable[str]) -> Verdict:
     """Products of related pairs inside A stay inside A."""
     A = _check_nonempty_subset(m, A)
-    return next(_sub_closure_violation(_ordered_pairs(sorted(A)), A, m.table), OK)
+    return _first_escape(m, A, "sub-closure", _ordered_pairs(sorted(A)))
 
 
 def is_left_locality_ideal(m: FinitePartialMagma, A: Iterable[str]) -> Verdict:
     """Products s*a with a in A land in A, for every related (s, a)."""
     A = _check_nonempty_subset(m, A)
-    return next(_left_ideal_violation(_ordered_pairs(m.elements), A, m.table), OK)
+    pairs = (p for p in _ordered_pairs(m.elements) if p[1] in A)
+    return _first_escape(m, A, "left-ideal", pairs)
 
 
 def is_right_locality_ideal(m: FinitePartialMagma, A: Iterable[str]) -> Verdict:
     """Products a*s with a in A land in A, for every related (a, s)."""
     A = _check_nonempty_subset(m, A)
-    return next(_right_ideal_violation(_ordered_pairs(m.elements), A, m.table), OK)
+    pairs = (p for p in _ordered_pairs(m.elements) if p[0] in A)
+    return _first_escape(m, A, "right-ideal", pairs)
 
 
 def is_locality_ideal(m: FinitePartialMagma, A: Iterable[str]) -> Verdict:
-    v = is_left_locality_ideal(m, A)
-    if not v:
-        return v
-    return is_right_locality_ideal(m, A)
+    """Left and right ideal: the left verdict when it fails, else the right one."""
+    return is_left_locality_ideal(m, A) and is_right_locality_ideal(m, A)
 
 
 # ---------------------------------------------------------------------------
@@ -863,9 +835,6 @@ _TRIPLE_SCANS = {axiom: scan for scan, axioms in (
     (_transitive_violation, ("transitivity",)),
 ) for axiom in axioms}
 
-_PAIR_SCANS = {"sub-closure": _sub_closure_violation, "left-ideal": _left_ideal_violation,
-               "right-ideal": _right_ideal_violation}
-
 
 def replay_witness(m: FinitePartialMagma, w: Witness) -> bool:
     """True exactly when the named axiom is violated on the witness elements.
@@ -883,19 +852,3 @@ def replay_witness(m: FinitePartialMagma, w: Witness) -> bool:
     found = scan(_Lone(tuple(w.elements), rel), rel, lambda a, b: table.get((a, b)))
     return any(v.witness.axiom == w.axiom for v in found)
 
-
-def replay_subset_witness(m: FinitePartialMagma, A: Iterable[str], w: Witness) -> bool:
-    """Replay a sub-structure or ideal witness against the subset it targeted.
-
-    Runs the axiom's scan on the witness pair alone.
-    """
-    A = frozenset(A)
-    if len(w.elements) != 2:
-        return False
-    if tuple(w.elements) not in m.table:
-        return False
-    scan = _PAIR_SCANS.get(w.axiom)
-    if scan is None:
-        raise DomainError(f"cannot replay axiom {w.axiom!r}")
-    found = scan((tuple(w.elements),), A, m.table)
-    return any(v.witness.axiom == w.axiom for v in found)

@@ -137,18 +137,13 @@ def partial_from_semigroup(t: FinitePartialMagma, A: Iterable[str]) -> FinitePar
     The output always satisfies the partial associative law: with a, b, c in
     A and ab, bc in A, both (ab)c and a(bc) equal the same ambient product,
     so the two memberships agree.
+
+    It is ``t.sub_structure(A)`` once t is checked, so the pairs whose product
+    leaves A come back in ``escapes`` (metadata, outside equality) and an
+    empty A raises sub_structure's DomainError.
     """
     _require_semigroup(t)
-    A = t._check_subset(A)
-    if not A:
-        raise DomainError("subset must be nonempty")
-    table = {}
-    for a in sorted(A):
-        for b in sorted(A):
-            c = t.table[(a, b)]
-            if c in A:
-                table[(a, b)] = c
-    return FinitePartialMagma(tuple(sorted(A)), table)
+    return t.sub_structure(A)
 
 
 def serialize_semigroup_with_zero(t: SemigroupWithZero) -> str:

@@ -313,12 +313,6 @@ def _sampled_codes(n: int, count: int, seed: int) -> Iterator[int]:
     return itertools.islice(filter(total.__gt__, draws), count)
 
 
-def sample_magmas(n: int, count: int, seed: int) -> Iterator[FinitePartialMagma]:
-    """``count`` structures drawn uniformly (with replacement) from size n."""
-    for code in _sampled_codes(n, count, seed):
-        yield decode_magma(n, code)
-
-
 @dataclass(frozen=True)
 class CensusRow:
     """One flag pattern: its mask, how many structures carry it, and the first one.

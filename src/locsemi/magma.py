@@ -28,7 +28,8 @@ Pair = tuple[str, str]
 
 
 def _check_label(label: str) -> str:
-    if not label or "#" in label or any(ch.isspace() for ch in label):
+    # str.split() cuts at exactly the characters str.isspace() accepts
+    if not label or "#" in label or label.split() != [label]:
         raise DomainError(
             f"bad label {label!r}: labels are non-empty tokens without '#' or whitespace"
         )

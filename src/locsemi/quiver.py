@@ -22,7 +22,7 @@ from .errors import (CapacityError, CompositionUndefined, DomainError,
                      InvariantError, ParseError, PreconditionError)
 from .magma import (OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label,
                     _sorted_labels)
-from .checks import is_refined_locality_semigroup
+from .checks import is_locality_map, is_refined_locality_semigroup
 
 Arrow = tuple[str, str, str]  # (name, source vertex, target vertex)
 
@@ -119,21 +119,36 @@ class Quiver:
                       key=lambda p: p.label)
 
     def paths_upto(self, max_len: int, capacity: int = 10000) -> list[Path]:
+        """All paths up to max_len, by length, each length label-sorted.
+
+        The paths are counted first, per length and end vertex, so more than
+        ``capacity`` of them raise before any is built.
+        """
         if max_len < 0:
             raise DomainError("max_len must be nonnegative")
-        out: list[Path] = []
-        for paths in itertools.islice(self._paths_by_length(), max_len + 1):
-            out.extend(sorted(paths, key=lambda p: p.label))
-            if len(out) > capacity:
-                raise CapacityError(f"more than {capacity} paths up to length {max_len}")
-        return out
+        ending = dict.fromkeys(self.vertices, 1)
+        total = count = len(self.vertices)
+        for _ in range(max_len):
+            if total > capacity or not count:
+                break
+            longer = dict.fromkeys(self.vertices, 0)
+            for _, s, t in self.arrows:
+                longer[t] += ending[s]
+            ending = longer
+            count = sum(ending.values())
+            total += count
+        if total > capacity:
+            raise CapacityError(f"more than {capacity} paths up to length {max_len}")
+        layers = itertools.islice(self._paths_by_length(), max_len + 1)
+        return [p for paths in layers for p in sorted(paths, key=lambda path: path.label)]
 
     def arrow_locality_set(self) -> LocalitySet:
         """The arrows, related when the first one's target meets the second one's source."""
-        names = tuple(a[0] for a in self.arrows)
-        rel = frozenset((x, y) for x in names for y in names
-                        if self.target(x) == self.source(y))
-        return LocalitySet(names, rel)
+        starting: dict[str, list[str]] = {}
+        for name, s, _ in self.arrows:
+            starting.setdefault(s, []).append(name)
+        rel = frozenset((x, y) for x, _, t in self.arrows for y in starting.get(t, ()))
+        return LocalitySet(tuple(a[0] for a in self.arrows), rel)
 
     def is_acyclic(self) -> bool:
         """True when no oriented cycle exists (multi-edges are irrelevant here)."""
@@ -235,18 +250,11 @@ def _check_arrow_map(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str]) -> 
         w = refined.witness
         raise PreconditionError(
             f"target is not refined: {w.axiom} at ({','.join(w.elements)})")
-    missing = [a[0] for a in q.arrows if a[0] not in f]
-    if missing:
-        raise DomainError(f"arrow map not total, missing {missing}")
-    stray = sorted({f[a[0]] for a in q.arrows} - set(s.elements))
-    if stray:
-        raise DomainError(f"arrow map values outside target carrier: {stray}")
-    for x, _, _ in q.arrows:
-        for y, _, _ in q.arrows:
-            if q.target(x) == q.source(y) and (f[x], f[y]) not in s.table:
-                raise PreconditionError(
-                    f"not a locality map: arrows ({x},{y}) land on "
-                    f"unrelated pair ({f[x]},{f[y]})")
+    local = is_locality_map(q.arrow_locality_set(), s, f)
+    if not local:
+        x, y = local.witness.elements
+        raise PreconditionError(f"not a locality map: arrows ({x},{y}) land on "
+                                f"unrelated pair ({f[x]},{f[y]})")
 
 
 def free_extension(q: Quiver, s: FinitePartialMagma,
@@ -280,7 +288,7 @@ def free_extension(q: Quiver, s: FinitePartialMagma,
 
 
 def verify_free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str],
-                         max_len: int, capacity: int = 10000) -> Verdict:
+                         max_len: int) -> Verdict:
     """Check the extension behaves as the unique homomorphism up to max_len.
 
     (a) It restricts to f on the arrows, and (b) it is a locality
@@ -292,14 +300,13 @@ def verify_free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str],
     P[:i] and P[i:], which give their values, and (b) on (P[:i], P[i:]) says
     these are related and multiply to P's value.
     """
-    return _verify_extension(q, s, f, free_extension(q, s, f), max_len, capacity)
+    return _verify_extension(q, s, f, free_extension(q, s, f), max_len)
 
 
 def _verify_extension(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str],
-                      fbar: Callable[[Path], str], max_len: int,
-                      capacity: int = 10000) -> Verdict:
+                      fbar: Callable[[Path], str], max_len: int) -> Verdict:
     """verify_free_property for fbar, the extension free_extension(q, s, f) gave."""
-    paths = [p for p in q.paths_upto(max_len, capacity) if p.length > 0]
+    paths = [p for p in q.paths_upto(max_len) if p.length > 0]
     value = {p.arrows: fbar(p) for p in paths}
     for p in paths:
         if p.length == 1 and value[p.arrows] != f[p.arrows[0]]:

@@ -19,8 +19,7 @@ from locsemi import (CapacityError, DomainError, FinitePartialMagma,
                      is_right_locality_ideal, is_strong_locality_semigroup,
                      is_sub_locality_semigroup, is_transitive,
                      materialize_path_magma, natural_multiplication,
-                     polar_closure_singletons,
-                     powerset_magma, replay_subset_witness, replay_witness,
+                     powerset_magma, replay_witness,
                      totient)
 from locsemi.enumeration import decode_magma, search_space_size
 from locsemi.magma import OK, Witness, fail
@@ -56,7 +55,8 @@ def test_subset_closure_fixtures():
 
 
 def _singleton_vs_subsets(m):
-    assert bool(polar_closure_singletons(m)) == bool(check_polar_closure_subsets(m))
+    singletons = checks._first(checks._polar_closure_violation, m)
+    assert bool(singletons) == bool(check_polar_closure_subsets(m))
 
 
 def test_singleton_reduction_exhaustive_n2():
@@ -321,16 +321,37 @@ def test_witness_replay_random(m):
             assert replay_witness(m, v.witness)
 
 
-def test_subset_witness_replay():
+# Each subset checker's rule on one related pair (x,y) with product c,
+# written out independently of locsemi.checks.
+_SUBSET_RULES = {
+    is_sub_locality_semigroup: ("sub-closure", lambda A, x, y, c: x in A and y in A and c not in A),
+    is_left_locality_ideal: ("left-ideal", lambda A, x, y, c: y in A and c not in A),
+    is_right_locality_ideal: ("right-ideal", lambda A, x, y, c: x in A and c not in A),
+}
+
+
+def test_subset_checkers_return_the_first_pair_their_rule_fails():
     slice12 = bounded_magma(coprime_magma(), 12)
-    odds = frozenset(str(k) for k in range(1, 13, 2))
-    for check in (is_left_locality_ideal, is_right_locality_ideal):
-        v = check(slice12, odds)
-        assert not v
-        assert replay_subset_witness(slice12, odds, v.witness)
-    v = is_sub_locality_semigroup(slice12, {"2", "3"})
-    assert not v
-    assert replay_subset_witness(slice12, {"2", "3"}, v.witness)
+    cases = [(slice12, A) for A in ({"1"}, {"2", "3"}, {str(k) for k in range(1, 13, 2)},
+                                    {"4", "6", "8", "9"})]
+    rng = random.Random(1812)
+    for _ in range(300):
+        m = random_magma(rng, "abcdef"[:rng.randint(1, 6)])
+        cases.append((m, set(rng.sample(m.elements, rng.randint(1, len(m.elements))))))
+    failed = 0
+    for m, A in cases:
+        # strictly increasing pairs first, then the rest, each lexicographically
+        order = sorted(itertools.product(m.elements, repeat=2),
+                       key=lambda p: (not p[0] < p[1], p))
+        for check, (axiom, breaks) in _SUBSET_RULES.items():
+            want = next((fail(axiom, (x, y), f"product {m.table[(x, y)]} escapes")
+                         for x, y in order
+                         if (x, y) in m.table and breaks(A, x, y, m.table[(x, y)])), OK)
+            assert check(m, A) == want, (m.table, A, axiom)
+            failed += not want
+        left, right = is_left_locality_ideal(m, A), is_right_locality_ideal(m, A)
+        assert is_locality_ideal(m, A) == (right if left else left)
+    assert failed > 100
 
 
 def _clause_oracle(m, axiom, a, b, c):
@@ -376,31 +397,10 @@ def test_replay_witness_matches_clause_oracle():
                 assert replay_witness(m, Witness(axiom, t)) == want, (m.table, axiom, t)
 
 
-def test_replay_subset_witness_matches_clause_oracle():
-    slice12 = bounded_magma(coprime_magma(), 12)
-    t = slice12.table
-    for A in ({"1"}, {"2", "3"}, {str(k) for k in range(1, 13, 2)}, {"4", "6", "8", "9"}):
-        for x, y in itertools.product(slice12.elements, repeat=2):
-            c = t.get((x, y))
-            want = {
-                "sub-closure": c is not None and x in A and y in A and c not in A,
-                "left-ideal": c is not None and y in A and c not in A,
-                "right-ideal": c is not None and x in A and c not in A,
-            }
-            for axiom, expected in want.items():
-                got = replay_subset_witness(slice12, A, Witness(axiom, (x, y)))
-                assert got == expected, (A, axiom, x, y)
-
-
 def test_replay_edge_cases():
     assert replay_witness(EX3_8, Witness("strong-left", ("a", "b"))) is False
     with pytest.raises(DomainError):
         replay_witness(EX3_8, Witness("no-such-axiom", ("a", "b", "c")))
-    slice12 = bounded_magma(coprime_magma(), 12)
-    assert ("2", "4") not in slice12.table
-    assert replay_subset_witness(slice12, {"2"}, Witness("no-such-axiom", ("2", "4"))) is False
-    with pytest.raises(DomainError):
-        replay_subset_witness(slice12, {"2"}, Witness("no-such-axiom", ("2", "3")))
 
 
 def _all_triples(elems):

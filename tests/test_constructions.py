@@ -204,6 +204,8 @@ def test_partial_from_semigroup_z6():
     got = partial_from_semigroup(z6, {"0", "1", "2"})
     assert got.relation == {("0", "0"), ("0", "1"), ("0", "2"),
                             ("1", "0"), ("1", "1"), ("2", "0")}
+    # the restriction keeps the pairs whose product left A, as sub_structure does
+    assert got.escapes == ((("1", "2"), "3"), (("2", "1"), "3"), (("2", "2"), "4"))
     assert is_partial_semigroup(got)
     # independent scan of all 27 triples of the restriction
     t = got.table
@@ -230,7 +232,7 @@ def test_partial_from_semigroup_edges():
     nonassoc = full_relation_magma(("a", "b"), lambda a, b: "b" if a == "a" else "a")
     with pytest.raises(PreconditionError):
         partial_from_semigroup(nonassoc, {"a"})
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^restriction subset must be nonempty$"):
         partial_from_semigroup(z6, set())
 
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -130,6 +131,19 @@ def test_materialize_trivial_only():
 def test_materialize_capacity():
     with pytest.raises(CapacityError):
         materialize_path_magma(ONE_LOOP, 50, capacity=10)
+
+
+def test_paths_upto_counts_before_it_builds():
+    # a one-loop quiver has one path per length: 10,001 of them pass the
+    # default capacity, which must raise before any path is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^more than 10000 paths up to length 1000000$"):
+            ONE_LOOP.paths_upto(10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_acyclic_boundary_empty_at_longest_path():
