@@ -757,14 +757,6 @@ class ClassReport:
         return " ".join(parts)
 
 
-_PAIR_SHAPED = {
-    "strong-left", "strong-right", "strong-assoc",
-    "partial-membership", "partial-assoc",
-    "refined-left", "refined-right", "refined-assoc",
-    "transitivity",
-}
-
-
 def format_witness(w: Witness) -> str:
     e = w.elements
     if w.axiom in ("left-polar-closure", "right-polar-closure"):
@@ -834,6 +826,9 @@ _TRIPLE_SCANS = {axiom: scan for scan, axioms in (
     (_partial_violation, ("partial-membership", "partial-assoc")),
     (_transitive_violation, ("transitivity",)),
 ) for axiom in axioms}
+# the triple axioms whose witness (a,b,c) renders as the pairs (a,b),(b,c)
+_PAIR_SHAPED = set(_TRIPLE_SCANS) - {"left-polar-closure", "right-polar-closure",
+                                     "locality-assoc"}
 
 
 def replay_witness(m: FinitePartialMagma, w: Witness) -> bool:

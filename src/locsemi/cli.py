@@ -97,9 +97,8 @@ def _cmd_ideal(args) -> int:
 
 def _cmd_quiver_paths(args) -> int:
     q = quiver.parse_quiver(_read(args.file))
-    boundary = quiver.path_boundary(q, args.max_len)
-    paths = sorted(q.paths_upto(args.max_len), key=lambda p: (p.length, p.label))
-    for p in paths:
+    paths, boundary = quiver.path_boundary(q, args.max_len)
+    for p in sorted(paths, key=lambda p: (p.length, p.label)):
         print(f"path {p.label}: {p.source} -> {p.target} length={p.length}")
     print(f"total: {len(paths)}")
     for a, b in boundary:
@@ -122,10 +121,12 @@ def _cmd_quiver_free_ext(args) -> int:
     target = parse_magma(_read(args.target))
     f = dict(_name_values(args.map, "map", "name=value"))
     fbar = quiver.free_extension(q, target, f)
-    for p in [p for p in q.paths_upto(args.max_len) if p.length > 0]:
-        print(f"fbar {p.label} = {fbar(p)}")
-    # the extension already built, so the target's refined scan runs once
-    verdict = quiver._verify_extension(q, target, f, fbar, args.max_len)
+    paths = [p for p in q.paths_upto(args.max_len) if p.length > 0]
+    value = {p.arrows: fbar(p) for p in paths}
+    for p in paths:
+        print(f"fbar {p.label} = {value[p.arrows]}")
+    # the paths and values already built, so each path is walked and folded once
+    verdict = quiver._verify_extension(target, f, paths, value, args.max_len)
     print(checks.render_verdict("free_property", verdict))
     return 0 if verdict.ok else 1
 

@@ -153,17 +153,17 @@ def serialize_semigroup_with_zero(t: SemigroupWithZero) -> str:
 def parse_semigroup_with_zero(text: str) -> SemigroupWithZero:
     zero = None
     rest = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line.startswith("zero:"):
             if zero is not None:
-                raise ParseError("repeated zero line")
+                raise ParseError(f"line {lineno}: repeated zero line")
             toks = line[len("zero:"):].split()
             if len(toks) != 1:
-                raise ParseError("expected 'zero: <label>'")
+                raise ParseError(f"line {lineno}: expected 'zero: <label>'")
             zero = toks[0]
-        else:
-            rest.append(raw)
+            raw = ""  # kept as an empty line, so parse_magma counts lines as written
+        rest.append(raw)
     if zero is None:
         raise ParseError("missing zero line")
     magma = parse_magma("\n".join(rest))

@@ -26,6 +26,13 @@ from .checks import is_locality_map, is_refined_locality_semigroup
 
 Arrow = tuple[str, str, str]  # (name, source vertex, target vertex)
 
+# paths one walk may build; each walk counts its paths first and raises past this
+PATH_CAPACITY = 10 ** 4
+# composable path pairs a path table may hold; the largest input of the tests
+# and the benchmark, the 60-path semigroup of the classify_files workload, has
+# at most 3,600
+PAIR_CAPACITY = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Path:
@@ -112,24 +119,23 @@ class Quiver:
                      for p in paths for name, _, t in leaving[p.target]]
 
     def paths_of_length(self, n: int) -> list[Path]:
-        """All paths of exactly length n, label-sorted."""
+        """All paths of exactly length n, label-sorted, from the walk of paths_upto(n)."""
         if n < 0:
             raise DomainError("length must be nonnegative")
-        return sorted(next(itertools.islice(self._paths_by_length(), n, None), []),
-                      key=lambda p: p.label)
+        return [p for p in self.paths_upto(n) if p.length == n]
 
-    def paths_upto(self, max_len: int, capacity: int = 10000) -> list[Path]:
+    def paths_upto(self, max_len: int) -> list[Path]:
         """All paths up to max_len, by length, each length label-sorted.
 
         The paths are counted first, per length and end vertex, so more than
-        ``capacity`` of them raise before any is built.
+        PATH_CAPACITY of them raise before any is built.
         """
         if max_len < 0:
             raise DomainError("max_len must be nonnegative")
         ending = dict.fromkeys(self.vertices, 1)
         total = count = len(self.vertices)
         for _ in range(max_len):
-            if total > capacity or not count:
+            if total > PATH_CAPACITY or not count:
                 break
             longer = dict.fromkeys(self.vertices, 0)
             for _, s, t in self.arrows:
@@ -137,8 +143,8 @@ class Quiver:
             ending = longer
             count = sum(ending.values())
             total += count
-        if total > capacity:
-            raise CapacityError(f"more than {capacity} paths up to length {max_len}")
+        if total > PATH_CAPACITY:
+            raise CapacityError(f"more than {PATH_CAPACITY} paths up to length {max_len}")
         layers = itertools.islice(self._paths_by_length(), max_len + 1)
         return [p for paths in layers for p in sorted(paths, key=lambda path: path.label)]
 
@@ -184,12 +190,6 @@ def compose(p: Path, q: Path) -> Path:
     return Path(p.source, q.target, p.arrows + q.arrows)
 
 
-# composable path pairs a path table may hold; the largest input of the tests
-# and the benchmark, the 60-path semigroup of the classify_files workload, has
-# at most 3,600
-PAIR_CAPACITY = 10 ** 6
-
-
 def _starting_at(paths: Iterable[Path]) -> dict[str, list[Path]]:
     """The paths grouped by source vertex, each group in the given order."""
     starting: dict[str, list[Path]] = {}
@@ -198,7 +198,7 @@ def _starting_at(paths: Iterable[Path]) -> dict[str, list[Path]]:
     return starting
 
 
-def _composable_pairs(q: Quiver, max_len: int, capacity: int = 10000):
+def _composable_pairs(q: Quiver, max_len: int):
     """(paths, pairs): the paths up to max_len in label order, and (p, r) for
     each pair of them where p ends at r's start, in that order.
 
@@ -206,7 +206,7 @@ def _composable_pairs(q: Quiver, max_len: int, capacity: int = 10000):
     each vertex, in O(len(paths)), and more than PAIR_CAPACITY of them raise
     before any is built.
     """
-    paths = sorted(q.paths_upto(max_len, capacity), key=lambda p: p.label)
+    paths = sorted(q.paths_upto(max_len), key=lambda p: p.label)
     if len({p.label for p in paths}) != len(paths):
         raise DomainError("path labels collide; rename arrows or vertices")
     starting = _starting_at(paths)
@@ -217,8 +217,8 @@ def _composable_pairs(q: Quiver, max_len: int, capacity: int = 10000):
     return paths, ((p, r) for p in paths for r in starting.get(p.target, ()))
 
 
-def materialize_path_magma(q: Quiver, max_len: int,
-                           capacity: int = 10000) -> tuple[FinitePartialMagma, list[tuple[str, str]]]:
+def materialize_path_magma(q: Quiver,
+                           max_len: int) -> tuple[FinitePartialMagma, list[tuple[str, str]]]:
     """All paths up to max_len as a finite structure under composition.
 
     Pairs with matching endpoints whose composite would exceed max_len are
@@ -227,7 +227,7 @@ def materialize_path_magma(q: Quiver, max_len: int,
     quiver.  Class verdicts on truncations with a nonempty boundary are
     advisory only.
     """
-    paths, pairs = _composable_pairs(q, max_len, capacity)
+    paths, pairs = _composable_pairs(q, max_len)
     table: dict[tuple[str, str], str] = {}
     boundary: list[tuple[str, str]] = []
     for p, r in pairs:
@@ -238,10 +238,11 @@ def materialize_path_magma(q: Quiver, max_len: int,
     return FinitePartialMagma(tuple(p.label for p in paths), table), sorted(boundary)
 
 
-def path_boundary(q: Quiver, max_len: int) -> list[tuple[str, str]]:
-    """The boundary list of materialize_path_magma, without building its table."""
-    _, pairs = _composable_pairs(q, max_len)
-    return sorted((p.label, r.label) for p, r in pairs if p.length + r.length > max_len)
+def path_boundary(q: Quiver, max_len: int) -> tuple[list[Path], list[tuple[str, str]]]:
+    """The paths and the boundary list of materialize_path_magma, without
+    building its table; the paths are in label order."""
+    paths, pairs = _composable_pairs(q, max_len)
+    return paths, sorted((p.label, r.label) for p, r in pairs if p.length + r.length > max_len)
 
 
 def _check_arrow_map(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str]) -> None:
@@ -300,14 +301,15 @@ def verify_free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str],
     P[:i] and P[i:], which give their values, and (b) on (P[:i], P[i:]) says
     these are related and multiply to P's value.
     """
-    return _verify_extension(q, s, f, free_extension(q, s, f), max_len)
-
-
-def _verify_extension(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str],
-                      fbar: Callable[[Path], str], max_len: int) -> Verdict:
-    """verify_free_property for fbar, the extension free_extension(q, s, f) gave."""
+    fbar = free_extension(q, s, f)
     paths = [p for p in q.paths_upto(max_len) if p.length > 0]
-    value = {p.arrows: fbar(p) for p in paths}
+    return _verify_extension(s, f, paths, {p.arrows: fbar(p) for p in paths}, max_len)
+
+
+def _verify_extension(s: FinitePartialMagma, f: Mapping[str, str], paths: list[Path],
+                      value: Mapping[tuple[str, ...], str], max_len: int) -> Verdict:
+    """verify_free_property for the nonempty paths up to max_len, in paths_upto
+    order, and value, their arrows mapped to the extension's values."""
     for p in paths:
         if p.length == 1 and value[p.arrows] != f[p.arrows[0]]:
             return fail("free-arrow-restriction", (p.label,),

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from locsemi import (DomainError, FinitePartialMagma, NotAssociative,
-                     PreconditionError, SemigroupWithZero, adjoin_identity,
+                     ParseError, PreconditionError, SemigroupWithZero, adjoin_identity,
                      adjoin_zero, bounded_magma, classify,
                      complete_to_semigroup_with_zero, coprime_magma,
                      coprime_with_zero, find_identities, find_zeros,
@@ -249,3 +249,14 @@ def test_semigroup_with_zero_round_trip():
     text = serialize_semigroup_with_zero(total)
     assert text.startswith("zero: 0\n")
     assert parse_semigroup_with_zero(text) == total
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# header\nzero: 0\n\nelements: a 0\nop: a a\n", "line 5: expected 'op: a b -> c'"),
+    ("zero: 0\nelements: 0\nzero: 0\n", "line 3: repeated zero line"),
+    ("elements: 0\nzero: 0 1\n", "line 2: expected 'zero: <label>'"),
+])
+def test_semigroup_with_zero_parse_errors_count_zero_lines(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_semigroup_with_zero(text)
+    assert str(exc.value) == message

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,8 @@ from locsemi import (CapacityError, CompositionUndefined, DomainError,
                      free_extension, full_relation_magma, is_locality_map,
                      is_refined_locality_semigroup, materialize_path_magma,
                      parse_quiver, scan_flags, search_space_size,
-                     serialize_quiver, verify_free_property)
+                     serialize_magma, serialize_quiver, verify_free_property)
+from locsemi import cli, quiver
 from locsemi.fixtures import fixture_magma, fixture_quiver, fixture_text
 
 XYZ = fixture_quiver("ex2_17_quiver")
@@ -128,9 +130,10 @@ def test_materialize_trivial_only():
     assert boundary == []
 
 
-def test_materialize_capacity():
+def test_materialize_capacity(monkeypatch):
+    monkeypatch.setattr(quiver, "PATH_CAPACITY", 10)
     with pytest.raises(CapacityError):
-        materialize_path_magma(ONE_LOOP, 50, capacity=10)
+        materialize_path_magma(ONE_LOOP, 50)
 
 
 def test_paths_upto_counts_before_it_builds():
@@ -183,11 +186,12 @@ def test_path_walks_match_brute_force(q, max_len, capacity):
     for k in range(max_len + 1):
         assert q.paths_of_length(k) == by_length[k]
     upto = [p for k in range(max_len + 1) for p in by_length[k]]
-    if any(c > capacity for c in itertools.accumulate(map(len, by_length[:max_len + 1]))):
-        with pytest.raises(CapacityError):
-            q.paths_upto(max_len, capacity=capacity)
-    else:
-        assert q.paths_upto(max_len, capacity=capacity) == upto
+    with mock.patch.object(quiver, "PATH_CAPACITY", capacity):
+        if any(c > capacity for c in itertools.accumulate(map(len, by_length[:max_len + 1]))):
+            with pytest.raises(CapacityError):
+                q.paths_upto(max_len)
+        else:
+            assert q.paths_upto(max_len) == upto
     # a path with as many arrows as vertices repeats a vertex, so it closes a cycle
     longest = None if by_length[nv] else max(k for k in range(nv) if by_length[k])
     assert q.longest_path_length() == longest
@@ -293,7 +297,6 @@ def test_free_property_first_witness(monkeypatch, wrong, axiom, elements, detail
     # the inclusion into the path magma, made wrong on a few paths, breaks
     # several paths or pairs; the verdict names the first in paths_upto
     # order, p before r
-    import locsemi.quiver as quiver
     target, _ = materialize_path_magma(TWO_LOOPS, 3)
     f = {name: name for name, _, _ in TWO_LOOPS.arrows}
     monkeypatch.setattr(quiver, "free_extension",
@@ -305,6 +308,48 @@ def test_free_property_first_witness(monkeypatch, wrong, axiom, elements, detail
 
 # two loops on one vertex: every arrow pair composes
 LOOPS_AT_V = Quiver(("v",), (("g", "v", "v"), ("h", "v", "v")))
+
+
+def test_paths_of_length_counts_before_it_builds():
+    # 32,767 paths up to length 14 pass the capacity, so none of the 16,384
+    # of length 14 may be built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^more than 10000 paths up to length 14$"):
+            LOOPS_AT_V.paths_of_length(14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("q, target, f, max_len", [
+    (XYZ, materialize_path_magma(XYZ, 2)[0], "alpha=alpha,beta=beta", 2),
+    # the left-zero semigroup xy = x
+    (LOOPS_AT_V, full_relation_magma(("0", "1"), lambda a, b: a), "g=0,h=1", 6),
+], ids=["xyz", "loops_at_v"])
+def test_quiver_commands_walk_and_fold_once(tmp_path, capsys, monkeypatch, q, target, f, max_len):
+    walks, folds = [], []
+    paths_upto, extension = Quiver.paths_upto, quiver.free_extension
+    monkeypatch.setattr(Quiver, "paths_upto",
+                        lambda self, *args: walks.append(args) or paths_upto(self, *args))
+
+    def counted_extension(q, s, f):
+        fbar = extension(q, s, f)
+        return lambda p: folds.append(p.label) or fbar(p)
+
+    monkeypatch.setattr(quiver, "free_extension", counted_extension)
+    qfile, tfile = tmp_path / "q.quiver", tmp_path / "t.magma"
+    qfile.write_text(serialize_quiver(q))
+    tfile.write_text(serialize_magma(target))
+    assert cli.run(["quiver", "paths", str(qfile), "--max-len", str(max_len)]) == 0
+    assert walks == [(max_len,)]
+    walks.clear()
+    assert cli.run(["quiver", "free-ext", str(qfile), "--target", str(tfile),
+                    "--map", f, "--max-len", str(max_len)]) == 0
+    assert capsys.readouterr().out.endswith("free_property=yes\n")
+    assert walks == [(max_len,)]
+    assert folds == [p.label for p in paths_upto(q, max_len) if p.length > 0]
 
 
 def _homomorphisms(q, s, max_len):
