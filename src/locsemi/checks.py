@@ -25,14 +25,16 @@ kernel compares each defined pair's two regroupings, (ab)c and a(bc) over
 b's defined columns, as two C-speed row gathers built on the row's first
 use, so its Python work per pair does not grow with the slice.
 
-A full scan reads its triples from a triple source, ``_Triples``, which
-offers the scan order as streams, each filtered by one guard, such as
-"(a,b) and (b,c) related".  Each clause reads the stream whose guard it
-needs and tests only what the guard leaves open; a triple outside that
-stream fails the guard and would yield nothing, so each violation stream,
-and each first witness, is exactly what a walk over all n^3 triples gives.
-The streams are built from the relation's rows, with nothing of size n^3,
-and a replay passes its lone triple through the same guards (``_Lone``).
+A scan reads its triples from a triple source, ``_Triples``, which offers
+the scan order as streams, each filtered by one guard, such as "(a,b) and
+(b,c) related".  Each clause reads the stream whose guard it needs and
+tests only what the guard leaves open; a triple outside that stream fails
+the guard and would yield nothing, so each violation stream, and each first
+witness, is exactly what a walk over all n^3 triples gives.  The streams
+are built from the relation's rows, with nothing of size n^3.  The two
+refined-membership streams also skip the related pairs whose two rows (or
+columns) are equal, which cannot fail, so on a refined structure they cost
+about |R|.  A replay runs the same scan over the witness's own elements.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,46 +58,42 @@ Mul = Callable[[object, object], object]
 
 
 class _Triples:
-    """The triple streams of one structure over the sorted ``elems``.
+    """The triple streams of one structure over the distinct ``elems``.
 
     ``rows[i]`` lists, in increasing order, the positions j with
-    (elems[i], elems[j]) related.  Each stream is the scan order filtered by
-    one guard, and each call starts a fresh pass:
+    (elems[i], elems[j]) related.  The scan order compares positions, not
+    values.  Each stream is the scan order filtered by one guard, and each
+    call starts a fresh pass:
 
-    - ``ab()``, (a,b) related: refined-left;
-    - ``bc()``, (b,c) related: refined-right;
+    - ``ab(pair)``, (a,b) related and ``pair(a, b)``: refined-left;
+    - ``bc(pair)``, (b,c) related and ``pair(b, c)``: refined-right;
     - ``chained()``, (a,b) and (b,c) related: strong, refined-assoc,
       partial and transitivity;
     - ``left()``, (a,b), (b,c) and (a,c) related: left polar closure and
       locality-assoc;
     - ``right()``, (a,b), (c,a) and (c,b) related: right polar closure.
 
-    A stream chains C-speed runs of c, one per related pair (a,b) (for
-    ``bc``, three per element a): every element, b's row or column, or
-    those filtered by a's row or column, each cut to the pair's range in
-    the scan order.  A pass costs about the pairs plus the triples it
-    yields, and the source holds O(n + |R|), built on a stream's first call.
-    On a sparse structure such as a path semigroup only ``ab`` and ``bc``
-    yield about |R|*n triples.
+    Every stream but ``bc`` chains C-speed runs of c, one per related pair
+    (a,b) it keeps: every element, b's row or column, or those filtered by
+    a's row or column, each cut to the pair's range in the scan order.  A
+    pass costs about the pairs plus the triples it yields, and the source
+    holds O(n + |R|), built on a stream's first call.  ``ab`` tests each
+    pair when the walk reaches it; ``bc``, whose kept pairs (b,c) every a
+    walks, tests them all on its first step.
     """
 
     def __init__(self, elems: Sequence, rows: Sequence[Sequence[int]]):
         self.elems = tuple(elems)
         self.rows = rows
-        # ends[j]: first position past the elements equal to elems[j].  When
-        # a < b, the rest of the scan takes c only up to there: a triple with
-        # c > b is strictly increasing and came first
-        self.ends = [bisect_right(self.elems, b) for b in self.elems]
 
     def _lines(self, lines):
-        """(tails, heads, whole, sets): per line j of positions (b's row or
-        column), the values past b's position, those up to b's value, all of
-        them, and all of them as a set."""
-        elems, ends = self.elems, self.ends
+        """(whole, cuts, sets): per line j of positions (b's row or column),
+        its values, how many of its positions are up to j, and its values as
+        a set."""
+        elems = self.elems
         whole = [tuple(map(elems.__getitem__, line)) for line in lines]
-        tails = [v[bisect_right(line, j):] for j, (line, v) in enumerate(zip(lines, whole))]
-        heads = [v[:bisect_left(line, ends[j])] for j, (line, v) in enumerate(zip(lines, whole))]
-        return tails, heads, whole, [frozenset(v) for v in whole]
+        cuts = [bisect_right(line, j) for j, line in enumerate(lines)]
+        return whole, cuts, [frozenset(v) for v in whole]
 
     @cached_property
     def _row_lines(self):
@@ -109,86 +107,69 @@ class _Triples:
                 columns[j].append(i)
         return self._lines(columns)
 
-    def _runs(self, tail, head, whole, keep=None):
-        """The runs of c, one per related pair (a,b) in scan order: tail(j)
-        in the increasing part, then head(j) when a < b, else whole(j).  When
-        keep is given, a run keeps only the c in keep[i]."""
-        elems, rows = self.elems, self.rows
-        for i, a in enumerate(elems):
-            row = rows[i]
-            inside = keep[i].__contains__ if keep else None
-            for j in row[bisect_right(row, i):]:
-                cs = tail(j)
-                if cs:
-                    yield zip(repeat(a), repeat(elems[j]), filter(inside, cs) if keep else cs)
-        for i, a in enumerate(elems):
-            inside = keep[i].__contains__ if keep else None
-            for j in rows[i]:
-                b = elems[j]
-                cs = head(j) if a < b else whole(j)
-                if cs:
-                    yield zip(repeat(a), repeat(b), filter(inside, cs) if keep else cs)
-
-    def _stream(self, lines, keep=False):
-        tails, heads, whole, sets = lines
-        return chain.from_iterable(self._runs(tails.__getitem__, heads.__getitem__,
-                                              whole.__getitem__, sets if keep else None))
-
-    def ab(self):
-        elems, ends = self.elems, self.ends
-        return chain.from_iterable(self._runs(lambda j: elems[j + 1:], lambda j: elems[:ends[j]],
-                                              lambda j: elems))
-
-    def chained(self):
-        return self._stream(self._row_lines)
-
-    def left(self):
-        return self._stream(self._row_lines, keep=True)
-
-    def right(self):
-        return self._stream(self._column_lines, keep=True)
-
     @cached_property
-    def _pairs(self):
-        """The related pairs (b,c) in scan order, as a list of b and one of c,
-        with the count of pairs before each position of b: all of them, those
-        with c past b's position, and those with c up to b's value."""
-        tails, heads, whole, _ = self._row_lines
-        cuts = []
-        for lines in (whole, tails, heads):
-            bs, cs, before = [], [], [0]
-            for b, run in zip(self.elems, lines):
-                bs += repeat(b, len(run))
-                cs += run
-                before.append(len(cs))
-            cuts.append((bs, cs, before))
-        return cuts
+    def _index(self):
+        return {x: i for i, x in enumerate(self.elems)}
 
-    def bc(self):
-        (bs, cs, before), (up_b, up_c, up_before), (down_b, down_c, down_before) = self._pairs
+    def row(self, x, rel: Rel) -> frozenset:
+        """The elements c with (x,c) related; rel tells them when x is not an element."""
+        i = self._index.get(x)
+        if i is None:
+            return frozenset(c for c in self.elems if rel(x, c))
+        return self._row_lines[2][i]
+
+    def column(self, x, rel: Rel) -> frozenset:
+        """The elements a with (a,x) related; rel tells them when x is not an element."""
+        i = self._index.get(x)
+        if i is None:
+            return frozenset(a for a in self.elems if rel(a, x))
+        return self._column_lines[2][i]
+
+    def _stream(self, whole, cuts, sets=None, pair=None):
+        """The runs of c, one per related pair (a,b) in scan order that pair
+        keeps, cut from b's line: past b's position in the increasing part,
+        then up to it when a comes before b, else all of it.  With sets, a
+        run keeps only the c in a's set."""
+        elems, rows = self.elems, self.rows
 
         def runs():
-            for i, a in enumerate(self.elems):
-                k = up_before[i + 1]
-                yield zip(repeat(a), up_b[k:], up_c[k:])
-            for a, e in zip(self.elems, self.ends):
-                # b up to a's value takes every c, a larger b only c up to b
-                yield zip(repeat(a), bs[:before[e]], cs[:before[e]])
-                yield zip(repeat(a), down_b[down_before[e]:], down_c[down_before[e]:])
+            for i, a in enumerate(elems):
+                row = rows[i]
+                for j in row[bisect_right(row, i):]:
+                    if pair is None or pair(a, elems[j]):
+                        cs = whole[j][cuts[j]:]
+                        if cs:
+                            yield zip(repeat(a), repeat(elems[j]),
+                                      filter(sets[i].__contains__, cs) if sets else cs)
+            for i, a in enumerate(elems):
+                for j in rows[i]:
+                    if pair is None or pair(a, elems[j]):
+                        cs = whole[j][:cuts[j]] if i < j else whole[j]
+                        if cs:
+                            yield zip(repeat(a), repeat(elems[j]),
+                                      filter(sets[i].__contains__, cs) if sets else cs)
         return chain.from_iterable(runs())
 
+    def ab(self, pair):
+        n = len(self.elems)
+        return self._stream([self.elems] * n, range(1, n + 1), pair=pair)
 
-class _Lone:
-    """One triple as a triple source: a stream holds it when the pairs of its guard are related."""
+    def bc(self, pair):
+        elems = self.elems
+        kept = [(j, k) for j, row in enumerate(self.rows) for k in row if pair(elems[j], elems[k])]
+        for i, a in enumerate(elems):
+            yield from ((a, elems[j], elems[k]) for j, k in kept if i < j < k)
+        for i, a in enumerate(elems):
+            yield from ((a, elems[j], elems[k]) for j, k in kept if not i < j < k)
 
-    def __init__(self, triple, rel: Rel):
-        a, b, c = triple
-        held = lambda *guard: (triple,) if all(rel(x, y) for x, y in guard) else ()
-        self.ab = lambda: held((a, b))
-        self.bc = lambda: held((b, c))
-        self.chained = lambda: held((a, b), (b, c))
-        self.left = lambda: held((a, b), (b, c), (a, c))
-        self.right = lambda: held((a, b), (c, a), (c, b))
+    def chained(self):
+        return self._stream(*self._row_lines[:2])
+
+    def left(self):
+        return self._stream(*self._row_lines)
+
+    def right(self):
+        return self._stream(*self._column_lines)
 
 
 def _related_rows(elems: Sequence, rel: Rel) -> list[list[int]]:
@@ -218,13 +199,13 @@ def _ordered_pairs(elems: Sequence):
 # scan bodies, generic over (triple source, related, product)
 #
 # Each scan yields every violation in scan order.  A clause reads the stream
-# of its source (_Triples, or _Lone for a replay) whose guard it needs, and
-# tests only what that guard leaves open.  A full scan is read only up to its
-# first violation, so a later pass runs only once the earlier ones hold and
-# its products are defined; a replay passes a product that is None where
-# undefined, so every clause must also be exact on a lone triple.  A relation
-# may answer with any truthy or falsy value, so clauses branch on the answers
-# and never compare two of them.
+# of its source whose guard it needs, and tests only what that guard leaves
+# open.  A full scan is read only up to its first violation, so a later pass
+# runs only once the earlier ones hold and its products are defined; a replay
+# reads past the violations of other axioms and passes a product that is None
+# where undefined, so every clause must be exact there too.  A relation may
+# answer with any truthy or falsy value, so clauses branch on the answers and
+# never compare two of them.
 
 def _polar_closure_violation(src, rel: Rel, mul: Mul):
     # left closure: a, b both related into c and (a,b) related force (ab, c) related
@@ -261,7 +242,9 @@ def _strong_violation(src, rel: Rel, mul: Mul):
 
 
 def _refined_violation(src, rel: Rel, mul: Mul):
-    for a, b, c in src.ab():
+    # a violation at (a,b,c) is a c in one of row(b) and row(ab) but not the
+    # other, so only pairs whose two rows differ can yield one
+    for a, b, c in src.ab(lambda a, b: src.row(b, rel) != src.row(mul(a, b), rel)):
         ab = mul(a, b)
         if rel(b, c):
             if not rel(ab, c):
@@ -270,7 +253,7 @@ def _refined_violation(src, rel: Rel, mul: Mul):
         elif rel(ab, c):
             yield fail("refined-left", (a, b, c),
                        f"({ab},{c}) defined but ({b},{c}) undefined")
-    for a, b, c in src.bc():
+    for a, b, c in src.bc(lambda b, c: src.column(b, rel) != src.column(mul(b, c), rel)):
         bc = mul(b, c)
         if rel(a, b):
             if not rel(a, bc):
@@ -834,8 +817,8 @@ _PAIR_SHAPED = set(_TRIPLE_SCANS) - {"left-polar-closure", "right-polar-closure"
 def replay_witness(m: FinitePartialMagma, w: Witness) -> bool:
     """True exactly when the named axiom is violated on the witness elements.
 
-    Runs the axiom's scan on the witness triple alone, which each of its
-    streams passes through that stream's guard.
+    Runs the axiom's scan over the witness's distinct elements and looks
+    for a violation of that axiom at exactly the witness's elements.
     """
     if len(w.elements) != 3:
         return False
@@ -844,6 +827,7 @@ def replay_witness(m: FinitePartialMagma, w: Witness) -> bool:
         raise DomainError(f"cannot replay axiom {w.axiom!r}")
     table = m.table
     rel = lambda a, b: (a, b) in table
-    found = scan(_Lone(tuple(w.elements), rel), rel, lambda a, b: table.get((a, b)))
-    return any(v.witness.axiom == w.axiom for v in found)
+    elems = tuple(dict.fromkeys(w.elements))
+    found = scan(_Triples(elems, _related_rows(elems, rel)), rel, lambda a, b: table.get((a, b)))
+    return (w.axiom, tuple(w.elements)) in ((v.witness.axiom, v.witness.elements) for v in found)
 

@@ -64,10 +64,10 @@ class PredicateMagma:
     """An intensional structure: membership, relation and product as functions.
 
     ``slice_elements`` maps a bound to the finite element list used by
-    bounded scans.  The relation may answer with any truthy or falsy value.
-    Bounded checks take the product of every related pair with one factor in
-    the slice, so there it must be defined and hashable, and equal products
-    must hash alike.
+    bounded scans, which holds no element twice.  The relation may answer
+    with any truthy or falsy value.  Bounded checks take the product of
+    every related pair with one factor in the slice, so there it must be
+    defined and hashable, and equal products must hash alike.
     """
 
     description: str
@@ -159,7 +159,8 @@ def _checked_slice(p: PredicateMagma, bound: int) -> list:
     """The slice at ``bound``, refused (CapacityError) past MAX_SLICE elements.
 
     The bound is checked before the slicer runs, since the built-in slicers
-    build one element per unit of bound, and the slice's length after.
+    build one element per unit of bound, and the slice's length after.  A
+    slice that holds an element twice is refused (DomainError).
     """
     if p.slice_elements is None:
         raise DomainError("structure has no bounded slicer")
@@ -169,6 +170,8 @@ def _checked_slice(p: PredicateMagma, bound: int) -> list:
     if len(elems) > MAX_SLICE:
         raise CapacityError(f"slice of {len(elems)} elements at bound {bound} "
                             f"exceeds the limit of {MAX_SLICE}")
+    if len(set(elems)) != len(elems):
+        raise DomainError(f"slice at bound {bound} holds an element twice")
     return elems
 
 

@@ -132,6 +132,16 @@ def test_sampled_classify_needs_slicer():
         bounded_magma(sliceless, 5)
 
 
+def test_slices_that_repeat_an_element_raise_domain_error():
+    # a repeated 2 would list the escape ((2,3),6) twice
+    p = coprime_magma()
+    repeats = PredicateMagma("repeats 2", p.contains, p.related, p.product,
+                             lambda bound: [1, 2, 2, 3, 4])
+    for check in (sampled_classify, bounded_magma, lambda p, b: sampled_verdict(p, b, "refined")):
+        with pytest.raises(DomainError, match="twice"):
+            check(repeats, 4)
+
+
 @pytest.mark.parametrize("bound", [1, 2, 12, 30, 45])
 @pytest.mark.parametrize("make", [coprime_magma, coprime_with_zero, natural_multiplication])
 def test_sampled_verdict_matches_sampled_classify(make, bound):
