@@ -77,9 +77,9 @@ class _Triples:
     (a,b) it keeps: every element, b's row or column, or those filtered by
     a's row or column, each cut to the pair's range in the scan order.  A
     pass costs about the pairs plus the triples it yields, and the source
-    holds O(n + |R|), built on a stream's first call.  ``ab`` tests each
-    pair when the walk reaches it; ``bc``, whose kept pairs (b,c) every a
-    walks, tests them all on its first step.
+    holds O(n + |R|), built on a stream's first call.  ``ab`` tests each pair
+    once, when the walk first reaches it; ``bc``, whose kept pairs (b,c) every
+    a walks, tests them all on its first step.
     """
 
     def __init__(self, elems: Sequence, rows: Sequence[Sequence[int]]):
@@ -133,17 +133,21 @@ class _Triples:
         elems, rows = self.elems, self.rows
 
         def runs():
+            kept = set()  # the (i, j), i < j, that pair passed, so it tests each pair once
             for i, a in enumerate(elems):
                 row = rows[i]
                 for j in row[bisect_right(row, i):]:
-                    if pair is None or pair(a, elems[j]):
-                        cs = whole[j][cuts[j]:]
-                        if cs:
-                            yield zip(repeat(a), repeat(elems[j]),
-                                      filter(sets[i].__contains__, cs) if sets else cs)
+                    if pair is not None:
+                        if not pair(a, elems[j]):
+                            continue
+                        kept.add((i, j))
+                    cs = whole[j][cuts[j]:]
+                    if cs:
+                        yield zip(repeat(a), repeat(elems[j]),
+                                  filter(sets[i].__contains__, cs) if sets else cs)
             for i, a in enumerate(elems):
                 for j in rows[i]:
-                    if pair is None or pair(a, elems[j]):
+                    if pair is None or ((i, j) in kept if i < j else pair(a, elems[j])):
                         cs = whole[j][:cuts[j]] if i < j else whole[j]
                         if cs:
                             yield zip(repeat(a), repeat(elems[j]),
@@ -299,6 +303,17 @@ _CLASS_SCANS = {
     "partial": _partial_violation,
     "transitive": _transitive_violation,
 }
+
+
+def _check_inclusions(flags, message: str) -> None:
+    """Raise InvariantError, message naming the sides, where five verdicts or table
+    sets in _CLASS_SCANS order break the class chain; sub & ~sup is 0 iff sub is within sup."""
+    loc, strong, refined, partial, trans = flags
+    for sub, sup, names in ((refined, strong, ("refined", "strong")),
+                            (strong, loc & partial, ("strong", "both locality and partial")),
+                            (trans & loc, partial, ("transitive locality", "partial"))):
+        if sub & ~sup:
+            raise InvariantError(message.format(*names))
 
 
 def _first(scan, m: FinitePartialMagma) -> Verdict:
@@ -726,8 +741,7 @@ class ClassReport:
     bound: int | None = None
 
     def flags(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (self.locality.ok, self.strong.ok, self.refined.ok,
-                self.partial.ok, self.transitive.ok)
+        return tuple([getattr(self, name).ok for name in _CLASS_SCANS])
 
     def render(self) -> str:
         parts = ["CLASS"]
@@ -782,13 +796,7 @@ def _assemble_report(elems, rows, rel, mul, bound=None, flags=None) -> ClassRepo
     r = ClassReport(**verdicts, left_identities=s(li), right_identities=s(ri),
                     identities=s(ident), left_zeros=s(lz), right_zeros=s(rz),
                     zeros=s(zero), bound=bound)
-    # class inclusions that hold for every structure; violations are bugs
-    if r.refined.ok and not r.strong.ok:
-        raise InvariantError("refined structure is not strong")
-    if r.strong.ok and not (r.locality.ok and r.partial.ok):
-        raise InvariantError("strong structure is not both locality and partial")
-    if r.transitive.ok and r.locality.ok and not r.partial.ok:
-        raise InvariantError("transitive locality structure is not partial")
+    _check_inclusions(r.flags(), "{} structure is not {}")
     return r
 
 

@@ -98,7 +98,7 @@ def _cmd_ideal(args) -> int:
 def _cmd_quiver_paths(args) -> int:
     q = quiver.parse_quiver(_read(args.file))
     paths, boundary = quiver.path_boundary(q, args.max_len)
-    for p in sorted(paths, key=lambda p: (p.length, p.label)):
+    for p in paths:
         print(f"path {p.label}: {p.source} -> {p.target} length={p.length}")
     print(f"total: {len(paths)}")
     for a, b in boundary:
@@ -298,10 +298,7 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except MagmaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MagmaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,12 +34,12 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .checks import _block_flags, _flat_table
+from .checks import _CLASS_SCANS, _block_flags, _check_inclusions, _flat_table
 from .errors import CapacityError, DomainError, InvariantError
 from .magma import FinitePartialMagma, serialize_magma
 
 _LETTERS = ("a", "b", "c", "d")
-_FLAG_NAMES = ("locality", "strong", "refined", "partial", "transitive")
+_FLAG_NAMES = tuple(_CLASS_SCANS)
 _FLAG_LETTERS = "LSRPT"
 
 EXHAUSTIVE_MAX = 3
@@ -209,15 +209,9 @@ def _sampled_blocks(n: int, codes: Iterator[int]):
 
 
 def _flag_sets(n: int, digits, full: int) -> tuple[int, int, int, int, int]:
-    """The kernel's five flag sets of a block, after checking the class inclusions."""
-    loc, strong, refined, partial, trans = flags = _block_flags(n, digits, full)
-    for sub, sup, what in ((refined, strong, "refined tables that are not strong"),
-                           (strong, loc & partial,
-                            "strong tables that are not both locality and partial"),
-                           (trans & loc, partial,
-                            "transitive locality tables that are not partial")):
-        if sub & ~sup:
-            raise InvariantError(f"the block kernel gives {what}")
+    """The kernel's five flag sets of a block in _CLASS_SCANS order, the class chain checked."""
+    flags = _block_flags(n, digits, full)
+    _check_inclusions(flags, "the block kernel gives {} tables that are not {}")
     return flags
 
 
@@ -317,8 +311,8 @@ def _sampled_codes(n: int, count: int, seed: int) -> Iterator[int]:
 class CensusRow:
     """One flag pattern: its mask, how many structures carry it, and the first one.
 
-    ``pattern`` positions are locality, strong, refined, partial, transitive
-    (letters L, S, R, P, T; '-' when the flag is off).  ``witness`` is the
+    ``pattern`` positions are the classes in _FLAG_NAMES order (letters L,
+    S, R, P, T; '-' when the flag is off).  ``witness`` is the
     serialized first structure in enumeration order, which is the minimum
     of its isomorphism class, so raw and dedup censuses share witnesses;
     ``witness_code`` is its position.

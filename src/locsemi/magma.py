@@ -126,7 +126,7 @@ class FinitePartialMagma:
         return frozenset(self.table)
 
     def pairs(self) -> list[Pair]:
-        return sorted(self.table)
+        return list(self.table)  # __post_init__ stored the keys sorted
 
     def is_total(self) -> bool:
         return len(self.table) == len(self.elements) ** 2

@@ -160,7 +160,7 @@ def _checked_slice(p: PredicateMagma, bound: int) -> list:
 
     The bound is checked before the slicer runs, since the built-in slicers
     build one element per unit of bound, and the slice's length after.  A
-    slice that holds an element twice is refused (DomainError).
+    slice that repeats an element, or leaves the structure, raises DomainError.
     """
     if p.slice_elements is None:
         raise DomainError("structure has no bounded slicer")
@@ -172,6 +172,9 @@ def _checked_slice(p: PredicateMagma, bound: int) -> list:
                             f"exceeds the limit of {MAX_SLICE}")
     if len(set(elems)) != len(elems):
         raise DomainError(f"slice at bound {bound} holds an element twice")
+    for x in elems:
+        if not p.contains(x):
+            raise DomainError(f"slice at bound {bound} holds {x}, outside the structure")
     return elems
 
 

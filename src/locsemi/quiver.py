@@ -75,6 +75,10 @@ class Quiver:
             arrows.append((name, s, t))
         object.__setattr__(self, "arrows", tuple(sorted(arrows)))
         object.__setattr__(self, "_endpoints", {a[0]: (a[1], a[2]) for a in arrows})
+        leaving: dict[str, list[Arrow]] = {v: [] for v in self.vertices}  # in self.arrows order
+        for arrow in self.arrows:
+            leaving[arrow[1]].append(arrow)
+        object.__setattr__(self, "_leaving", leaving)
 
     def source(self, arrow: str) -> str:
         return self._endpoints[arrow][0]
@@ -108,15 +112,12 @@ class Quiver:
         Length k+1 extends length k in order, each path by the arrows leaving
         its target in ``self.arrows`` order, so tied labels keep one order.
         """
-        leaving: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
-        for arrow in self.arrows:
-            leaving[arrow[1]].append(arrow)
         yield [self.trivial_path(v) for v in self.vertices]
         paths = [Path(s, t, (name,)) for name, s, t in self.arrows]
         while paths:
             yield paths
             paths = [Path(p.source, t, p.arrows + (name,))
-                     for p in paths for name, _, t in leaving[p.target]]
+                     for p in paths for name, _, t in self._leaving[p.target]]
 
     def paths_of_length(self, n: int) -> list[Path]:
         """All paths of exactly length n, label-sorted, from the walk of paths_upto(n)."""
@@ -150,10 +151,7 @@ class Quiver:
 
     def arrow_locality_set(self) -> LocalitySet:
         """The arrows, related when the first one's target meets the second one's source."""
-        starting: dict[str, list[str]] = {}
-        for name, s, _ in self.arrows:
-            starting.setdefault(s, []).append(name)
-        rel = frozenset((x, y) for x, _, t in self.arrows for y in starting.get(t, ()))
+        rel = frozenset((x, y) for x, _, t in self.arrows for y, _, _ in self._leaving[t])
         return LocalitySet(tuple(a[0] for a in self.arrows), rel)
 
     def is_acyclic(self) -> bool:
@@ -165,16 +163,14 @@ class Quiver:
 
         One walk in topological order (Kahn), which never takes a vertex on a cycle.
         """
-        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
         waiting = dict.fromkeys(self.vertices, 0)  # arrows into v not yet taken
-        for _, s, t in self.arrows:
-            succ[s].append(t)
+        for _, _, t in self.arrows:
             waiting[t] += 1
         depth = dict.fromkeys(self.vertices, 0)  # longest path ending at v
         # taken grows while it is walked and ends as a topological order
         taken = [v for v in self.vertices if not waiting[v]]
         for v in taken:
-            for w in succ[v]:
+            for _, _, w in self._leaving[v]:
                 depth[w] = max(depth[w], depth[v] + 1)
                 waiting[w] -= 1
                 if not waiting[w]:
@@ -199,14 +195,14 @@ def _starting_at(paths: Iterable[Path]) -> dict[str, list[Path]]:
 
 
 def _composable_pairs(q: Quiver, max_len: int):
-    """(paths, pairs): the paths up to max_len in label order, and (p, r) for
-    each pair of them where p ends at r's start, in that order.
+    """(paths, pairs): the paths up to max_len in paths_upto order, and (p, r)
+    for each pair of them where p ends at r's start, in that order.
 
     Labels must not collide.  The pairs are counted from the paths starting at
     each vertex, in O(len(paths)), and more than PAIR_CAPACITY of them raise
     before any is built.
     """
-    paths = sorted(q.paths_upto(max_len), key=lambda p: p.label)
+    paths = q.paths_upto(max_len)
     if len({p.label for p in paths}) != len(paths):
         raise DomainError("path labels collide; rename arrows or vertices")
     starting = _starting_at(paths)
@@ -240,7 +236,7 @@ def materialize_path_magma(q: Quiver,
 
 def path_boundary(q: Quiver, max_len: int) -> tuple[list[Path], list[tuple[str, str]]]:
     """The paths and the boundary list of materialize_path_magma, without
-    building its table; the paths are in label order."""
+    building its table; the paths are in paths_upto order."""
     paths, pairs = _composable_pairs(q, max_len)
     return paths, sorted((p.label, r.label) for p, r in pairs if p.length + r.length > max_len)
 

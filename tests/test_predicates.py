@@ -142,6 +142,17 @@ def test_slices_that_repeat_an_element_raise_domain_error():
             check(repeats, 4)
 
 
+def test_slices_outside_the_structure_raise_domain_error():
+    # 0 is not a positive natural: a slice holding it would give a witness
+    # about 0, strong-left (0,1),(1,2) at bound 5
+    p = coprime_magma()
+    with_zero = PredicateMagma("slices 0", p.contains, p.related, p.product,
+                               lambda bound: list(range(0, bound + 1)))
+    for check in (sampled_classify, bounded_magma, lambda p, b: sampled_verdict(p, b, "strong")):
+        with pytest.raises(DomainError, match="holds 0, outside the structure"):
+            check(with_zero, 5)
+
+
 @pytest.mark.parametrize("bound", [1, 2, 12, 30, 45])
 @pytest.mark.parametrize("make", [coprime_magma, coprime_with_zero, natural_multiplication])
 def test_sampled_verdict_matches_sampled_classify(make, bound):

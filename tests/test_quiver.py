@@ -198,6 +198,13 @@ def test_path_walks_match_brute_force(q, max_len, capacity):
     assert q.is_acyclic() == (longest is not None)
 
 
+@given(small_quivers())
+def test_arrow_locality_set_relates_the_paths_of_length_two(q):
+    arrows = q.arrow_locality_set()
+    assert arrows.elements == tuple(sorted(a[0] for a in q.arrows))
+    assert arrows.relation == {p.arrows for p in _chains_of_length(q, 2)}
+
+
 def test_long_chain_needs_no_recursion():
     vs = tuple(f"v{i:04d}" for i in range(1500))
     chain = Quiver(vs, tuple((f"a{i:04d}", vs[i], vs[i + 1]) for i in range(1499)))
