@@ -13,14 +13,13 @@ scans of finite tables, the bounded scans of predicate-defined structures,
 and witness replay, which re-runs a scan on the witness's own elements.
 
 Every axiom is stated in this module.  The fused flat-table kernel
-``_table_flags``, its bit-sliced twin ``_block_flags``, which decides a block
-of closed tables at once for ``scan_flags`` and the census, and the literal
-subset oracle ``_polar_subset_violations`` sit beside the scan clauses.
-``_table_flags`` decides open tables: ``_open_table`` compiles a bounded
-slice of a predicate structure together with the products that leave it, so
-the kernel gives the bounded report's verdicts and only the failing classes
-run their scans, for the witness.  A closed table, one ``_flat_table``
-compiles, is decided as the open form with no products outside it.  The
+``_table_flags`` and its bit-sliced twin ``_block_flags``, which decides a
+block of closed tables at once for ``scan_flags`` and the census, sit beside
+the scan clauses.  ``_table_flags`` decides open tables: ``_open_table``
+compiles a bounded slice of a predicate structure together with the
+products that leave it, so the kernel gives the bounded report's verdicts
+and only the failing classes run their scans, for the witness.  A closed
+table is decided as the open form with no products outside it.  The
 kernel compares each defined pair's two regroupings, (ab)c and a(bc) over
 b's defined columns, as two C-speed row gathers built on the row's first
 use, so its Python work per pair does not grow with the slice.
@@ -35,6 +34,11 @@ are built from the relation's rows, with nothing of size n^3.  The two
 refined-membership streams also skip the related pairs whose two rows (or
 columns) are equal, which cannot fail, so on a refined structure they cost
 about |R|.  A replay runs the same scan over the witness's own elements.
+
+The literal polar closure, ``check_polar_closure_subsets``, compiles no
+table: it reads each subset's polars from the magma (``left_polar``,
+``right_polar``) and their escaping products through ``_first_escape``, the
+rule the sub-structure and ideal checkers share.
 """
 
 from __future__ import annotations
@@ -338,16 +342,6 @@ def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tupl
 # or -1 where the pair is unrelated.  A closed table's products stay in its
 # carrier; an open table also indexes the products that leave it.
 
-def _flat_table(m: FinitePartialMagma) -> list[int]:
-    """m's flat table, indexed in the order of m.elements, which is label order."""
-    index = {x: i for i, x in enumerate(m.elements)}
-    n = len(index)
-    t = [-1] * (n * n)
-    for (a, b), c in m.table.items():
-        t[index[a] * n + index[b]] = index[c]
-    return t
-
-
 def _open_table(elems: Sequence, rel: Rel, mul: Mul):
     """Compile the slice ``elems`` into an open table: (t, (m, left, RP, CP), rows).
 
@@ -563,26 +557,6 @@ def _block_flags(n: int, digits, full: int) -> tuple[int, int, int, int, int]:
             full ^ partial_bad, full ^ trans_bad)
 
 
-def _polar_subset_violations(n: int, t: list[int]):
-    """(side, a, b, U) for each related pair of a polar of U whose product leaves it.
-
-    U runs over subsets by size in combinations order, its left polar before
-    its right, and each polar's pairs in _ordered_pairs order.  x is in the
-    left polar of U when every (x,u) is related, in the right when every (u,x) is.
-    """
-    rng = range(n)
-    sides = (("left", lambda x, u: t[x * n + u] >= 0),
-             ("right", lambda x, u: t[u * n + x] >= 0))
-    for size in range(1, n + 1):
-        for U in itertools.combinations(rng, size):
-            for side, related in sides:
-                polar = [x for x in rng if all(related(x, u) for u in U)]
-                for a, b in _ordered_pairs(polar):
-                    ab = t[a * n + b]
-                    if ab >= 0 and ab not in polar:
-                        yield side, a, b, U
-
-
 # ---------------------------------------------------------------------------
 # public checkers on finite structures
 
@@ -592,14 +566,22 @@ def _accessors(m: FinitePartialMagma):
 
 
 def check_polar_closure_subsets(m: FinitePartialMagma) -> Verdict:
-    """Literal polar closure over every subset of the carrier (2^n scan)."""
-    labels = m.elements
-    n = len(labels)
+    """Literal polar closure over every subset of the carrier (2^n scan).
+
+    U runs over the nonempty subsets by size in combinations order, its left
+    polar before its right; the witness is a polar's first related pair, in
+    _ordered_pairs order, whose product leaves it.
+    """
+    n = len(m.elements)
     if n > 16:
         raise CapacityError(f"subset scan needs carrier <= 16, got {n}")
-    for side, a, b, U in _polar_subset_violations(n, _flat_table(m)):
-        return fail(f"{side}-polar-closure", (labels[a], labels[b]),
-                    "U={" + ",".join(labels[u] for u in U) + "}")
+    for size in range(1, n + 1):
+        for U in itertools.combinations(m.elements, size):
+            for side, polar_of in (("left", m.left_polar), ("right", m.right_polar)):
+                polar = polar_of(U)
+                v = _first_escape(m, polar, f"{side}-polar-closure", _ordered_pairs(sorted(polar)))
+                if not v:
+                    return fail(v.witness.axiom, v.witness.elements, "U={" + ",".join(U) + "}")
     return OK
 
 

@@ -20,8 +20,8 @@ key per table.  A pattern counts the tables of its set, its witness is its
 least code over the blocks that hold it, and ``--dedup`` counts
 isomorphism classes by Burnside's lemma over the sets of tables each
 relabeling fixes.  ``_decode_table`` reads the flat table at a code,
-``decode_magma`` labels it, and ``encode_magma`` reads the digits back
-from ``checks._flat_table``.
+``decode_magma`` labels it, and ``encode_magma`` sums the digits back from
+the magma's table.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .checks import _CLASS_SCANS, _block_flags, _check_inclusions, _flat_table
+from .checks import _CLASS_SCANS, _block_flags, _check_inclusions
 from .errors import CapacityError, DomainError, InvariantError
 from .magma import FinitePartialMagma, serialize_magma
 
@@ -91,12 +91,10 @@ def decode_magma(n: int, code: int) -> FinitePartialMagma:
 
 def encode_magma(m: FinitePartialMagma) -> int:
     """Inverse of decode_magma on its own carrier labels (any labels accepted)."""
-    base = len(m.elements) + 1
-    code = 0
-    # Horner's rule from the most significant cell
-    for v in reversed(_flat_table(m)):
-        code = code * base + v + 1
-    return code
+    index = {x: i for i, x in enumerate(m.elements)}
+    n = len(index)
+    return sum([(index[c] + 1) * (n + 1) ** (index[a] * n + index[b])
+                for (a, b), c in m.table.items()])
 
 
 def _blocks(n: int):

@@ -158,10 +158,14 @@ def powerset_magma(base: set, op: str) -> FinitePartialMagma:
 def _checked_slice(p: PredicateMagma, bound: int) -> list:
     """The slice at ``bound``, refused (CapacityError) past MAX_SLICE elements.
 
-    The bound is checked before the slicer runs, since the built-in slicers
-    build one element per unit of bound, and the slice's length after.  A
-    slice that repeats an element, or leaves the structure, raises DomainError.
+    The bound is checked before the slicer runs: below 1 it raises
+    DomainError, and past MAX_SLICE CapacityError, since the built-in slicers
+    build one element per unit of bound; the slice's length is checked
+    after.  A slice that repeats an element, or leaves the structure, raises
+    DomainError.
     """
+    if bound < 1:
+        raise DomainError("bound must be at least 1")
     if p.slice_elements is None:
         raise DomainError("structure has no bounded slicer")
     if bound > MAX_SLICE:
@@ -178,12 +182,6 @@ def _checked_slice(p: PredicateMagma, bound: int) -> list:
     return elems
 
 
-def _sorted_slice(p: PredicateMagma, bound: int) -> list:
-    if bound < 1:
-        raise DomainError("bound must be at least 1")
-    return sorted(_checked_slice(p, bound))
-
-
 def sampled_classify(p: PredicateMagma, bound: int) -> ClassReport:
     """Class verdicts quantified over the slice at ``bound``.
 
@@ -192,7 +190,7 @@ def sampled_classify(p: PredicateMagma, bound: int) -> ClassReport:
     The kernel decides the five classes; each failing class runs its scan
     for the witness, exactly as a report of five scans gives it.
     """
-    elems = _sorted_slice(p, bound)
+    elems = sorted(_checked_slice(p, bound))
     t, table, rows = _open_table(elems, p.related, p.product)
     flags = _table_flags(len(elems), t, table)
     return _assemble_report(elems, rows, p.related, p.product, bound=bound, flags=flags)
@@ -205,7 +203,7 @@ def sampled_verdict(p: PredicateMagma, bound: int, name: str) -> Verdict:
     Runs only that class's scan, so it equals the same-named field of
     ``sampled_classify(p, bound)``, witness included.
     """
-    elems = _sorted_slice(p, bound)
+    elems = sorted(_checked_slice(p, bound))
     scan = _CLASS_SCANS.get(name)
     if scan is None:
         raise DomainError(f"unknown class {name!r}, expected one of {', '.join(_CLASS_SCANS)}")

@@ -28,9 +28,10 @@ Arrow = tuple[str, str, str]  # (name, source vertex, target vertex)
 
 # paths one walk may build; each walk counts its paths first and raises past this
 PATH_CAPACITY = 10 ** 4
-# composable path pairs a path table may hold; the largest input of the tests
-# and the benchmark, the 60-path semigroup of the classify_files workload, has
-# at most 3,600
+# composable path pairs a path table may hold.  The most that a test, a CI
+# step or a benchmark op builds is 20,000, for CI's 10,000 paths on 1,000
+# chains; the benchmark's path semigroups hold at most 138 (60 paths).  Two
+# loops at max-len 12, 67,092,481 pairs, are refused.
 PAIR_CAPACITY = 10 ** 6
 
 

@@ -1,4 +1,4 @@
-"""Per-table walks: the oracles independent of the bit-sliced block kernel.
+"""The oracles independent of the bit-sliced block kernel.
 
 ``_iter_tables`` walks every flat table in code order, one at a time.
 ``_flags_by_code`` runs the per-table kernel ``_table_flags`` on each of them
@@ -6,15 +6,18 @@ once per size and keeps the flags, so every test that needs the flags of
 every code with n <= 3 shares one sweep.  The census counts isomorphism
 classes by Burnside's lemma over bit-sliced blocks; ``_representatives``
 counts them the other way, walking every table and keeping those whose code
-is the minimum over every relabeling.
+is the minimum over every relabeling.  ``_polar_violators`` decides the
+literal polar closure over every subset on the digit sets of ``_blocks``,
+with no clause of the kernel.
 """
 
 import functools
 import itertools
 import math
+import operator
 
 from locsemi.checks import _table_flags
-from locsemi.enumeration import search_space_size
+from locsemi.enumeration import _blocks, search_space_size
 
 
 def _iter_tables(n: int):
@@ -89,3 +92,35 @@ def _representatives(n: int):
         size = _orbit_size(t, relabelings, n_fact)
         if size:
             yield code, t, size
+
+
+def _polar_violators(n: int) -> str:
+    """Per code in order, "1" where the literal polar closure fails, else "0".
+
+    Each block of ``_blocks(n)`` is decided at once, bit i standing for its
+    i-th table.  Per nonempty U and side, x's polar set holds the tables
+    where every cell (x,u) (resp. (u,x)) with u in U is defined; a pair (a,b)
+    violates on the tables in both polar sets where its cell holds a c
+    outside c's polar set.
+    """
+    rng = range(n)
+    violators = 0
+    for first, digits, full in _blocks(n):
+        defined = [full ^ d[0] for d in digits]
+        bad = 0
+        for size in range(1, n + 1):
+            for U in itertools.combinations(rng, size):
+                for cell in (lambda x, u: x * n + u, lambda x, u: u * n + x):
+                    polar = [functools.reduce(operator.and_, (defined[cell(x, u)] for u in U))
+                             for x in rng]
+                    outside = [full ^ p for p in polar]
+                    for a in rng:
+                        for b in rng:
+                            holds = digits[a * n + b]
+                            escapes = 0
+                            for c in rng:
+                                escapes |= holds[c + 1] & outside[c]
+                            bad |= polar[a] & polar[b] & escapes
+        violators |= bad << first
+    # read once as a string: a shift per code on the 262,144-bit int costs seconds
+    return format(violators, f"0{search_space_size(n)}b")[::-1]

@@ -27,6 +27,7 @@ from locsemi.enumeration import decode_magma, search_space_size
 from locsemi.magma import OK, Witness, fail
 from locsemi.fixtures import fixture_magma, fixture_quiver
 
+from orderly import _polar_violators
 from strategies import magmas, random_magma
 
 EX3_6 = fixture_magma("ex3_6")
@@ -76,7 +77,7 @@ def test_singleton_reduction_random_corpus():
 
 def test_subset_witnesses_replay_against_public_polars():
     # labels that sort as strings, not as numbers ("10" < "5" < "a"), so the
-    # flat table's index order must be the carrier's label order
+    # subsets and the pairs of each polar must be walked in label order
     rng = random.Random(8)
     pool = [str(k) for k in range(3, 14)] + ["a"]
     failing = 0
@@ -97,6 +98,19 @@ def test_subset_witnesses_replay_against_public_polars():
         assert a in polar and b in polar, (m, v)
         assert m.product(a, b) not in polar, (m, v)
     assert failing > 100
+
+
+def test_block_polar_oracle_matches_the_subset_checker():
+    # every table with n <= 2 and a seeded sample at n = 3
+    rng = random.Random(22)
+    counts = {}
+    for n in (1, 2, 3):
+        literal = _polar_violators(n)
+        counts[n] = literal.count("1")
+        codes = range(search_space_size(n))
+        for code in codes if n < 3 else rng.sample(codes, 3000):
+            assert (literal[code] == "0") == bool(check_polar_closure_subsets(decode_magma(n, code))), (n, code)
+    assert counts == {1: 0, 2: 33, 3: 224_295}
 
 
 def test_strong_fixtures():
@@ -169,6 +183,14 @@ def test_locality_map_failure_has_witness():
     dst = FinitePartialMagma(("a", "b"), {("a", "a"): "a"})
     phi = {"0": "a", "1": "b"}
     v = is_locality_map(EX3_8, dst, phi)
+    assert not v and v.witness.axiom == "locality-map"
+
+
+def test_homomorphism_check_stops_at_a_map_that_is_not_local():
+    # (0,1) is related in EX3_8, (b,a) is not in dst: the map's verdict, before any product
+    dst = FinitePartialMagma(("a", "b"), {("a", "a"): "a", ("b", "b"): "a"})
+    v = is_locality_homomorphism(EX3_8, dst, {"0": "b", "1": "a"})
+    assert v == is_locality_map(EX3_8, dst, {"0": "b", "1": "a"})
     assert not v and v.witness.axiom == "locality-map"
 
 
@@ -572,7 +594,8 @@ def test_classify_of_a_sparse_path_magma_allocates_no_cube():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
-    assert report.flags() == checks._table_flags(n, checks._flat_table(m))
+    t, open_table, _ = checks._open_table(*checks._accessors(m))
+    assert report.flags() == checks._table_flags(n, t, open_table)
     assert report.refined.ok and not report.transitive.ok
     for name in checks._CLASS_SCANS:
         v = getattr(report, name)

@@ -291,6 +291,27 @@ def test_bad_census_and_scan_arguments_exit_2(argv, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    # an arrow named like x's trivial path, and one named like the composite a*b
+    (["quiver", "paths", "@e_x", "--max-len", "1"], "path labels collide; rename arrows or vertices"),
+    (["quiver", "paths", "@a*b", "--max-len", "2"], "path labels collide; rename arrows or vertices"),
+    (["quiver", "free-ext", "@loop", "--target", "@z3", "--map", "g"],
+     "map entry 'g' is not name=value"),
+    (["enumerate", "find", "--size", "2", "--flags", "locality"],
+     "flag entry 'locality' is not name=yes|no"),
+])
+def test_malformed_input_errors_exit_2(argv, message, tmp_path, capsys):
+    files = {"@e_x": write(tmp_path, "e_x.quiver", "vertices: x y\narrow: e_x x y\n"),
+             "@a*b": write(tmp_path, "ab.quiver",
+                           "vertices: x y z\narrow: a x y\narrow: b y z\narrow: a*b x z\n"),
+             "@loop": write(tmp_path, "loop.quiver", LOOP_QUIVER),
+             "@z3": write(tmp_path, "z3.magma", Z3_MAGMA)}
+    assert run([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_non_utf8_file_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.magma"
     path.write_bytes(b"elements: \xff\xfe\n")

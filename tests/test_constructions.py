@@ -243,6 +243,16 @@ def test_partial_from_semigroup_always_partial(n, raw):
     assert is_partial_semigroup(partial_from_semigroup(zn, A))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("elements: 0\nop: 0 0 -> 0\n", "missing zero line"),
+    ("zero: z\nelements: 0\nop: 0 0 -> 0\n", "zero label 'z' not in carrier"),
+])
+def test_semigroup_with_zero_parse_errors_name_the_zero(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_semigroup_with_zero(text)
+    assert type(exc.value) is ParseError and str(exc.value) == message
+
+
 def test_semigroup_with_zero_round_trip():
     path_magma, _ = materialize_path_magma(fixture_quiver("ex2_17_quiver"), 2)
     total = complete_to_semigroup_with_zero(path_magma)

@@ -3,11 +3,11 @@ import itertools
 import pytest
 from hypothesis import given
 
-from locsemi import (DomainError, FinitePartialMagma, ParseError,
+from locsemi import (DomainError, FinitePartialMagma, LocalitySet, ParseError,
                      bounded_magma, coprime_magma, full_relation_magma,
                      parse_magma, powerset_magma, serialize_magma)
 from locsemi.enumeration import decode_magma, search_space_size
-from locsemi.fixtures import fixture_magma
+from locsemi.fixtures import fixture_magma, fixture_quiver
 
 from strategies import magma_with_subset, magmas
 
@@ -156,6 +156,18 @@ def test_parse_comments_and_blank_lines():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_magma(text)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LocalitySet(("a", "b"), frozenset({("a", "c")})),
+     "relation pair (a,c) uses labels outside the carrier"),
+    (lambda: fixture_magma("ex2_17_quiver"), "fixture 'ex2_17_quiver' is not a magma"),
+    (lambda: fixture_quiver("ex3_8"), "fixture 'ex3_8' is not a quiver"),
+])
+def test_carrier_and_fixture_errors(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert type(exc.value) is DomainError and str(exc.value) == message
 
 
 def test_serialization_is_label_sorted():

@@ -173,6 +173,11 @@ def test_slices_past_the_limit_raise_capacity_error():
             check(spy, 10 ** 11)
         with pytest.raises(CapacityError):
             check(spy, MAX_SLICE + 1)
+        # below 1, every entry point refuses the bound with one message
+        for bound in (0, -2):
+            for p in (spy, coprime_with_zero()):
+                with pytest.raises(DomainError, match="^bound must be at least 1$"):
+                    check(p, bound)
     # the bound is refused before the slicer runs
     assert asked == []
     # the slice with zero has one element more than its bound

@@ -38,6 +38,39 @@ def test_quiver_validation():
         Quiver(("x",), (("a", "x", "x"), ("a", "x", "x")))
 
 
+def _extension_of_the_inclusion():
+    paths, _ = materialize_path_magma(XYZ, 2)
+    return free_extension(XYZ, paths, {"alpha": "alpha", "beta": "beta"})
+
+
+# an arrow named like x's trivial path, and one named like the composite a*b
+E_X_ARROW = "vertices: x y\narrow: e_x x y\n"
+COMPOSITE_ARROW = "vertices: x y z\narrow: a x y\narrow: b y z\narrow: a*b x z\n"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: parse_quiver("vertices: x\nvertices: y\n"), ParseError,
+     "line 2: repeated vertices line"),
+    (lambda: parse_quiver("vertices:\n"), ParseError, "line 1: vertices line lists no labels"),
+    (lambda: parse_quiver("vertices: x\narrow: a x x\narrow: a x x\n"), ParseError,
+     "duplicate arrow label 'a'"),
+    (lambda: parse_quiver("vertices: x\narrow: a x y\n"), ParseError,
+     "arrow a: endpoint not a declared vertex"),
+    (lambda: XYZ.path([]), DomainError, "use trivial_path for length-zero paths"),
+    (lambda: XYZ.paths_of_length(-1), DomainError, "length must be nonnegative"),
+    (lambda: materialize_path_magma(parse_quiver(E_X_ARROW), 1), DomainError,
+     "path labels collide; rename arrows or vertices"),
+    (lambda: materialize_path_magma(parse_quiver(COMPOSITE_ARROW), 2), DomainError,
+     "path labels collide; rename arrows or vertices"),
+    (lambda: _extension_of_the_inclusion()(Path("x", "y", ("gamma",))), DomainError,
+     "path uses arrows outside the map: ['gamma']"),
+])
+def test_quiver_error_paths(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_parse_serialize_round_trip():
     assert parse_quiver(serialize_quiver(XYZ)) == XYZ
     assert parse_quiver(fixture_text("ex2_17_quiver")) == XYZ
