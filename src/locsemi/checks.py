@@ -29,11 +29,12 @@ the scan order as streams, each filtered by one guard, such as "(a,b) and
 (b,c) related".  Each clause reads the stream whose guard it needs and
 tests only what the guard leaves open; a triple outside that stream fails
 the guard and would yield nothing, so each violation stream, and each first
-witness, is exactly what a walk over all n^3 triples gives.  The streams
-are built from the relation's rows, with nothing of size n^3.  The two
-refined-membership streams also skip the related pairs whose two rows (or
-columns) are equal, which cannot fail, so on a refined structure they cost
-about |R|.  A replay runs the same scan over the witness's own elements.
+witness, is exactly what a walk over all n^3 triples gives.  One run
+builder, ``_Triples._stream``, cuts every stream from the relation's rows,
+with nothing of size n^3.  The two refined-membership streams also skip the
+related pairs whose two rows (or columns) are equal, which cannot fail, so
+on a refined structure they cost about |R|.  The two regrouping clauses
+share one body.  A replay runs the same scan over the witness's own elements.
 
 The literal polar closure, ``check_polar_closure_subsets``, compiles no
 table: it reads each subset's polars from the magma (``left_polar``,
@@ -77,13 +78,13 @@ class _Triples:
       locality-assoc;
     - ``right()``, (a,b), (c,a) and (c,b) related: right polar closure.
 
-    Every stream but ``bc`` chains C-speed runs of c, one per related pair
-    (a,b) it keeps: every element, b's row or column, or those filtered by
-    a's row or column, each cut to the pair's range in the scan order.  A
-    pass costs about the pairs plus the triples it yields, and the source
-    holds O(n + |R|), built on a stream's first call.  ``ab`` tests each pair
-    once, when the walk first reaches it; ``bc``, whose kept pairs (b,c) every
-    a walks, tests them all on its first step.
+    ``_stream`` cuts every stream into C-speed runs of c, one per pair (a,b)
+    it keeps: every element, b's row or column, or those filtered by a's
+    row or column, each cut to the pair's range in the scan order.  A pass
+    costs about the pairs plus the triples it yields, and the source holds
+    O(n + |R|), built on a stream's first call.  ``ab`` tests each pair
+    once, when the walk first reaches it; ``bc`` tests its pairs (b,c) all
+    on its first step, and pairs every a with each b that kept one.
     """
 
     def __init__(self, elems: Sequence, rows: Sequence[Sequence[int]]):
@@ -129,12 +130,12 @@ class _Triples:
             return frozenset(a for a in self.elems if rel(a, x))
         return self._column_lines[2][i]
 
-    def _stream(self, whole, cuts, sets=None, pair=None):
-        """The runs of c, one per related pair (a,b) in scan order that pair
-        keeps, cut from b's line: past b's position in the increasing part,
-        then up to it when a comes before b, else all of it.  With sets, a
-        run keeps only the c in a's set."""
-        elems, rows = self.elems, self.rows
+    def _stream(self, whole, cuts, sets=None, pair=None, rows=None):
+        """The runs of c, one per pair (a,b) of ``rows`` (the relation's, by
+        default) in scan order that pair keeps, cut from b's line: past b's
+        position in the increasing part, then up to it when a comes before
+        b, else all of it.  With sets, a run keeps only the c in a's set."""
+        elems, rows = self.elems, self.rows if rows is None else rows
 
         def runs():
             kept = set()  # the (i, j), i < j, that pair passed, so it tests each pair once
@@ -164,11 +165,9 @@ class _Triples:
 
     def bc(self, pair):
         elems = self.elems
-        kept = [(j, k) for j, row in enumerate(self.rows) for k in row if pair(elems[j], elems[k])]
-        for i, a in enumerate(elems):
-            yield from ((a, elems[j], elems[k]) for j, k in kept if i < j < k)
-        for i, a in enumerate(elems):
-            yield from ((a, elems[j], elems[k]) for j, k in kept if not i < j < k)
+        lines = [[k for k in row if pair(elems[j], elems[k])] for j, row in enumerate(self.rows)]
+        bs = [j for j, line in enumerate(lines) if line]
+        yield from self._stream(*self._lines(lines)[:2], rows=[bs] * len(elems))
 
     def chained(self):
         return self._stream(*self._row_lines[:2])
@@ -186,13 +185,12 @@ def _related_rows(elems: Sequence, rel: Rel) -> list[list[int]]:
 
 
 def _table_rows(m: FinitePartialMagma) -> list[list[int]]:
-    """The rows of _Triples over m.elements, read from the table's keys."""
+    """The rows of _Triples over m.elements, read from the table's keys,
+    which the magma stores in label order, so each row comes out ascending."""
     index = {x: i for i, x in enumerate(m.elements)}
     rows = [[] for _ in index]
     for a, b in m.table:
         rows[index[a]].append(index[b])
-    for row in rows:
-        row.sort()
     return rows
 
 
@@ -226,13 +224,18 @@ def _polar_closure_violation(src, rel: Rel, mul: Mul):
             yield fail("right-polar-closure", (a, b, c), f"U={{{c}}}")
 
 
-def _locality_violation(src, rel: Rel, mul: Mul):
-    yield from _polar_closure_violation(src, rel, mul)
-    for a, b, c in src.left():
+def _regrouping_violation(triples, rel: Rel, mul: Mul, axiom: str):
+    # products before the relation tests, as the note above allows
+    for a, b, c in triples:
         ab, bc = mul(a, b), mul(b, c)
         lhs, rhs = mul(ab, c), mul(a, bc)
         if lhs != rhs and rel(ab, c) and rel(a, bc):
-            yield fail("locality-assoc", (a, b, c), f"{lhs}!={rhs}")
+            yield fail(axiom, (a, b, c), f"{lhs}!={rhs}")
+
+
+def _locality_violation(src, rel: Rel, mul: Mul):
+    yield from _polar_closure_violation(src, rel, mul)
+    yield from _regrouping_violation(src.left(), rel, mul, "locality-assoc")
 
 
 def _strong_violation(src, rel: Rel, mul: Mul):
@@ -270,11 +273,7 @@ def _refined_violation(src, rel: Rel, mul: Mul):
         elif rel(a, bc):
             yield fail("refined-right", (a, b, c),
                        f"({a},{bc}) defined but ({a},{b}) undefined")
-    for a, b, c in src.chained():
-        ab, bc = mul(a, b), mul(b, c)
-        lhs, rhs = mul(ab, c), mul(a, bc)
-        if lhs != rhs and rel(ab, c) and rel(a, bc):
-            yield fail("refined-assoc", (a, b, c), f"{lhs}!={rhs}")
+    yield from _regrouping_violation(src.chained(), rel, mul, "refined-assoc")
 
 
 def _partial_violation(src, rel: Rel, mul: Mul):
@@ -760,15 +759,12 @@ def _assemble_report(elems, rows, rel, mul, bound=None, flags=None) -> ClassRepo
     skip the scans of the classes that hold; a failing class still runs its
     scan for the witness, which must then find one.
     """
-    # one triple source shared by the scans, made when a scan first runs
-    src = None
+    src = _Triples(elems, rows)  # shared by the scans; it builds its streams on first use
     verdicts = {}
     for i, (name, scan) in enumerate(_CLASS_SCANS.items()):
         if flags is not None and flags[i]:
             verdicts[name] = OK
             continue
-        if src is None:
-            src = _Triples(elems, rows)
         verdicts[name] = next(scan(src, rel, mul), OK)
         if flags is not None and verdicts[name].ok:
             raise InvariantError(f"the kernel fails {name} but its scan finds no violation")

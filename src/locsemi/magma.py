@@ -13,8 +13,8 @@ Text format (UTF-8, line oriented, ``#`` starts a comment):
     op: a b -> c
 
 One ``elements:`` line, one ``op:`` line per defined product.  Labels are
-non-whitespace tokens not containing ``#``.  Duplicate op keys are a parse
-error.
+non-whitespace tokens of UTF-8 text not containing ``#``, whether they come
+from a file or from argv.  Duplicate op keys are a parse error.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ def _check_label(label: str) -> str:
         raise DomainError(
             f"bad label {label!r}: labels are non-empty tokens without '#' or whitespace"
         )
+    try:
+        label.encode()
+    except UnicodeEncodeError:  # a lone surrogate, as argv bytes that are not UTF-8 decode to
+        raise DomainError(f"bad label {label!r}: labels are UTF-8 text") from None
     return label
 
 

@@ -21,7 +21,7 @@ from locsemi import (CapacityError, DomainError, FinitePartialMagma,
                      is_right_locality_ideal, is_strong_locality_semigroup,
                      is_sub_locality_semigroup, is_transitive,
                      materialize_path_magma, natural_multiplication,
-                     powerset_magma, replay_witness,
+                     parse_magma, powerset_magma, replay_witness,
                      totient)
 from locsemi.enumeration import decode_magma, search_space_size
 from locsemi.magma import OK, Witness, fail
@@ -640,6 +640,17 @@ def test_open_compile_of_finite_structures_gives_classify_flags():
         t, table, rows = checks._open_table(elems, rel, mul)
         assert checks._table_flags(len(elems), t, table) == classify(m).flags(), m
         assert rows == [[j for j, b in enumerate(elems) if rel(a, b)] for a in elems]
+
+
+def test_table_rows_ascend_in_the_stored_key_order():
+    # _table_rows sorts nothing: it reads the keys, which the magma stores sorted
+    labels = ("10", "9", "b", "a", "0")
+    ops = [f"op: {x} {y} -> {x}" for x in labels for y in labels if x != y]
+    m = parse_magma(f"elements: {' '.join(labels)}\n" + "\n".join(reversed(ops)) + "\n")
+    assert m.pairs() == sorted(m.pairs())
+    rows = checks._table_rows(m)
+    assert rows == [[j for j, y in enumerate(m.elements) if x != y] for x in m.elements]
+    assert all(row == sorted(row) for row in rows)
 
 
 @given(st.lists(st.integers(-1, 2**31 - 1), min_size=1, max_size=80))

@@ -320,6 +320,16 @@ def test_non_utf8_file_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and "not UTF-8" in err
 
 
+@pytest.mark.parametrize("argv", [["adjoin", "--identity"], ["adjoin", "--zero"],
+                                  ["complete", "--zero"]])
+def test_non_utf8_label_exit_2(argv, tmp_path, capsys):
+    f = fixture_file(tmp_path, "ex3_8")
+    assert run([argv[0], f, argv[1], "\udcff"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad label '\\udcff': labels are UTF-8 text\n"
+    assert captured.out == ""
+
+
 def test_enumerate_find(capsys):
     assert run(["enumerate", "find", "--size", "2",
                 "--flags", "locality=yes,partial=no"]) == 0
@@ -359,6 +369,18 @@ def test_module_entry_points(module):
     done = cmd("builtin", "coprime", "--bound", "12", "--check", "strong")
     assert done.returncode == 1
     assert done.stdout == "strong=no[witness: strong-left (2,3),(3,4)] within bound 12\n"
+
+
+@pytest.mark.parametrize("module", ["locsemi", "locsemi.cli"])
+def test_module_entry_points_refuse_a_non_utf8_label(module, tmp_path):
+    # stdout encodes strictly, so a label that reached it would raise, not exit 2
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+    f = fixture_file(tmp_path, "ex3_8")
+    for verb, flag in (("adjoin", "--identity"), ("complete", "--zero")):
+        done = subprocess.run([sys.executable, "-m", module, verb, f, flag, b"\xff"],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == "error: bad label '\\udcff': labels are UTF-8 text\n"
 
 
 def test_builtin_powerset(capsys):

@@ -20,7 +20,8 @@ from locsemi.cli import run
 CHECKS = {("complete",), ("ideal",), ("quiver", "free-ext"), ("enumerate", "find"),
           ("builtin", "coprime"), ("builtin", "totient")}
 
-LABELS = ("a", "b", "c", "0", "1", "e", "{}", "->", "x", "y", "f", "g")
+# "\udcff" is how Python decodes the argv byte 0xff, which is not UTF-8
+LABELS = ("a", "b", "c", "0", "1", "e", "{}", "->", "x", "y", "f", "g", "\udcff")
 # well-formed files and --set values share these, so subsets often fit the carrier
 CORE = ("a", "b", "0", "{}")
 FLAGS = ("locality", "strong", "refined", "partial", "transitive", "shiny")
@@ -60,8 +61,10 @@ def _valid_lines(draw):
 _lines = st.one_of(_valid_lines(), _valid_lines(),
                    st.tuples(_valid_lines(), _line).map(lambda t: t[0] + [t[1]]),
                    st.lists(_line, max_size=4))
-_file_bytes = st.one_of(_lines.map(lambda ls: ("\n".join(ls) + "\n").encode()),
-                        st.binary(max_size=40))
+# a "\udcff" label is written back as the byte 0xff, so such a file is not UTF-8
+_file_bytes = st.one_of(
+    _lines.map(lambda ls: ("\n".join(ls) + "\n").encode("utf-8", "surrogateescape")),
+    st.binary(max_size=40))
 
 _set = st.lists(st.sampled_from(CORE + ("", "x")), max_size=3).map(",".join)
 _map = st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(LABELS + ("",))),
@@ -121,7 +124,9 @@ def _write(directory, content):
 
 
 def _run_quietly(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # stdout encodes strictly, as a UTF-8 terminal does, so an unencodable label raises
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         return run(argv)
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 
 from locsemi import (DomainError, FinitePartialMagma, LocalitySet, ParseError,
-                     bounded_magma, coprime_magma, full_relation_magma,
+                     adjoin_identity, adjoin_zero, bounded_magma, coprime_magma,
+                     complete_to_semigroup_with_zero, full_relation_magma,
                      parse_magma, powerset_magma, serialize_magma)
 from locsemi.enumeration import decode_magma, search_space_size
 from locsemi.fixtures import fixture_magma, fixture_quiver
@@ -31,6 +32,19 @@ def test_label_validation():
         FinitePartialMagma(("a#",), {})
     with pytest.raises(DomainError):
         FinitePartialMagma(("",), {})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FinitePartialMagma(("a", "\udcff"), {}),
+    lambda: adjoin_identity(EX3_6, "\udcff"),
+    lambda: adjoin_zero(EX3_6, "\udcff"),
+    lambda: complete_to_semigroup_with_zero(EX3_6, "\udcff"),
+])
+def test_labels_must_be_utf8_text(call):
+    # "\udcff" is how Python decodes the argv byte 0xff, which is not UTF-8
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == "bad label '\\udcff': labels are UTF-8 text"
 
 
 def test_table_must_stay_inside_carrier():
