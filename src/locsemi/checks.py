@@ -33,8 +33,9 @@ witness, is exactly what a walk over all n^3 triples gives.  One run
 builder, ``_Triples._stream``, cuts every stream from the relation's rows,
 with nothing of size n^3.  The two refined-membership streams also skip the
 related pairs whose two rows (or columns) are equal, which cannot fail, so
-on a refined structure they cost about |R|.  The two regrouping clauses
-share one body.  A replay runs the same scan over the witness's own elements.
+on a refined structure they cost about |R|.  The two refined-membership
+clauses share one transfer body, and the two regrouping clauses another.
+A replay runs the same scan over the witness's own elements.
 
 The literal polar closure, ``check_polar_closure_subsets``, compiles no
 table: it reads each subset's polars from the magma (``left_polar``,
@@ -252,27 +253,25 @@ def _strong_violation(src, rel: Rel, mul: Mul):
                 yield fail("strong-assoc", (a, b, c), f"{lhs}!={rhs}")
 
 
+def _transfer_violation(triples, rel: Rel, axiom: str, pairs):
+    # pairs(a, b, c) builds two pairs, products first; one related forces the other
+    detail = "({},{}) defined but ({},{}) undefined".format
+    for a, b, c in triples:
+        (x, y), (u, v) = pairs(a, b, c)
+        if rel(x, y):
+            if not rel(u, v):
+                yield fail(axiom, (a, b, c), detail(x, y, u, v))
+        elif rel(u, v):
+            yield fail(axiom, (a, b, c), detail(u, v, x, y))
+
+
 def _refined_violation(src, rel: Rel, mul: Mul):
-    # a violation at (a,b,c) is a c in one of row(b) and row(ab) but not the
-    # other, so only pairs whose two rows differ can yield one
-    for a, b, c in src.ab(lambda a, b: src.row(b, rel) != src.row(mul(a, b), rel)):
-        ab = mul(a, b)
-        if rel(b, c):
-            if not rel(ab, c):
-                yield fail("refined-left", (a, b, c),
-                           f"({b},{c}) defined but ({ab},{c}) undefined")
-        elif rel(ab, c):
-            yield fail("refined-left", (a, b, c),
-                       f"({ab},{c}) defined but ({b},{c}) undefined")
-    for a, b, c in src.bc(lambda b, c: src.column(b, rel) != src.column(mul(b, c), rel)):
-        bc = mul(b, c)
-        if rel(a, b):
-            if not rel(a, bc):
-                yield fail("refined-right", (a, b, c),
-                           f"({a},{b}) defined but ({a},{bc}) undefined")
-        elif rel(a, bc):
-            yield fail("refined-right", (a, b, c),
-                       f"({a},{bc}) defined but ({a},{b}) undefined")
+    # a violation is a c in just one of row(b) and row(ab), or an a in just one
+    # of column(b) and column(bc), so only pairs whose two lines differ yield one
+    yield from _transfer_violation(src.ab(lambda a, b: src.row(b, rel) != src.row(mul(a, b), rel)),
+                                   rel, "refined-left", lambda a, b, c: ((b, c), (mul(a, b), c)))
+    yield from _transfer_violation(src.bc(lambda b, c: src.column(b, rel) != src.column(mul(b, c), rel)),
+                                   rel, "refined-right", lambda a, b, c: ((a, b), (a, mul(b, c))))
     yield from _regrouping_violation(src.chained(), rel, mul, "refined-assoc")
 
 

@@ -120,13 +120,9 @@ def _cmd_quiver_free_ext(args) -> int:
     q = quiver.parse_quiver(_read(args.file))
     target = parse_magma(_read(args.target))
     f = dict(_name_values(args.map, "map", "name=value"))
-    fbar = quiver.free_extension(q, target, f)
-    paths = [p for p in q.paths_upto(args.max_len) if p.length > 0]
-    value = {p.arrows: fbar(p) for p in paths}
+    paths, value, verdict = quiver._free_property(q, target, f, args.max_len)
     for p in paths:
         print(f"fbar {p.label} = {value[p.arrows]}")
-    # the paths and values already built, so each path is walked and folded once
-    verdict = quiver._verify_extension(target, f, paths, value, args.max_len)
     print(checks.render_verdict("free_property", verdict))
     return 0 if verdict.ok else 1
 

@@ -5,6 +5,7 @@ A path carries its own source, target and arrow-label sequence, so
 composition needs no quiver context.  Trivial paths (one per vertex, length
 zero) compose as neutral elements on matching endpoints.  Path labels are
 ``e_<vertex>`` for trivial paths and the ``*``-joined arrow names otherwise.
+``verify_free_property`` and ``quiver free-ext`` share one walk-fold-verify.
 
 Quiver text format (UTF-8, ``#`` comments):
 
@@ -298,19 +299,19 @@ def verify_free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str],
     P[:i] and P[i:], which give their values, and (b) on (P[:i], P[i:]) says
     these are related and multiply to P's value.
     """
+    return _free_property(q, s, f, max_len)[2]
+
+
+def _free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str], max_len: int):
+    """(paths, value, verdict): the nonempty paths up to max_len, in paths_upto order,
+    walked and folded once into value, and verify_free_property's verdict on them."""
     fbar = free_extension(q, s, f)
     paths = [p for p in q.paths_upto(max_len) if p.length > 0]
-    return _verify_extension(s, f, paths, {p.arrows: fbar(p) for p in paths}, max_len)
-
-
-def _verify_extension(s: FinitePartialMagma, f: Mapping[str, str], paths: list[Path],
-                      value: Mapping[tuple[str, ...], str], max_len: int) -> Verdict:
-    """verify_free_property for the nonempty paths up to max_len, in paths_upto
-    order, and value, their arrows mapped to the extension's values."""
+    value = {p.arrows: fbar(p) for p in paths}
     for p in paths:
         if p.length == 1 and value[p.arrows] != f[p.arrows[0]]:
-            return fail("free-arrow-restriction", (p.label,),
-                        f"{value[p.arrows]}!={f[p.arrows[0]]}")
+            return paths, value, fail("free-arrow-restriction", (p.label,),
+                                      f"{value[p.arrows]}!={f[p.arrows[0]]}")
     starting = _starting_at(paths)
     for p in paths:
         u = value[p.arrows]
@@ -320,11 +321,12 @@ def _verify_extension(s: FinitePartialMagma, f: Mapping[str, str], paths: list[P
                 break
             v = value[r.arrows]
             if (u, v) not in s.table:
-                return fail("free-hom-relation", (p.label, r.label), f"({u},{v}) undefined")
+                return paths, value, fail("free-hom-relation", (p.label, r.label),
+                                          f"({u},{v}) undefined")
             uv, w = s.table[(u, v)], value[p.arrows + r.arrows]
             if uv != w:
-                return fail("free-hom-product", (p.label, r.label), f"{uv}!={w}")
-    return OK
+                return paths, value, fail("free-hom-product", (p.label, r.label), f"{uv}!={w}")
+    return paths, value, OK
 
 
 def parse_quiver(text: str) -> Quiver:

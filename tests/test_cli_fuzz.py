@@ -11,7 +11,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locsemi.cli import run
@@ -163,6 +163,9 @@ def magma_file(workdir):
 
 @settings(max_examples=1000)
 @given(tokens=st.lists(st.sampled_from(_TOKENS), max_size=7))
+@example(tokens=["adjoin", "FILE", "--identity", "\udcff"])
+@example(tokens=["adjoin", "FILE", "--zero", "\udcff"])
+@example(tokens=["complete", "FILE", "--zero", "\udcff"])
 def test_free_form_argv_exit_codes(magma_file, tokens):
     argv = [magma_file if t == "FILE" else t for t in tokens]
     _check_exit(argv, _run_quietly(argv))

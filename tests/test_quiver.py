@@ -392,6 +392,19 @@ def test_quiver_commands_walk_and_fold_once(tmp_path, capsys, monkeypatch, q, ta
     assert folds == [p.label for p in paths_upto(q, max_len) if p.length > 0]
 
 
+def test_quiver_free_ext_prints_the_values_then_the_failing_verdict(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quiver, "free_extension", lambda q, s, f: lambda p: (
+        "alpha" if p.label == "alpha*beta" else p.label))
+    qfile, tfile = tmp_path / "q.quiver", tmp_path / "t.magma"
+    qfile.write_text(fixture_text("ex2_17_quiver"))
+    tfile.write_text(serialize_magma(materialize_path_magma(XYZ, 2)[0]))
+    assert cli.run(["quiver", "free-ext", str(qfile), "--target", str(tfile),
+                    "--map", "alpha=alpha,beta=beta", "--max-len", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "fbar alpha = alpha\nfbar beta = beta\nfbar alpha*beta = alpha\n"
+        "free_property=no[witness: free-hom-product (alpha,beta) alpha*beta!=alpha]\n")
+
+
 def _homomorphisms(q, s, max_len):
     """Every map from the nonempty paths up to max_len into s that is a
     locality homomorphism on their composable pairs, by brute force."""
