@@ -15,12 +15,17 @@ and witness replay, which re-runs a scan on the witness's own elements.
 Every axiom is stated in this module.  The fused flat-table kernel
 ``_table_flags`` and its bit-sliced twin ``_block_flags``, which decides a
 block of closed tables at once for ``scan_flags`` and the census, sit beside
-the scan clauses.  ``_table_flags`` decides open tables: ``_open_table``
-compiles a bounded slice of a predicate structure together with the
-products that leave it, so the kernel gives the bounded report's verdicts
-and only the failing classes run their scans, for the witness.  A closed
-table is decided as the open form with no products outside it.  The
-kernel compares each defined pair's two regroupings, (ab)c and a(bc) over
+the scan clauses.  ``_table_flags`` gives the verdicts of two reports, so
+that only their failing classes run their scans, for the witness:
+``classify`` on a dense finite table, which ``_closed_table`` compiles in
+one walk over the magma's own table, and the bounded report, for which
+``_open_table`` compiles a slice of a predicate structure together with the
+products that leave it.  A closed table is decided as the open form with no
+products outside it.  ``classify`` on a sparse table, with more than
+``_DENSE_CELLS_PER_PAIR`` cells per defined pair, runs every scan: there the
+n^2 cells would cost more than the scans, which a path magma keeps linear in
+|R|, and the public ``is_*`` checkers always run the scans.  The kernel
+compares each defined pair's two regroupings, (ab)c and a(bc) over
 b's defined columns, as two C-speed row gathers built on the row's first
 use, so its Python work per pair does not grow with the slice.
 
@@ -339,6 +344,20 @@ def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tupl
 # flat tables: cell i*n+j holds the index of the product of elements i and j,
 # or -1 where the pair is unrelated.  A closed table's products stay in its
 # carrier; an open table also indexes the products that leave it.
+
+def _closed_table(m: FinitePartialMagma) -> tuple[array, list[list[int]]]:
+    """(t, rows): m's closed flat table and the rows of _Triples, in one walk
+    over the table, whose stored key order makes each row ascend."""
+    index = {x: i for i, x in enumerate(m.elements)}
+    n = len(index)
+    t = array("i", [-1]) * (n * n)
+    rows = [[] for _ in index]
+    for (a, b), c in m.table.items():
+        i, j = index[a], index[b]
+        t[i * n + j] = index[c]
+        rows[i].append(j)
+    return t, rows
+
 
 def _open_table(elems: Sequence, rel: Rel, mul: Mul):
     """Compile the slice ``elems`` into an open table: (t, (m, left, RP, CP), rows).
@@ -777,10 +796,27 @@ def _assemble_report(elems, rows, rel, mul, bound=None, flags=None) -> ClassRepo
     return r
 
 
+# classify compiles a flat table when it has at most this many cells, of 4
+# bytes each, per defined pair: on sparser structures the n^2 cells cost
+# more than the scans, which are linear in |R| on a path magma, and at
+# 10,000 elements they would take 400 MB.
+_DENSE_CELLS_PER_PAIR = 64
+
+
 def classify(m: FinitePartialMagma) -> ClassReport:
-    """Run every class predicate and the identity/zero searches."""
+    """Run every class predicate and the identity/zero searches.
+
+    On a dense table, with at most _DENSE_CELLS_PER_PAIR cells of its flat
+    table per defined pair, the kernel decides the five classes and only the
+    failing ones run their scans, for the witness; a sparser table runs every
+    scan.  Both give the report of five scans, witnesses included.
+    """
     elems, rel, mul = _accessors(m)
-    return _assemble_report(elems, _table_rows(m), rel, mul)
+    n = len(elems)
+    if n * n > _DENSE_CELLS_PER_PAIR * len(m.table):
+        return _assemble_report(elems, _table_rows(m), rel, mul)
+    t, rows = _closed_table(m)
+    return _assemble_report(elems, rows, rel, mul, flags=_table_flags(n, t))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ classes by Burnside's lemma over bit-sliced blocks; ``_representatives``
 counts them the other way, walking every table and keeping those whose code
 is the minimum over every relabeling.  ``_polar_violators`` decides the
 literal polar closure over every subset on the digit sets of ``_blocks``,
-with no clause of the kernel.
+with no clause of the kernel.  ``_checker_flags`` reads one structure's five
+verdicts from the public checkers, which run the ordered scans only, so the
+kernel is never compared with itself.
 """
 
 import functools
@@ -16,8 +18,19 @@ import itertools
 import math
 import operator
 
+from locsemi import (is_locality_semigroup, is_partial_semigroup,
+                     is_refined_locality_semigroup, is_strong_locality_semigroup,
+                     is_transitive)
 from locsemi.checks import _table_flags
 from locsemi.enumeration import _blocks, search_space_size
+
+_CHECKERS = (is_locality_semigroup, is_strong_locality_semigroup,
+             is_refined_locality_semigroup, is_partial_semigroup, is_transitive)
+
+
+def _checker_flags(m) -> tuple[bool, bool, bool, bool, bool]:
+    """m's five verdicts in ``ClassReport.flags`` order, from the scan-only checkers."""
+    return tuple(check(m).ok for check in _CHECKERS)
 
 
 def _iter_tables(n: int):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import pathlib
 import random
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from locsemi import (CapacityError, DomainError, FinitePartialMagma,
+from locsemi import (CapacityError, ClassReport, DomainError, FinitePartialMagma,
                      InvariantError, Quiver, bounded_magma, checks,
                      check_polar_closure_subsets, classify,
+                     complete_to_semigroup_with_zero,
                      coprime_magma, coprime_with_zero, find_identities,
                      find_zeros,
                      full_relation_magma, is_left_locality_ideal,
@@ -25,9 +27,9 @@ from locsemi import (CapacityError, DomainError, FinitePartialMagma,
                      totient)
 from locsemi.enumeration import decode_magma, search_space_size
 from locsemi.magma import OK, Witness, fail
-from locsemi.fixtures import fixture_magma, fixture_quiver
+from locsemi.fixtures import fixture_kind, fixture_magma, fixture_names, fixture_quiver
 
-from orderly import _polar_violators
+from orderly import _checker_flags, _polar_violators
 from strategies import magmas, random_magma
 
 EX3_6 = fixture_magma("ex3_6")
@@ -638,8 +640,82 @@ def test_open_compile_of_finite_structures_gives_classify_flags():
     for m in cases:
         elems, rel, mul = checks._accessors(m)
         t, table, rows = checks._open_table(elems, rel, mul)
-        assert checks._table_flags(len(elems), t, table) == classify(m).flags(), m
+        # the scan-only checkers, since classify takes a dense table's flags from the kernel
+        assert checks._table_flags(len(elems), t, table) == _checker_flags(m), m
         assert rows == [[j for j, b in enumerate(elems) if rel(a, b)] for a in elems]
+
+
+def _random_path_magmas(seed, count):
+    """Path magmas of seeded random acyclic quivers, arrows from lower to
+    higher vertex, with at most 60 paths each."""
+    rng = random.Random(seed)
+    while count:
+        nv = rng.randrange(2, 9)
+        vertices = tuple(f"v{i}" for i in range(nv))
+        ends = [sorted(rng.sample(range(nv), 2)) for _ in range(rng.randrange(1, 2 * nv))]
+        q = Quiver(vertices, tuple((f"a{k}", f"v{s}", f"v{t}") for k, (s, t) in enumerate(ends)))
+        if len(q.paths_upto(q.longest_path_length())) <= 60:
+            yield materialize_path_magma(q, q.longest_path_length())[0]
+            count -= 1
+
+
+def _report_cases():
+    for n in (1, 2):
+        yield from (decode_magma(n, code) for code in range(search_space_size(n)))
+    yield from (decode_magma(3, code) for code in range(0, search_space_size(3), 997))
+    rng = random.Random(11)
+    for n in (3, 5, 8, 13, 21, 34, 60):
+        labels = tuple(f"x{i:02d}" for i in range(n))
+        for density in (0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 0.6, 0.9, 1.0):
+            for _ in range(2):
+                yield FinitePartialMagma(labels, {(a, b): rng.choice(labels) for a in labels
+                                                  for b in labels if rng.random() < density})
+    for name in fixture_names():
+        if fixture_kind(name) == "magma":
+            yield fixture_magma(name)
+    for m in _random_path_magmas(5, 12):
+        yield m
+        yield complete_to_semigroup_with_zero(m).magma
+
+
+def test_classify_equals_the_scan_only_report():
+    # dense tables are decided by the kernel and sparse ones by the scans
+    # (n*n against _DENSE_CELLS_PER_PAIR per defined pair); either way every
+    # field is the report of five scans
+    branches = set()
+    for m in _report_cases():
+        n = len(m.elements)
+        branches.add(n * n <= checks._DENSE_CELLS_PER_PAIR * len(m.table))
+        elems, rel, mul = checks._accessors(m)
+        want = checks._assemble_report(elems, checks._table_rows(m), rel, mul)
+        got = classify(m)
+        for field in dataclasses.fields(ClassReport):
+            assert getattr(got, field.name) == getattr(want, field.name), (field.name, m)
+    assert branches == {True, False}
+
+
+def test_classify_of_a_dense_completion_builds_no_stream(monkeypatch):
+    # the zero-completion of 4 chains of 4 vertices: 41 elements, every pair
+    # related, in all five classes, so the kernel leaves no scan to run
+    vertices, arrows = [], []
+    for k in range(4):
+        vertices += [f"v{k}_{i}" for i in range(4)]
+        arrows += [(f"x{k}_{i}", f"v{k}_{i}", f"v{k}_{i + 1}") for i in range(3)]
+    m, _ = materialize_path_magma(Quiver(tuple(vertices), tuple(arrows)), 3)
+    total = complete_to_semigroup_with_zero(m).magma
+    assert len(total.elements) == 41 and total.is_total()
+    streams = 0
+    stream = checks._Triples._stream
+
+    def counted(*args, **kwargs):
+        nonlocal streams
+        streams += 1
+        return stream(*args, **kwargs)
+    monkeypatch.setattr(checks._Triples, "_stream", counted)
+    report = classify(total)
+    assert report.flags() == (True,) * 5 and report.zeros == ("0",)
+    assert streams == 0
+    assert is_transitive(total) and streams > 0  # the scan-only checker cuts one
 
 
 def test_table_rows_ascend_in_the_stored_key_order():

@@ -17,7 +17,7 @@ from locsemi.checks import _table_flags
 from locsemi.cli import run
 from locsemi.enumeration import _decode_table
 
-from orderly import _flags_by_code, _representatives
+from orderly import _checker_flags, _flags_by_code, _representatives
 
 
 def test_search_space_sizes():
@@ -47,17 +47,19 @@ def test_decode_bounds():
         decode_magma(5, 0)
 
 
+# classify takes a dense table's verdicts from the kernel, so the oracle of
+# these three is the scan-only public checkers
 def test_kernel_matches_checkers_exhaustive_small():
     for n in (1, 2):
         for code, flags in enumerate(_flags_by_code(n)):
             m = decode_magma(n, code)
-            assert classify(m).flags() == flags, (n, code)
+            assert _checker_flags(m) == flags, (n, code)
 
 
 def test_kernel_matches_checkers_stride_n3():
     for code in range(0, search_space_size(3), 1013):
         m = decode_magma(3, code)
-        assert classify(m).flags() == _table_flags(3, _decode_table(3, code)), code
+        assert _checker_flags(m) == _table_flags(3, _decode_table(3, code)), code
 
 
 @settings(max_examples=60)
@@ -65,7 +67,7 @@ def test_kernel_matches_checkers_stride_n3():
     lambda n: st.tuples(st.just(n), st.integers(0, search_space_size(n) - 1))))
 def test_kernel_matches_checkers_random(nc):
     n, code = nc
-    assert classify(decode_magma(n, code)).flags() == _table_flags(n, _decode_table(n, code))
+    assert _checker_flags(decode_magma(n, code)) == _table_flags(n, _decode_table(n, code))
 
 
 def _rows_by_pattern(rows):
