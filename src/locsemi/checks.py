@@ -25,9 +25,10 @@ products outside it.  ``classify`` on a sparse table, with more than
 ``_DENSE_CELLS_PER_PAIR`` cells per defined pair, runs every scan: there the
 n^2 cells would cost more than the scans, which a path magma keeps linear in
 |R|, and the public ``is_*`` checkers always run the scans.  The kernel
-compares each defined pair's two regroupings, (ab)c and a(bc) over
-b's defined columns, as two C-speed row gathers built on the row's first
-use, so its Python work per pair does not grow with the slice.
+reads every row and column mask of defined cells from the table's sign
+bytes, and compares each defined pair's two regroupings, (ab)c and a(bc)
+over b's defined columns, as two C-speed row gathers built on the row's
+first use, so its Python work per pair does not grow with the slice.
 
 A scan reads its triples from a triple source, ``_Triples``, which offers
 the scan order as streams, each filtered by one guard, such as "(a,b) and
@@ -341,9 +342,10 @@ def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tupl
 
 
 # ---------------------------------------------------------------------------
-# flat tables: cell i*n+j holds the index of the product of elements i and j,
-# or -1 where the pair is unrelated.  A closed table's products stay in its
-# carrier; an open table also indexes the products that leave it.
+# flat tables: array('i') whose cell i*n+j holds the index of the product of
+# elements i and j, or -1 where the pair is unrelated.  A closed table's
+# products stay in its carrier; an open table also indexes the products that
+# leave it.
 
 def _closed_table(m: FinitePartialMagma) -> tuple[array, list[list[int]]]:
     """(t, rows): m's closed flat table and the rows of _Triples, in one walk
@@ -360,21 +362,18 @@ def _closed_table(m: FinitePartialMagma) -> tuple[array, list[list[int]]]:
 
 
 def _open_table(elems: Sequence, rel: Rel, mul: Mul):
-    """Compile the slice ``elems`` into an open table: (t, (m, left, RP, CP), rows).
+    """Compile the slice ``elems`` into an open table: (t, (m, left), rows).
 
     The slice S holds indices 0..n-1.  P, the products of related slice pairs
     that fall outside S, holds n..m-1 in the order first met.  t has the rows
     a*y for a in S and y in S or P (stride m); left has the rows x*c for x in
-    S or P and c in S (stride n).  For the j-th product x of P, RP[j] is the
-    mask of the c in S related from x, CP[j] that of the a in S related to x;
-    the kernel reads the masks of S from t.  Further products get ids from m
-    on, only so that they compare equal exactly when the values do: product
-    by product of P, its column before its row.  rows is the in-slice
-    relation as the position rows of _Triples.  The compile reads each pair
-    once and takes a product only on a related pair with a factor in S.  A
-    product of P gets its column and its row from one comprehension each,
-    written with one slice store each (t[y::m] and left[y*n:y*n+n]), and its
-    masks from those arrays' bytes (_defined_mask).
+    S or P and c in S (stride n).  Further products get ids from m on, only
+    so that they compare equal exactly when the values do: product by
+    product of P, its column before its row.  rows is the in-slice relation
+    as the position rows of _Triples.  The compile reads each pair once and
+    takes a product only on a related pair with a factor in S.  A product of
+    P gets its column and its row from one comprehension each, stored with
+    one slice store each (t[y::m] and left[y*n:y*n+n]).
     """
     n = len(elems)
     first = {x: i for i, x in enumerate(elems)}
@@ -387,17 +386,12 @@ def _open_table(elems: Sequence, rel: Rel, mul: Mul):
     left = array("i", [-1]) * (m * n)
     for a, row in enumerate(cells):
         t[a * m:a * m + n] = left[a * n:a * n + n] = array("i", row)
-    RP, CP = [], []
     for y, v in enumerate(P, n):
         # the column a*v and the row v*c of a product v outside the slice
-        column = array("i", [ids[mul(e, v)] if rel(e, v) else -1 for e in elems])
-        row = array("i", [ids[mul(v, e)] if rel(v, e) else -1 for e in elems])
-        t[y::m] = column
-        left[y * n:y * n + n] = row
-        RP.append(_defined_mask(row))
-        CP.append(_defined_mask(column))
+        t[y::m] = array("i", [ids[mul(e, v)] if rel(e, v) else -1 for e in elems])
+        left[y * n:y * n + n] = array("i", [ids[mul(v, e)] if rel(v, e) else -1 for e in elems])
     rows = [list(itertools.compress(range(n), map((-1).__ne__, row))) for row in cells]
-    return t, (m, left, RP, CP), rows
+    return t, (m, left), rows
 
 
 # A cell of an array('i') is -1, undefined, exactly when its sign bit is set.
@@ -432,26 +426,18 @@ def _table_flags(n: int, t, open_table=None) -> tuple[bool, bool, bool, bool, bo
     partial, and only then is the row walked in Python for a c related from
     a where they differ, which fails locality.
 
-    An open table from _open_table passes ``open_table`` = (m, left, RP, CP):
-    t has stride m, the rows of (ab)c come from left, the masks of the
-    products outside the slice from RP and CP, and a, b, c run over the n
+    An open table from _open_table passes ``open_table`` = (m, left): t has
+    stride m, the rows of (ab)c come from left, and a, b, c run over the n
     slice elements only, so every clause is decided on the slice even where
     products leave it.  A closed table is the open form with no products
-    outside: t alone gives the rows of (ab)c as well.  The slice's masks are
-    read from t cell by cell, which on small closed tables costs less than
-    reading each row's and column's sign bytes (_defined_mask); the products
-    outside have theirs from the compile.
+    outside: t alone gives the rows of (ab)c as well.  Every mask, of the
+    slice and of the products outside it alike, is read from sign bytes
+    (_defined_mask): R[x] from row x of left, C[y] from column y of t.
     """
     rng = range(n)
-    m, left, RP, CP = open_table or (n, t, [], [])
-    R = [0] * n + RP
-    C = [0] * n + CP
-    for a in rng:
-        am = a * m
-        for b in rng:
-            if t[am + b] >= 0:
-                R[a] |= 1 << b
-                C[b] |= 1 << a
+    m, left = open_table or (n, t)
+    R = [_defined_mask(left[x * n:x * n + n]) for x in range(m)]
+    C = [_defined_mask(t[y::m]) for y in range(m)]
     # gathers[b]: None before row b's first use, then (cs, at_c, at_bc), b's
     # defined columns and the getters of (ab)c and a(bc).  A row with one
     # defined cell names its index twice, so that both getters give tuples;

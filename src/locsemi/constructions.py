@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NotAssociative, ParseError, PreconditionError
-from .magma import OK, FinitePartialMagma, Verdict, fail, parse_magma, serialize_magma
+from .magma import (OK, FinitePartialMagma, Verdict, _text_lines, fail, parse_magma,
+                    serialize_magma)
 
 
 def _adjoin(m: FinitePartialMagma, label: str, identity: bool) -> FinitePartialMagma:
@@ -153,7 +154,7 @@ def serialize_semigroup_with_zero(t: SemigroupWithZero) -> str:
 def parse_semigroup_with_zero(text: str) -> SemigroupWithZero:
     zero = None
     rest = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if line.startswith("zero:"):
             if zero is not None:

@@ -68,10 +68,10 @@ def _check_decodable(n: int) -> None:
         raise DomainError(f"carrier size must be 1..{len(_LETTERS)}")
 
 
-def _decode_table(n: int, code: int) -> list[int]:
+def _decode_table(n: int, code: int) -> array:
     """The flat table at ``code``: cell i*n+j holds the product's index, or -1."""
     base = n + 1
-    t = []
+    t = array("i")
     for _ in range(n * n):
         t.append(code % base - 1)
         code //= base

@@ -7,7 +7,8 @@ state.  Everything is immutable after construction and all iteration runs in
 label-sorted order, so results (and violation witnesses downstream) are
 reproducible.
 
-Text format (UTF-8, line oriented, ``#`` starts a comment):
+Text format (UTF-8, line oriented, ``#`` starts a comment; a line ends at
+\\n, \\r\\n or \\r only):
 
     elements: a b c
     op: a b -> c
@@ -184,11 +185,18 @@ def full_relation_magma(elements: Iterable[str], product: Callable[[str, str], s
     return FinitePartialMagma(labels, table)
 
 
+def _text_lines(text: str) -> list[str]:
+    """The lines of a text file, broken at \\n, \\r\\n and \\r only: str.splitlines
+    also breaks at \\v, \\f, \\x1c-\\x1e, \\x85, U+2028 and U+2029, which would
+    end a ``#`` comment early and shift the line numbers an editor shows."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_magma(text: str) -> FinitePartialMagma:
     """Parse the magma text format."""
     elements: tuple[str, ...] | None = None
     table: dict[Pair, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

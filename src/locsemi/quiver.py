@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .errors import (CapacityError, CompositionUndefined, DomainError,
                      InvariantError, ParseError, PreconditionError)
 from .magma import (OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label,
-                    _sorted_labels)
+                    _sorted_labels, _text_lines)
 from .checks import is_locality_map, is_refined_locality_semigroup
 
 Arrow = tuple[str, str, str]  # (name, source vertex, target vertex)
@@ -332,7 +332,7 @@ def _free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str], max_l
 def parse_quiver(text: str) -> Quiver:
     vertices: tuple[str, ...] | None = None
     arrows: list[Arrow] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

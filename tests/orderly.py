@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import operator
+from array import array
 
 from locsemi import (is_locality_semigroup, is_partial_semigroup,
                      is_refined_locality_semigroup, is_strong_locality_semigroup,
@@ -34,9 +35,9 @@ def _checker_flags(m) -> tuple[bool, bool, bool, bool, bool]:
 
 
 def _iter_tables(n: int):
-    """Yield (code, table) for every code in order; the table list is reused."""
+    """Yield (code, table) for every code in order; the table array('i') is reused."""
     cells = n * n
-    t = [-1] * cells
+    t = array("i", [-1]) * cells
     for code in range(search_space_size(n)):
         yield code, t
         i = 0

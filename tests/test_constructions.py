@@ -253,6 +253,16 @@ def test_semigroup_with_zero_parse_errors_name_the_zero(text, message):
     assert type(exc.value) is ParseError and str(exc.value) == message
 
 
+@pytest.mark.parametrize("sep", ["\f", "\x85", "\u2028"])
+def test_semigroup_with_zero_reads_lines_as_an_editor_shows_them(sep):
+    one = parse_semigroup_with_zero("zero: 0\nelements: 0\nop: 0 0 -> 0\n")
+    assert parse_semigroup_with_zero(f"zero: 0\nelements: 0\nop: 0 0 -> 0  # {sep}zero: 0\n") == one
+    assert parse_semigroup_with_zero("zero: 0\relements: 0\rop: 0 0 -> 0\r") == one
+    with pytest.raises(ParseError) as exc:
+        parse_semigroup_with_zero(f"zero: 0{sep}\nelements: 0\nop: 0 0\n")
+    assert str(exc.value) == "line 3: expected 'op: a b -> c'"
+
+
 def test_semigroup_with_zero_round_trip():
     path_magma, _ = materialize_path_magma(fixture_quiver("ex2_17_quiver"), 2)
     total = complete_to_semigroup_with_zero(path_magma)

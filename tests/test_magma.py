@@ -158,6 +158,21 @@ def test_parse_comments_and_blank_lines():
     assert m.table == {("a", "a"): "b"}
 
 
+# the characters str.splitlines breaks at besides \n, \r\n and \r
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_parse_reads_no_record_after_a_separator_in_a_comment(sep):
+    m = parse_magma(f"elements: a b\nop: a a -> a  # dropped:{sep}op: b b -> b\n")
+    assert m.table == {("a", "a"): "a"}
+
+
+@pytest.mark.parametrize("nl", ["\n", "\r\n", "\r"])
+def test_parse_error_names_the_line_an_editor_shows(nl):
+    assert parse_magma(f"elements: a{nl}op: a a -> a{nl}") == parse_magma("elements: a\nop: a a -> a")
+    with pytest.raises(ParseError) as exc:
+        parse_magma(f"elements: a\f{nl}op: a a{nl}")
+    assert str(exc.value) == "line 2: expected 'op: a b -> c'"
+
+
 @pytest.mark.parametrize("text", [
     "op: a a -> a\n",                                # missing elements
     "elements: a\nelements: a\n",                    # repeated elements

@@ -80,6 +80,15 @@ def test_parse_serialize_round_trip():
         parse_quiver("vertices: x\narrow: a x\n")
 
 
+@pytest.mark.parametrize("sep", ["\f", "\x85", "\u2028"])
+def test_parse_quiver_reads_lines_as_an_editor_shows_them(sep):
+    q = parse_quiver(f"vertices: x\narrow: a x x  # dropped:{sep}arrow: b x x\n")
+    assert q.arrows == (("a", "x", "x"),)
+    with pytest.raises(ParseError) as exc:
+        parse_quiver(f"vertices: x{sep}\r\narrow: a x\r\n")
+    assert str(exc.value) == "line 2: expected 'arrow: name source target'"
+
+
 def test_path_basics():
     a = XYZ.path(["alpha"])
     assert (a.source, a.target, a.length, a.label) == ("x", "y", 1, "alpha")
@@ -180,6 +189,25 @@ def test_paths_upto_counts_before_it_builds():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_paths_upto_stops_counting_at_the_capacity():
+    # one path per length: the count passes PATH_CAPACITY at length 10,000, and
+    # reads the vertices once per length counted, however far max_len goes
+    class Counted(tuple):
+        passes = 0
+
+        def __iter__(self):
+            Counted.passes += 1
+            if Counted.passes > quiver.PATH_CAPACITY + 3:
+                raise RuntimeError("paths_upto counts past the capacity")
+            return super().__iter__()
+
+    q = Quiver(("v",), (("g", "v", "v"),))
+    object.__setattr__(q, "vertices", Counted(q.vertices))
+    with pytest.raises(CapacityError, match=r"^more than 10000 paths up to length 1000000000$"):
+        q.paths_upto(10 ** 9)
+    assert Counted.passes == quiver.PATH_CAPACITY + 1
 
 
 def test_acyclic_boundary_empty_at_longest_path():
