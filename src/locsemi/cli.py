@@ -13,7 +13,7 @@ import sys
 
 from . import checks, constructions, enumeration, fixtures, predicates, quiver
 from .errors import DomainError, MagmaError, NotAssociative, ParseError
-from .magma import parse_magma, serialize_magma
+from .magma import FinitePartialMagma, parse_magma, serialize_magma
 
 
 def _read(path: str) -> str:
@@ -35,8 +35,16 @@ def _print_report(report: checks.ClassReport) -> None:
     print("zeros: " + " ".join(report.zeros))
 
 
-def _parse_set(text: str) -> frozenset[str]:
-    return frozenset(x for x in text.split(",") if x)
+def _parse_set(text: str, m: FinitePartialMagma) -> frozenset[str]:
+    """The labels of m that a ``--set`` value names.  Whitespace, which no label
+    holds, splits it into pieces; a piece names its comma parts when each is a
+    label or empty, and else names itself if it is a label, such as ``{1,2}``."""
+    carrier = set(m.elements)
+    named = set()
+    for piece in text.split():
+        parts = [x for x in piece.split(",") if x]
+        named.update([piece] if piece in carrier and not carrier.issuperset(parts) else parts)
+    return frozenset(named)
 
 
 def _cmd_classify(args) -> int:
@@ -46,7 +54,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_polar(args) -> int:
     m = parse_magma(_read(args.file))
-    U = _parse_set(args.set)
+    U = _parse_set(args.set, m)
     side = "left" if args.left else "right"
     result = m.left_polar(U) if args.left else m.right_polar(U)
     print(f"{side}_polar {{{','.join(sorted(U))}}}: {' '.join(sorted(result))}")
@@ -76,14 +84,14 @@ def _cmd_adjoin(args) -> int:
 
 def _cmd_generate(args) -> int:
     m = parse_magma(_read(args.file))
-    closure = constructions.generated_sub_locality_semigroup(m, _parse_set(args.set))
+    closure = constructions.generated_sub_locality_semigroup(m, _parse_set(args.set, m))
     print("generated: " + " ".join(sorted(closure)))
     return 0
 
 
 def _cmd_ideal(args) -> int:
     m = parse_magma(_read(args.file))
-    A = _parse_set(args.set)
+    A = _parse_set(args.set, m)
     closed = checks.is_sub_locality_semigroup(m, A)
     left = checks.is_left_locality_ideal(m, A)
     right = checks.is_right_locality_ideal(m, A)
@@ -210,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     side = p.add_mutually_exclusive_group(required=True)
     side.add_argument("--left", action="store_true")
     side.add_argument("--right", action="store_true")
-    p.add_argument("--set", required=True, help="comma-separated labels, may be empty")
+    p.add_argument("--set", required=True, help="comma- or space-separated labels, may be empty")
     p.set_defaults(func=_cmd_polar)
 
     p = sub.add_parser("complete", help="totalize the product with a fresh zero")

@@ -2,7 +2,8 @@
 
 Identity and zero adjunction, generated closures, zero-completion of a
 partial product to a total one, and restriction of a total semigroup to a
-partial one.
+partial one.  A zero-completion's text is a ``zero:`` line and a magma's,
+read in one pass with ``zero`` as one more header kind.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError, NotAssociative, ParseError, PreconditionError
-from .magma import (OK, FinitePartialMagma, Verdict, _text_lines, fail, parse_magma,
-                    serialize_magma)
+from .errors import DomainError, NotAssociative, PreconditionError
+from .magma import _MAGMA, OK, FinitePartialMagma, Verdict, _parse, fail, serialize_magma
 
 
 def _adjoin(m: FinitePartialMagma, label: str, identity: bool) -> FinitePartialMagma:
@@ -151,24 +151,10 @@ def serialize_semigroup_with_zero(t: SemigroupWithZero) -> str:
     return f"zero: {t.zero}\n" + serialize_magma(t.magma)
 
 
+_WITH_ZERO = {"zero": "<label>", **_MAGMA}
+
+
 def parse_semigroup_with_zero(text: str) -> SemigroupWithZero:
-    zero = None
-    rest = []
-    for lineno, raw in enumerate(_text_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("zero:"):
-            if zero is not None:
-                raise ParseError(f"line {lineno}: repeated zero line")
-            toks = line[len("zero:"):].split()
-            if len(toks) != 1:
-                raise ParseError(f"line {lineno}: expected 'zero: <label>'")
-            zero = toks[0]
-            raw = ""  # kept as an empty line, so parse_magma counts lines as written
-        rest.append(raw)
-    if zero is None:
-        raise ParseError("missing zero line")
-    magma = parse_magma("\n".join(rest))
-    try:
-        return SemigroupWithZero(magma, zero)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
+    """Parse the format ``complete`` writes: a ``zero:`` line and a magma."""
+    return _parse(text, _WITH_ZERO, lambda zero, elements, table:
+                  SemigroupWithZero(FinitePartialMagma(elements, table), zero))

@@ -15,7 +15,8 @@ Text format (UTF-8, line oriented, ``#`` starts a comment; a line ends at
 
 One ``elements:`` line, one ``op:`` line per defined product.  Labels are
 non-whitespace tokens of UTF-8 text not containing ``#``, whether they come
-from a file or from argv.  Duplicate op keys are a parse error.
+from a file or from argv.  Duplicate op keys are a parse error.  ``_parse``
+reads this format, the quiver's and the zero-completion's alike.
 """
 
 from __future__ import annotations
@@ -192,36 +193,67 @@ def _text_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def parse_magma(text: str) -> FinitePartialMagma:
-    """Parse the magma text format."""
-    elements: tuple[str, ...] | None = None
-    table: dict[Pair, str] = {}
+_MAGMA = {"elements": "<labels>", "op": "a b -> c"}
+
+
+def _parse(text: str, kinds: dict[str, str], build: Callable):
+    """Read ``text`` in the format ``kinds`` and return ``build`` called with one value per kind.
+
+    A format maps each line kind to the shape of the tokens after its colon.
+    A shape in angle brackets is a header, read once: "<labels>" gives a tuple
+    of one label or more, "<label>" one label.  Other shapes are item lines of
+    that many tokens: one with a literal "->" gives a dict from the tokens
+    before it to the one after, a key per line, and the rest a list of token
+    tuples.  The first bad line raises, then the first missing header in
+    ``kinds`` order, then a DomainError of ``build``, each as a ParseError.
+    """
+    rules = {}  # kind -> (token count, 0 for "<labels>"; keyed by "->"; items, None for a header)
+    values: dict[str, object] = {}  # kind -> its items, and each header read so far
+    for kind, shape in kinds.items():
+        toks = shape.split()
+        keyed = "->" in toks
+        items = None if shape[0] == "<" else {} if keyed else []
+        rules[kind] = (0 if shape == "<labels>" else len(toks), keyed, items)
+        if items is not None:
+            values[kind] = items
     for lineno, raw in enumerate(_text_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("elements:"):
-            if elements is not None:
-                raise ParseError(f"line {lineno}: repeated elements line")
-            elements = tuple(line[len("elements:"):].split())
-            if not elements:
-                raise ParseError(f"line {lineno}: elements line lists no labels")
-        elif line.startswith("op:"):
-            toks = line[len("op:"):].split()
-            if len(toks) != 4 or toks[2] != "->":
-                raise ParseError(f"line {lineno}: expected 'op: a b -> c'")
-            a, b, _, c = toks
-            if (a, b) in table:
-                raise ParseError(f"line {lineno}: duplicate op key ({a},{b})")
-            table[(a, b)] = c
-        else:
+        kind, colon, rest = line.partition(":")
+        rule = rules.get(kind) if colon else None
+        if rule is None:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
-    if elements is None:
-        raise ParseError("missing elements line")
+        size, keyed, items = rule
+        toks = rest.split()
+        if items is None:
+            if kind in values:
+                raise ParseError(f"line {lineno}: repeated {kind} line")
+            if not (size or toks):
+                raise ParseError(f"line {lineno}: {kind} line lists no labels")
+        if size and len(toks) != size or keyed and toks[-2] != "->":
+            raise ParseError(f"line {lineno}: expected '{kind}: {kinds[kind]}'")
+        if items is None:
+            values[kind] = toks[0] if size else tuple(toks)
+        elif keyed:
+            key = tuple(toks[:-2])
+            if key in items:
+                raise ParseError(f"line {lineno}: duplicate {kind} key ({','.join(key)})")
+            items[key] = toks[-1]
+        else:
+            items.append(tuple(toks))
+    for kind in kinds:
+        if kind not in values:
+            raise ParseError(f"missing {kind} line")
     try:
-        return FinitePartialMagma(elements, table)
+        return build(*(values[kind] for kind in kinds))
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def parse_magma(text: str) -> FinitePartialMagma:
+    """Parse the magma text format."""
+    return _parse(text, _MAGMA, FinitePartialMagma)
 
 
 def serialize_magma(m: FinitePartialMagma) -> str:

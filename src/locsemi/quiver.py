@@ -7,7 +7,7 @@ zero) compose as neutral elements on matching endpoints.  Path labels are
 ``e_<vertex>`` for trivial paths and the ``*``-joined arrow names otherwise.
 ``verify_free_property`` and ``quiver free-ext`` share one walk-fold-verify.
 
-Quiver text format (UTF-8, ``#`` comments):
+Quiver text format, read by ``magma._parse`` under a magma file's rules:
 
     vertices: x y z
     arrow: alpha x y
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (CapacityError, CompositionUndefined, DomainError,
-                     InvariantError, ParseError, PreconditionError)
-from .magma import (OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label,
-                    _sorted_labels, _text_lines)
+                     InvariantError, PreconditionError)
+from .magma import (OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label, _parse,
+                    _sorted_labels)
 from .checks import is_locality_map, is_refined_locality_semigroup
 
 Arrow = tuple[str, str, str]  # (name, source vertex, target vertex)
@@ -329,32 +329,12 @@ def _free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str], max_l
     return paths, value, OK
 
 
+_QUIVER = {"vertices": "<labels>", "arrow": "name source target"}
+
+
 def parse_quiver(text: str) -> Quiver:
-    vertices: tuple[str, ...] | None = None
-    arrows: list[Arrow] = []
-    for lineno, raw in enumerate(_text_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vertices:"):
-            if vertices is not None:
-                raise ParseError(f"line {lineno}: repeated vertices line")
-            vertices = tuple(line[len("vertices:"):].split())
-            if not vertices:
-                raise ParseError(f"line {lineno}: vertices line lists no labels")
-        elif line.startswith("arrow:"):
-            toks = line[len("arrow:"):].split()
-            if len(toks) != 3:
-                raise ParseError(f"line {lineno}: expected 'arrow: name source target'")
-            arrows.append((toks[0], toks[1], toks[2]))
-        else:
-            raise ParseError(f"line {lineno}: unrecognized line {line!r}")
-    if vertices is None:
-        raise ParseError("missing vertices line")
-    try:
-        return Quiver(vertices, tuple(arrows))
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
+    """Parse the quiver text format."""
+    return _parse(text, _QUIVER, Quiver)
 
 
 def serialize_quiver(q: Quiver) -> str:

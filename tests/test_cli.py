@@ -135,6 +135,20 @@ def test_ideal_exit_codes(tmp_path, capsys):
     assert "ideal=yes" in capsys.readouterr().out
 
 
+def test_set_names_a_label_that_holds_commas(tmp_path, capsys):
+    f = fixture_file(tmp_path, "ex2_5_powerset")  # elements: {1,2} {1} {2} {}
+    assert run(["polar", f, "--left", "--set", "{1,2}"]) == 0
+    assert capsys.readouterr().out == "left_polar {{1,2}}: {1,2} {1} {2} {}\n"
+    assert run(["ideal", f, "--set", "{1,2} {1}"]) == 0
+    assert capsys.readouterr().out == (
+        "sub_locality_semigroup=yes\nleft_ideal=yes\nright_ideal=yes\nideal=yes\n")
+    # comma parts that are all labels keep their meaning; other pieces must be labels
+    assert run(["generate", f, "--set", "{1},{2}, {}"]) == 0
+    assert capsys.readouterr().out == "generated: {1} {2} {}\n"
+    assert run(["polar", f, "--left", "--set", "{1,3}"]) == 2
+    assert capsys.readouterr().err == "error: elements outside the carrier: ['3}', '{1']\n"
+
+
 def test_quiver_paths(tmp_path, capsys):
     f = fixture_file(tmp_path, "ex2_17_quiver")
     assert run(["quiver", "paths", f, "--max-len", "2"]) == 0

@@ -6,7 +6,8 @@ from hypothesis import given
 from locsemi import (DomainError, FinitePartialMagma, LocalitySet, ParseError,
                      adjoin_identity, adjoin_zero, bounded_magma, coprime_magma,
                      complete_to_semigroup_with_zero, full_relation_magma,
-                     parse_magma, powerset_magma, serialize_magma)
+                     parse_magma, parse_quiver, parse_semigroup_with_zero, powerset_magma,
+                     serialize_magma)
 from locsemi.enumeration import decode_magma, search_space_size
 from locsemi.fixtures import fixture_magma, fixture_quiver
 
@@ -185,6 +186,75 @@ def test_parse_error_names_the_line_an_editor_shows(nl):
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_magma(text)
+
+
+# Every error branch of the three text formats, with its exact text.  A text
+# with several errors reports the first bad line in line order, then each
+# missing header in the order the format lists them (zero before elements),
+# then the carrier's error, then the zero label's.
+@pytest.mark.parametrize("parse, text, message", [
+    # unrecognized lines: no colon, a space before it, another format's kind
+    (parse_magma, "elements: a\nfoo\n", "line 2: unrecognized line 'foo'"),
+    (parse_magma, "elements: a\nop\n", "line 2: unrecognized line 'op'"),
+    (parse_magma, "elements : a\n", "line 1: unrecognized line 'elements : a'"),
+    (parse_magma, "elements: a\nvertices: x\n", "line 2: unrecognized line 'vertices: x'"),
+    (parse_magma, "elements: a\nzero: a\n", "line 2: unrecognized line 'zero: a'"),
+    (parse_quiver, "vertices: x\n\nop: a a -> a\n", "line 3: unrecognized line 'op: a a -> a'"),
+    (parse_quiver, "vertices: x  # v\narrow p x x\n", "line 2: unrecognized line 'arrow p x x'"),
+    (parse_semigroup_with_zero, "zero: 0\nelements: 0\narrow: p x x\n",
+     "line 3: unrecognized line 'arrow: p x x'"),
+    # header lines: repeated, empty, missing
+    (parse_magma, "elements: a\nelements: a\n", "line 2: repeated elements line"),
+    (parse_magma, "# none\nelements:  # a\n", "line 2: elements line lists no labels"),
+    (parse_magma, "op: a a -> a\n", "missing elements line"),
+    (parse_magma, "", "missing elements line"),
+    (parse_quiver, "vertices: x\r\nvertices: x\r\n", "line 2: repeated vertices line"),
+    (parse_quiver, "vertices:\n", "line 1: vertices line lists no labels"),
+    (parse_quiver, "arrow: p x x\n", "missing vertices line"),
+    (parse_semigroup_with_zero, "zero: 0\relements: 0\rzero: 0\r", "line 3: repeated zero line"),
+    (parse_semigroup_with_zero, "zero: 0\nelements:\n", "line 2: elements line lists no labels"),
+    (parse_semigroup_with_zero, "elements: 0\nop: 0 0 -> 0\n", "missing zero line"),
+    (parse_semigroup_with_zero, "zero: 0\nop: 0 0 -> 0\n", "missing elements line"),
+    # shapes
+    (parse_magma, "elements: a\nop: a a\n", "line 2: expected 'op: a b -> c'"),
+    (parse_magma, "elements: a\nop: a a => a\n", "line 2: expected 'op: a b -> c'"),
+    (parse_quiver, "vertices: x\narrow: p x\n", "line 2: expected 'arrow: name source target'"),
+    (parse_semigroup_with_zero, "zero:\nelements: 0\n", "line 1: expected 'zero: <label>'"),
+    (parse_semigroup_with_zero, "elements: 0 1\nzero: 0 1\n", "line 2: expected 'zero: <label>'"),
+    # keys
+    (parse_magma, "elements: a\nop: a a -> a\nop: a a -> a\n", "line 3: duplicate op key (a,a)"),
+    (parse_semigroup_with_zero, "zero: 0\nelements: 0\nop: 0 0 -> 0\nop: 0 0 -> 0\n",
+     "line 4: duplicate op key (0,0)"),
+    # the carrier
+    (parse_magma, "elements: a\nop: a b -> a\n", "table key (a,b) uses labels outside the carrier"),
+    (parse_magma, "elements: a\nop: a a -> b\n", "product a*a = b lies outside the carrier"),
+    (parse_quiver, "vertices: x\narrow: p x y\n", "arrow p: endpoint not a declared vertex"),
+    (parse_quiver, "vertices: x\narrow: p x x\narrow: p x x\n", "duplicate arrow label 'p'"),
+    (parse_semigroup_with_zero, "zero: z\nelements: 0\nop: 0 0 -> 0\n",
+     "zero label 'z' not in carrier"),
+    # two errors: the first bad line in line order wins
+    (parse_magma, "elements: a\nop: a a\nfoo\n", "line 2: expected 'op: a b -> c'"),
+    (parse_magma, "foo\nelements:\n", "line 1: unrecognized line 'foo'"),
+    (parse_magma, "op: a a\n", "line 1: expected 'op: a b -> c'"),
+    (parse_magma, "elements: a\nop: a b -> a\nop: a a\n", "line 3: expected 'op: a b -> c'"),
+    (parse_quiver, "vertices: x\narrow: p x\nvertices: y\n",
+     "line 2: expected 'arrow: name source target'"),
+    (parse_quiver, "vertices: x\narrow: p x y\narrow: q x\n",
+     "line 3: expected 'arrow: name source target'"),
+    (parse_semigroup_with_zero, "zero: 0\nfoo\nzero: 0\n", "line 2: unrecognized line 'foo'"),
+    (parse_semigroup_with_zero, "elements: 0\nfoo\nzero:\n", "line 2: unrecognized line 'foo'"),
+    (parse_semigroup_with_zero, "elements: 0\nop: 0 0\n", "line 2: expected 'op: a b -> c'"),
+    (parse_semigroup_with_zero, "elements: 0\nelements: 0\nzero: 0 1\n",
+     "line 2: repeated elements line"),
+    (parse_semigroup_with_zero, "op: 0 0 -> 0\n", "missing zero line"),
+    (parse_semigroup_with_zero, "zero: z\nop: 0 0 -> 0\n", "missing elements line"),
+    (parse_semigroup_with_zero, "zero: z\nelements: 0\nop: 0 0 -> 1\n",
+     "product 0*0 = 1 lies outside the carrier"),
+])
+def test_parse_error_messages_and_lines(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert type(exc.value) is ParseError and str(exc.value) == message
 
 
 @pytest.mark.parametrize("call, message", [
