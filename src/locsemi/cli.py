@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Callable, Iterable, Iterator
 
 from . import checks, constructions, enumeration, fixtures, predicates, quiver
 from .errors import DomainError, MagmaError, NotAssociative, ParseError
@@ -35,16 +36,21 @@ def _print_report(report: checks.ClassReport) -> None:
     print("zeros: " + " ".join(report.zeros))
 
 
-def _parse_set(text: str, m: FinitePartialMagma) -> frozenset[str]:
-    """The labels of m that a ``--set`` value names.  Whitespace, which no label
-    holds, splits it into pieces; a piece names its comma parts when each is a
-    label or empty, and else names itself if it is a label, such as ``{1,2}``."""
-    carrier = set(m.elements)
-    named = set()
+def _entries(text: str, whole: Callable[[str, list[str]], bool]) -> Iterator[str]:
+    """The entries of an argv list.  Whitespace, which no label holds, splits it
+    into pieces; a piece is one entry when ``whole(piece, parts)`` holds, parts
+    its nonempty comma parts, and else its parts are the entries."""
     for piece in text.split():
         parts = [x for x in piece.split(",") if x]
-        named.update([piece] if piece in carrier and not carrier.issuperset(parts) else parts)
-    return frozenset(named)
+        yield from [piece] if whole(piece, parts) else parts
+
+
+def _parse_set(text: str, m: FinitePartialMagma) -> frozenset[str]:
+    """The labels of m that a ``--set`` value names: a piece names its comma parts
+    when each is a label, and else names itself if it is a label, such as ``{1,2}``."""
+    carrier = set(m.elements)
+    return frozenset(_entries(
+        text, lambda piece, parts: piece in carrier and not carrier.issuperset(parts)))
 
 
 def _cmd_classify(args) -> int:
@@ -114,20 +120,31 @@ def _cmd_quiver_paths(args) -> int:
     return 0
 
 
-def _name_values(text: str, kind: str, shape: str):
-    """(name, value) per nonempty chunk; a chunk without '=' raises once it is reached."""
-    for chunk in text.split(","):
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise MagmaError(f"{kind} entry {chunk!r} is not {shape}")
-        yield chunk.split("=", 1)
+def _name_values(entries: Iterable[str], kind: str, shape: str) -> dict[str, str]:
+    """{name: value} of ``name=value`` entries; an entry without '=', or one whose
+    name an earlier entry gave, raises."""
+    out = {}
+    for entry in entries:
+        name, eq, value = entry.partition("=")
+        if not eq:
+            raise MagmaError(f"{kind} entry {entry!r} is not {shape}")
+        if name in out:
+            raise MagmaError(f"{kind} entry {entry!r} names {name!r} a second time")
+        out[name] = value
+    return out
 
 
 def _cmd_quiver_free_ext(args) -> int:
     q = quiver.parse_quiver(_read(args.file))
     target = parse_magma(_read(args.target))
-    f = dict(_name_values(args.map, "map", "name=value"))
+    # a piece whose value is a target label is one entry, such as g={1,2}
+    labels = set(target.elements)
+    f = _name_values(_entries(args.map, lambda piece, parts: piece.partition("=")[2] in labels),
+                     "map", "name=value")
+    arrows = {name for name, _, _ in q.arrows}
+    for name in f:
+        if name not in arrows:
+            raise MagmaError(f"map entry {name + '=' + f[name]!r} names no arrow of the quiver")
     paths, value, verdict = quiver._free_property(q, target, f, args.max_len)
     for p in paths:
         print(f"fbar {p.label} = {value[p.arrows]}")
@@ -153,7 +170,8 @@ def _cmd_enumerate_census(args) -> int:
 
 def _parse_flags(text: str) -> dict[str, bool]:
     out = {}
-    for k, v in _name_values(text, "flag", "name=yes|no"):
+    for k, v in _name_values(_entries(text, lambda piece, parts: False),
+                             "flag", "name=yes|no").items():
         if v not in ("yes", "no"):
             raise MagmaError(f"flag value for {k!r} must be yes or no")
         out[k] = v == "yes"

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NotAssociative, PreconditionError
-from .magma import _MAGMA, OK, FinitePartialMagma, Verdict, _parse, fail, serialize_magma
+from .magma import (_MAGMA, OK, FinitePartialMagma, Verdict, _format, _parse, fail,
+                    serialize_magma)
 
 
 def _adjoin(m: FinitePartialMagma, label: str, identity: bool) -> FinitePartialMagma:
@@ -114,7 +115,11 @@ def complete_to_semigroup_with_zero(m: FinitePartialMagma, zero: str = "0") -> S
 
 
 def is_strong_semigroup_with_zero(t: SemigroupWithZero) -> Verdict:
-    """A triple product is nonzero exactly when both adjacent products are nonzero."""
+    """A triple product is nonzero exactly when both adjacent products are nonzero.
+
+    Only one side needs a test: with zero absorbing, ab = 0 gives abc = 0c = 0,
+    and bc = 0 gives abc = a(bc) = 0, so abc != 0 forces ab, bc != 0.
+    """
     m = t.magma
     _require_semigroup(m)
     zero = t.zero
@@ -125,10 +130,8 @@ def is_strong_semigroup_with_zero(t: SemigroupWithZero) -> Verdict:
     for a, b, c in itertools.product(m.elements, repeat=3):
         ab, bc = tab[(a, b)], tab[(b, c)]
         abc = tab[(ab, c)]
-        if (abc != zero) != (ab != zero and bc != zero):
-            side = "nonzero" if abc != zero else "zero"
-            return fail("strong-zero", (a, b, c),
-                        f"product {side} but factors {ab},{bc}")
+        if abc == zero and ab != zero and bc != zero:
+            return fail("strong-zero", (a, b, c), f"product zero but factors {ab},{bc}")
     return OK
 
 
@@ -151,7 +154,7 @@ def serialize_semigroup_with_zero(t: SemigroupWithZero) -> str:
     return f"zero: {t.zero}\n" + serialize_magma(t.magma)
 
 
-_WITH_ZERO = {"zero": "<label>", **_MAGMA}
+_WITH_ZERO = _format({"zero": "<label>"}) | _MAGMA
 
 
 def parse_semigroup_with_zero(text: str) -> SemigroupWithZero:

@@ -11,17 +11,15 @@ the bit-sliced kernel ``checks._block_flags``: one int per cell and digit
 holds a bit per table of the block, and the kernel returns the five flags
 as five such sets.  The exhaustive pass cuts the space by the digit of the
 most significant cell, so its blocks share the lower cells' digit sets.  A
-sample (n <= 4, the sizes with labels) is drawn by filtered
-``getrandbits`` calls and taken in chunks of _SAMPLE_CHUNK codes, kept in
-draw order; a chunk's codes are the lanes of one int, so its digit sets
-are read several cells to a byte for all codes at once.  ``scan_flags``
-expands a block's sets back to one flag tuple per code through one byte
-key per table.  A pattern counts the tables of its set, its witness is its
-least code over the blocks that hold it, and ``--dedup`` counts
-isomorphism classes by Burnside's lemma over the sets of tables each
-relabeling fixes.  ``_decode_table`` reads the flat table at a code,
-``decode_magma`` labels it, and ``encode_magma`` sums the digits back from
-the magma's table.
+sample (n <= 4, the sizes with labels) is drawn straight into the digit
+sets of chunks of _SAMPLE_CHUNK tables, from random bit planes.
+``scan_flags`` expands a block's sets back to one flag tuple per code
+through one byte key per table.  A pattern counts the tables of its set,
+its witness is its least code over the blocks that hold it, and
+``--dedup`` counts isomorphism classes by Burnside's lemma over the sets of
+tables each relabeling fixes.  ``_decode_table`` reads the flat table at a
+code, ``decode_magma`` labels it, and ``encode_magma`` sums the digits back
+from the magma's table.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -63,7 +60,7 @@ def _check_exhaustive(n: int, what: str, hint: str = "") -> None:
 
 
 def _check_decodable(n: int) -> None:
-    """The sizes that have labels, and whose codes fit a 64-bit lane."""
+    """The sizes that have labels."""
     if not 1 <= n <= len(_LETTERS):
         raise DomainError(f"carrier size must be 1..{len(_LETTERS)}")
 
@@ -121,89 +118,55 @@ def _blocks(n: int):
         yield d * size, lower + [[full if v == d else 0 for v in range(base)]], full
 
 
-# codes per block of a sampled census, so that neither its sets nor its codes
-# grow with the count
+# tables per block of a sampled census, so that its sets do not grow with the count
 _SAMPLE_CHUNK = 4096
 
 
-def _digit_bytes(n: int) -> list[list[bytes]]:
-    """Translate tables that read the base-(n+1) digits packed in a byte.
+def _draw(n: int, size: int, rng: random.Random) -> list[list[int]]:
+    """The digit sets of ``size`` tables drawn uniformly, bit i for the i-th table.
 
-    A byte holds g digits, g as large as fits, and entry [j][v - 1] maps a
-    byte to "1" where its digit at place j is v and to "0" elsewhere, for v
-    = 1..n.  Place j holds v on runs of (n+1)**j bytes, one run every
-    (n+1)**(j+1), and bytes from the radix (n+1)**g up never occur.
+    Cell by cell, each round draws one plane of ``size`` random bits per bit
+    of a digit.  The tables still pending whose planes spell a value v <= n
+    take digit v, and the rest draw again, so each digit is uniform on 0..n.
     """
-    base = n + 1
-    g = 1
-    while base ** (g + 1) <= 256:
-        g += 1
-    radix = base ** g
-    return [[(b"0" * (v * run) + b"1" * run + b"0" * ((base - 1 - v) * run))
-             * (radix // (base * run)) + bytes(256 - radix) for v in range(1, base)]
-            for run in (base ** j for j in range(g))]
+    bits = n.bit_length()
+    digits = []
+    for _ in range(n * n):
+        sets = [0] * (n + 1)
+        pending = (1 << size) - 1
+        while pending:
+            planes = [(~p, p) for p in map(rng.getrandbits, [size] * bits)]
+            for v in range(n + 1):
+                held = pending
+                for b, plane in enumerate(planes):
+                    held &= plane[v >> b & 1]
+                sets[v] |= held
+                pending ^= held
+        digits.append(sets)
+    return digits
 
 
-def _sampled_blocks(n: int, codes: Iterator[int]):
-    """(chunk, digit sets, full) per chunk of _SAMPLE_CHUNK drawn codes, in draw order.
+def _sampled_blocks(n: int, count: int, seed: int):
+    """(digit sets, digit sets, full) per chunk of up to _SAMPLE_CHUNK tables, each
+    drawn when it is reached; a chunk is named by its sets, which _least_code reads."""
+    rng = random.Random(seed)
+    for start in range(0, count, _SAMPLE_CHUNK):
+        size = min(_SAMPLE_CHUNK, count - start)
+        digits = _draw(n, size, rng)
+        yield digits, digits, (1 << size) - 1
 
-    A byte holds g base-(n+1) digits (``_digit_bytes``), so each pass over
-    the chunk peels g cells at once.  The chunk is one int of lanes, code i
-    in lane i, and every step of a pass treats all lanes at once: ``rest //
-    radix`` is one exact multiply by a magic number, a shift and a mask (a
-    lane is wide enough for its product), and ``rest - radix * quotient``
-    leaves each lane's g digits in its low byte.  Lanes are 128 bits wide
-    while the codes need it and 64 bits once what is left of them fits (at
-    n=4, after the first pass).  Read big-endian, the low bytes come last
-    code first, so one 256-entry translate table per (cell of the group,
-    nonzero digit) maps them to "1" where that cell holds the digit and "0"
-    elsewhere, and int(..., 2) reads the set of tables holding it, bit i for
-    the i-th code.  A cell's digit sets are disjoint and cover the chunk, so
-    its digit-0 set is the rest of the chunk.
-    """
-    base = n + 1
-    cells = n * n
-    to_bits = _digit_bytes(n)
-    g = len(to_bits)
-    radix = base ** g
 
-    def divider(top: int) -> tuple[int, int, int, int]:
-        """(lane bytes, magic, shift, mask) that divide lanes up to ``top`` by the radix."""
-        # (x * magic) >> shift == x // radix for every x <= top
-        shift = top.bit_length() + radix.bit_length()
-        magic = -(-(1 << shift) // radix)
-        quotient_bits = (top // radix).bit_length()
-        # a lane's product stays in its lane, and the next lane's, shifted
-        # down, stays above the quotient
-        width = 8 if (top * magic).bit_length() <= 64 and shift + quotient_bits <= 64 else 16
-        mask = ((1 << quotient_bits) - 1).to_bytes(width, "little") * _SAMPLE_CHUNK
-        return width, magic, shift, int.from_bytes(mask, "little")
-
-    first = divider(search_space_size(n) - 1)
-    later = divider(base ** max(cells - g, 0) - 1)
-    while chunk := list(itertools.islice(codes, _SAMPLE_CHUNK)):
-        width, magic, shift, mask = first
-        lanes = array("Q", bytes(width * len(chunk)))
-        lanes[::width // 8] = array("Q", chunk)
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        rest = int.from_bytes(lanes, "little")
-        full = (1 << len(chunk)) - 1
-        digits = []
-        for start in range(0, cells, g):
-            if start == g:
-                if later[0] < width:
-                    # keep the low 64 bits of each 128-bit lane
-                    rest = int.from_bytes(array("Q", rest.to_bytes(width * len(chunk), "little"))[::2],
-                                          "little")
-                width, magic, shift, mask = later
-            quotient = rest * magic >> shift & mask
-            group = (rest - radix * quotient).to_bytes(width * len(chunk), "big")[width - 1::width]
-            rest = quotient
-            for tables in to_bits[:cells - start]:
-                sets = [int(group.translate(t), 2) for t in tables]
-                digits.append([full ^ sum(sets)] + sets)
-        yield chunk, digits, full
+def _least_code(digits, tables: int) -> int:
+    """The least code among the tables of a nonempty set: the least digit some
+    table holds, most significant cell first, keeping the tables that hold it."""
+    code = 0
+    for sets in reversed(digits):
+        for v, held in enumerate(sets):
+            if tables & held:
+                tables &= held
+                code = code * len(sets) + v
+                break
+    return code
 
 
 def _flag_sets(n: int, digits, full: int) -> tuple[int, int, int, int, int]:
@@ -288,23 +251,6 @@ def _scan_blocks(n: int):
                   map(shared.__getitem__, keys.to_bytes(width, "little")))
 
 
-def _sampled_codes(n: int, count: int, seed: int) -> Iterator[int]:
-    """``count`` codes drawn uniformly (with replacement); checks run at the call.
-
-    ``Random.randrange(total)`` returns the first ``getrandbits(k)`` below
-    ``total``, k its bit length (Python 3.10-3.13), so filtering the raw
-    draws yields the same codes with no Python-level call per code.
-    """
-    _check_size(n)
-    _check_decodable(n)
-    if count < 0:
-        raise DomainError(f"sample count must be non-negative, got {count}")
-    rng = random.Random(seed)
-    total = search_space_size(n)
-    draws = map(rng.getrandbits, itertools.repeat(total.bit_length()))
-    return itertools.islice(filter(total.__gt__, draws), count)
-
-
 @dataclass(frozen=True)
 class CensusRow:
     """One flag pattern: its mask, how many structures carry it, and the first one.
@@ -364,22 +310,13 @@ def census(n: int, dedup: bool = False) -> list[CensusRow]:
 
 
 def sample_census(n: int, count: int, seed: int) -> list[CensusRow]:
-    """Census over ``count`` random codes; counts are sample tallies, not totals."""
-    blocks = _sampled_blocks(n, _sampled_codes(n, count, seed))
-    return _rows(n, blocks, _least_drawn)
-
-
-# a set's bits as bytes, "1" -> 1 and "0" -> 0, for itertools.compress
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _least_drawn(chunk: list[int], tables: int) -> int:
-    """The least code of a chunk, in draw order, among the tables of a set.
-
-    bin() writes the set most significant bit first, so its digits reversed
-    hold bit i at position i and select the codes of the set.
-    """
-    return min(itertools.compress(chunk, bin(tables)[:1:-1].encode().translate(_BIT_BYTES)))
+    """Census over ``count`` tables drawn uniformly with replacement; counts are
+    sample tallies, not totals.  The arguments are checked before the first draw."""
+    _check_size(n)
+    _check_decodable(n)
+    if count < 0:
+        raise DomainError(f"sample count must be non-negative, got {count}")
+    return _rows(n, _sampled_blocks(n, count, seed), _least_code)
 
 
 def parse_flag_pattern(wanted: Mapping[str, bool]) -> dict[int, bool]:

@@ -193,29 +193,34 @@ def _text_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-_MAGMA = {"elements": "<labels>", "op": "a b -> c"}
-
-
-def _parse(text: str, kinds: dict[str, str], build: Callable):
-    """Read ``text`` in the format ``kinds`` and return ``build`` called with one value per kind.
+def _format(kinds: dict[str, str]) -> dict[str, tuple[str, int, bool, bool]]:
+    """The rules of a text format, built once from its line kinds.
 
     A format maps each line kind to the shape of the tokens after its colon.
     A shape in angle brackets is a header, read once: "<labels>" gives a tuple
     of one label or more, "<label>" one label.  Other shapes are item lines of
     that many tokens: one with a literal "->" gives a dict from the tokens
     before it to the one after, a key per line, and the rest a list of token
-    tuples.  The first bad line raises, then the first missing header in
-    ``kinds`` order, then a DomainError of ``build``, each as a ParseError.
+    tuples.  A rule is (shape, token count or 0 for "<labels>", keyed by
+    "->", header).
     """
-    rules = {}  # kind -> (token count, 0 for "<labels>"; keyed by "->"; items, None for a header)
-    values: dict[str, object] = {}  # kind -> its items, and each header read so far
-    for kind, shape in kinds.items():
-        toks = shape.split()
-        keyed = "->" in toks
-        items = None if shape[0] == "<" else {} if keyed else []
-        rules[kind] = (0 if shape == "<labels>" else len(toks), keyed, items)
-        if items is not None:
-            values[kind] = items
+    return {kind: (shape, 0 if shape == "<labels>" else len(shape.split()),
+                   "->" in shape.split(), shape[0] == "<")
+            for kind, shape in kinds.items()}
+
+
+_MAGMA = _format({"elements": "<labels>", "op": "a b -> c"})
+
+
+def _parse(text: str, rules: dict[str, tuple[str, int, bool, bool]], build: Callable):
+    """Read ``text`` by the ``_format`` rules and return ``build`` called with one value per kind.
+
+    The first bad line raises, then the first missing header in ``rules``
+    order, then a DomainError of ``build``, each as a ParseError.
+    """
+    # kind -> its items, and each header read so far
+    values: dict[str, object] = {kind: {} if keyed else []
+                                 for kind, (_, _, keyed, header) in rules.items() if not header}
     for lineno, raw in enumerate(_text_lines(text), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
@@ -224,29 +229,30 @@ def _parse(text: str, kinds: dict[str, str], build: Callable):
         rule = rules.get(kind) if colon else None
         if rule is None:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
-        size, keyed, items = rule
+        shape, size, keyed, header = rule
         toks = rest.split()
-        if items is None:
+        if header:
             if kind in values:
                 raise ParseError(f"line {lineno}: repeated {kind} line")
             if not (size or toks):
                 raise ParseError(f"line {lineno}: {kind} line lists no labels")
         if size and len(toks) != size or keyed and toks[-2] != "->":
-            raise ParseError(f"line {lineno}: expected '{kind}: {kinds[kind]}'")
-        if items is None:
+            raise ParseError(f"line {lineno}: expected '{kind}: {shape}'")
+        if header:
             values[kind] = toks[0] if size else tuple(toks)
         elif keyed:
+            items = values[kind]
             key = tuple(toks[:-2])
             if key in items:
                 raise ParseError(f"line {lineno}: duplicate {kind} key ({','.join(key)})")
             items[key] = toks[-1]
         else:
-            items.append(tuple(toks))
-    for kind in kinds:
+            values[kind].append(tuple(toks))
+    for kind in rules:
         if kind not in values:
             raise ParseError(f"missing {kind} line")
     try:
-        return build(*(values[kind] for kind in kinds))
+        return build(*(values[kind] for kind in rules))
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (CapacityError, CompositionUndefined, DomainError,
                      InvariantError, PreconditionError)
-from .magma import (OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label, _parse,
-                    _sorted_labels)
+from .magma import (OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label, _format,
+                    _parse, _sorted_labels)
 from .checks import is_locality_map, is_refined_locality_semigroup
 
 Arrow = tuple[str, str, str]  # (name, source vertex, target vertex)
@@ -329,7 +329,7 @@ def _free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str], max_l
     return paths, value, OK
 
 
-_QUIVER = {"vertices": "<labels>", "arrow": "name source target"}
+_QUIVER = _format({"vertices": "<labels>", "arrow": "name source target"})
 
 
 def parse_quiver(text: str) -> Quiver:

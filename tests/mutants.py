@@ -28,6 +28,8 @@ MAGMA = "src/locsemi/magma.py"
 CHECKS = "src/locsemi/checks.py"
 QUIVER = "src/locsemi/quiver.py"
 CLI = "src/locsemi/cli.py"
+ENUMERATION = "src/locsemi/enumeration.py"
+CONSTRUCTIONS = "src/locsemi/constructions.py"
 # a run past this is reported as killed by the timeout, as CI's job timeout would
 TIMEOUT_S = 900
 
@@ -70,12 +72,30 @@ MUTANTS = [
      "    C = [_defined_mask(t[y::m]) for y in range(m)]",
      "R = [_defined_mask(left[x * n:x * n + n]) for x in range(n)]\n"
      "    C = [_defined_mask(t[y::m]) for y in range(n)]", None),
+    # the sampled census: its draw and its witnesses
+    ("sampler: a rejected value kept as digit 0", ENUMERATION,
+     "                pending ^= held\n",
+     "                pending ^= held\n            sets[0] |= pending\n            pending = 0\n", None),
+    ("sampler: one bit plane too few", ENUMERATION,
+     "bits = n.bit_length()", "bits = n.bit_length() - 1", None),
+    ("sampler: least code read from the least significant cell", ENUMERATION,
+     "for sets in reversed(digits):", "for sets in digits:", None),
+    # constructions
+    ("strong zero: the two-sided test", CONSTRUCTIONS,
+     "if abc == zero and ab != zero and bc != zero:",
+     "if (abc != zero) != (ab != zero and bc != zero):",
+     "with zero absorbing, ab = 0 or bc = 0 gives abc = 0, so the nonzero side never fires"),
     # limits and the command line
     ("paths_upto: counting runs past the capacity", QUIVER,
      "if total > PATH_CAPACITY or not count:", "if not count:", None),
     ("--set: no whole-label pieces", CLI,
-     "named.update([piece] if piece in carrier and not carrier.issuperset(parts) else parts)",
-     "named.update(parts)", None),
+     "piece in carrier and not carrier.issuperset(parts)", "False", None),
+    ("--map: no whole-label pieces", CLI,
+     'lambda piece, parts: piece.partition("=")[2] in labels', "lambda piece, parts: False", None),
+    ("--map: names that are no arrow dropped", CLI,
+     "        if name not in arrows:\n", "        if False:\n", None),
+    ("--map and --flags: a repeated name overwrites", CLI,
+     "        if name in out:\n", "        if False:\n", None),
 ]
 
 

@@ -175,6 +175,27 @@ def test_quiver_free_ext_bad_map_exit_2(tmp_path, capsys):
     assert run(["quiver", "free-ext", f, "--target", z3, "--map", "alpha=1"]) == 2
 
 
+# Z/3 under addition, a refined target, with 1 and 2 named by labels that hold commas
+_COMMA_LABELS = ("0", "{1,2}", "{2,1}")
+Z3_COMMA_MAGMA = serialize_magma(full_relation_magma(
+    _COMMA_LABELS, lambda a, b: _COMMA_LABELS[(_COMMA_LABELS.index(a) + _COMMA_LABELS.index(b)) % 3]))
+
+
+@pytest.mark.parametrize("quiver_text, entries, want", [
+    pytest.param(LOOP_QUIVER, "g={1,2}", ["fbar g = {1,2}", "fbar g*g = {2,1}"], id="one"),
+    pytest.param(TWO_LOOP_QUIVER, "g={1,2} h=0", ["fbar g = {1,2}", "fbar h = 0"], id="two"),
+    pytest.param(TWO_LOOP_QUIVER, "h=0,, g={2,1}", ["fbar g = {2,1}", "fbar h = 0"], id="mixed"),
+])
+def test_quiver_free_ext_map_values_may_hold_commas(quiver_text, entries, want, tmp_path, capsys):
+    # a whitespace piece whose value is a target label is one entry, as with --set
+    f = write(tmp_path, "q.quiver", quiver_text)
+    z3 = write(tmp_path, "z3.magma", Z3_COMMA_MAGMA)
+    assert run(["quiver", "free-ext", f, "--target", z3, "--map", entries, "--max-len", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(want)] == want
+    assert out[-1] == "free_property=yes"
+
+
 def test_enumerate_census(capsys):
     assert run(["enumerate", "census", "--size", "2", "--jobs", "1"]) == 0
     out = capsys.readouterr().out
@@ -252,13 +273,13 @@ pattern=LSRPT count=58 code=0
 SAMPLE4_SEED5_STDOUT = """\
 sampled census size=4 count=4000 seed=5
 pattern       count       code
------          3850   34965465
-----T           148  156460994
-L----             2 25099642005
+-----          3845   32649147
+----T           154 1971493126
+L----             1 145460318755
 total          4000
-pattern=----- count=3850 code=34965465
-pattern=----T count=148 code=156460994
-pattern=L---- count=2 code=25099642005
+pattern=----- count=3845 code=32649147
+pattern=----T count=154 code=1971493126
+pattern=L---- count=1 code=145460318755
 """
 
 
@@ -313,6 +334,15 @@ def test_bad_census_and_scan_arguments_exit_2(argv, tmp_path, capsys):
      "map entry 'g' is not name=value"),
     (["enumerate", "find", "--size", "2", "--flags", "locality"],
      "flag entry 'locality' is not name=yes|no"),
+    # a name that is no arrow, and a name given twice, are not dropped or overwritten
+    (["quiver", "free-ext", "@loop", "--target", "@z3", "--map", "g=0,typo=1"],
+     "map entry 'typo=1' names no arrow of the quiver"),
+    (["quiver", "free-ext", "@loop", "--target", "@z3", "--map", "g=0,g=1"],
+     "map entry 'g=1' names 'g' a second time"),
+    (["quiver", "free-ext", "@loop", "--target", "@z3", "--map", "g=0 g=0"],
+     "map entry 'g=0' names 'g' a second time"),
+    (["enumerate", "find", "--size", "2", "--flags", "locality=yes,locality=no"],
+     "flag entry 'locality=no' names 'locality' a second time"),
 ])
 def test_malformed_input_errors_exit_2(argv, message, tmp_path, capsys):
     files = {"@e_x": write(tmp_path, "e_x.quiver", "vertices: x y\narrow: e_x x y\n"),

@@ -13,7 +13,7 @@ from locsemi import (DomainError, FinitePartialMagma, NotAssociative,
                      is_locality_semigroup, is_partial_semigroup,
                      is_strong_semigroup_with_zero, materialize_path_magma,
                      parse_semigroup_with_zero, partial_from_semigroup,
-                     powerset_magma, serialize_semigroup_with_zero)
+                     powerset_magma, serialize_semigroup_with_zero, Witness)
 from locsemi.checks import _table_flags
 from locsemi.enumeration import (_FLAG_NAMES, _decode_table, decode_magma,
                                  search_space_size)
@@ -186,7 +186,7 @@ def test_strong_zero_checks():
 
     z4 = SemigroupWithZero(zmod(4, lambda a, b: a * b), "0")
     v = is_strong_semigroup_with_zero(z4)
-    assert not v and v.witness.axiom == "strong-zero"
+    assert v.witness == Witness("strong-zero", ("2", "1", "2"), "product zero but factors 2,2")
 
     with pytest.raises(PreconditionError):
         is_strong_semigroup_with_zero(SemigroupWithZero(EX3_8, "0"))

@@ -1,10 +1,11 @@
+import collections
 import functools
 import itertools
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import locsemi.enumeration as enumeration
@@ -27,9 +28,9 @@ def test_search_space_sizes():
 
 
 def test_sampling_is_seeded():
-    a = list(enumeration._sampled_codes(4, 20, seed=7))
-    b = list(enumeration._sampled_codes(4, 20, seed=7))
-    c = list(enumeration._sampled_codes(4, 20, seed=8))
+    a = list(enumeration._sampled_blocks(4, 20, seed=7))
+    b = list(enumeration._sampled_blocks(4, 20, seed=7))
+    c = list(enumeration._sampled_blocks(4, 20, seed=8))
     assert a == b and a != c
 
 
@@ -205,8 +206,8 @@ def test_census_capacity():
     lambda: find_witness({"locality": True}, -1),
     lambda: decode_magma(0, 0),
     lambda: decode_magma(-1, 0),
-    lambda: enumeration._sampled_codes(-1, 5, seed=1),
-    lambda: enumeration._sampled_codes(4, -3, seed=1),
+    lambda: sample_census(5, 10, seed=1),
+    lambda: sample_census(1, -1, seed=1),
 ])
 def test_census_and_scan_reject_bad_arguments(call):
     with pytest.raises(DomainError):
@@ -322,6 +323,39 @@ def _per_table_rows(n, codes):
             for p, (count, code) in sorted(tally.items())]
 
 
+def _digit_sets(n, codes):
+    """The digit sets of a chunk of ``codes``, bit i for the i-th code, built per code."""
+    digits = [[0] * (n + 1) for _ in range(n * n)]
+    for i, code in enumerate(codes):
+        for k, v in enumerate(_decode_table(n, code)):
+            digits[k][v + 1] |= 1 << i
+    return digits
+
+
+def _drawn_codes(digits, full):
+    """The codes of a chunk's tables in draw order, read back from its digit sets."""
+    size = full.bit_length()
+    codes = [0] * size
+    for k, sets in enumerate(digits):
+        for v, held in enumerate(sets):
+            for i, bit in enumerate(f"{held:0{size}b}"[::-1]):
+                if bit == "1":
+                    codes[i] += v * len(sets) ** k
+    return codes
+
+
+def _sampled(n, count, seed):
+    """The codes sample_census(n, count, seed) draws, in draw order."""
+    return [code for _, digits, full in enumeration._sampled_blocks(n, count, seed)
+            for code in _drawn_codes(digits, full)]
+
+
+def _drawing(codes):
+    """A stand-in for enumeration._draw whose chunks hold ``codes``, in order."""
+    rest = iter(codes)
+    return lambda n, size, rng: _digit_sets(n, itertools.islice(rest, size))
+
+
 @settings(max_examples=40)
 @given(st.lists(st.integers(0, search_space_size(4) - 1) | st.sampled_from(
            [0, 1, 2, 5 ** 16 - 1, 47301721, 2449563726]), max_size=40),
@@ -329,7 +363,7 @@ def _per_table_rows(n, codes):
 def test_sampled_batches_match_per_table_rows(codes, chunk):
     # duplicate codes (from the small pool), counts 0 and 1, and counts that
     # cross a chunk boundary at the narrow widths
-    with mock.patch.object(enumeration, "_sampled_codes", lambda n, count, seed: iter(codes)), \
+    with mock.patch.object(enumeration, "_draw", _drawing(codes)), \
             mock.patch.object(enumeration, "_SAMPLE_CHUNK", chunk):
         got = sample_census(4, len(codes), seed=0)
     assert got == _per_table_rows(4, sorted(codes))
@@ -337,30 +371,89 @@ def test_sampled_batches_match_per_table_rows(codes, chunk):
 
 @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
 def test_sample_census_matches_per_table_rows(count):
-    codes = sorted(enumeration._sampled_codes(4, count, 21))
-    assert sample_census(4, count, seed=21) == _per_table_rows(4, codes)
+    codes = _sampled(4, count, 21)
+    assert len(codes) == count
+    assert sample_census(4, count, seed=21) == _per_table_rows(4, sorted(codes))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampled_digit_sets_match_decoded_codes(n):
+    # every table of a chunk holds exactly one digit per cell, so its sets are
+    # the ones built per code from the codes they spell
+    count = 2 * enumeration._SAMPLE_CHUNK + 5
+    sizes = []
+    for _, digits, full in enumeration._sampled_blocks(n, count, seed=n):
+        sizes.append(full.bit_length())
+        assert full == (1 << sizes[-1]) - 1
+        assert digits == _digit_sets(n, _drawn_codes(digits, full)), n
+    assert sizes == [enumeration._SAMPLE_CHUNK, enumeration._SAMPLE_CHUNK, 5]
+
+
+def test_sampled_tables_are_uniform_n2():
+    # a joint chi-square over all 81 tables of size 2, 200 draws expected
+    # each; 124.8 is its 0.1% critical value at 80 degrees of freedom
+    codes = _sampled(2, 81 * 200, seed=3)
+    counts = collections.Counter(codes)
+    assert set(counts) <= set(range(81))
+    chi2 = sum((counts[code] - 200) ** 2 / 200 for code in range(81))
+    assert chi2 < 124.8, chi2
+
+
+def test_sampled_digits_are_uniform_per_cell_n4():
+    # 20,000 tables over five chunks: each cell's five digits 4,000 times
+    # each, up to a chi-square below 18.47, its 0.1% critical value at 4
+    # degrees of freedom
+    count = 20000
+    tally = [[0] * 5 for _ in range(16)]
+    for _, digits, _ in enumeration._sampled_blocks(4, count, seed=11):
+        for k, sets in enumerate(digits):
+            for v, held in enumerate(sets):
+                tally[k][v] += held.bit_count()
+    for k, counts in enumerate(tally):
+        assert sum(counts) == count
+        chi2 = sum((c - count / 5) ** 2 / (count / 5) for c in counts)
+        assert chi2 < 18.47, (k, counts)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, search_space_size(4) - 1) | st.sampled_from(
+           [0, 1, 5, 25, 5 ** 15, 5 ** 16 - 1]), min_size=1, max_size=12),
+       st.integers(1, 2 ** 12 - 1), st.integers(0, 12))
+# the least code drawn last: after duplicates, past the edge, and one cell from another
+@example([7, 3, 3, 0], 2 ** 12 - 1, 2)
+@example([125, 25, 5, 1, 0], 2 ** 12 - 1, 4)
+@example([47301721 + 5 ** 15, 2449563726, 47301721], 2 ** 12 - 1, 1)
+def test_least_code_reads_the_least_code_of_a_set(codes, mask, edge):
+    # any nonempty set of a chunk's tables, duplicates and all; and a chunk
+    # cut in two at ``edge``, whose least codes give the least of the whole
+    tables = mask & (1 << len(codes)) - 1 or 1
+    want = min(code for i, code in enumerate(codes) if tables >> i & 1)
+    assert enumeration._least_code(_digit_sets(4, codes), tables) == want
+    parts = [part for part in (codes[:edge], codes[edge:]) if part]
+    assert min(enumeration._least_code(_digit_sets(4, part), (1 << len(part)) - 1)
+               for part in parts) == min(codes)
 
 
 def test_sample_census_draws_one_chunk_per_block():
-    # codes are drawn as their chunk is decided, so a sample never holds more
-    # than one chunk of them
+    # each chunk is drawn as it is decided, so a sample never holds more than
+    # one chunk of tables
     drawn = []
+    draw = _drawing(range(10))
 
-    def codes(n, count, seed):
-        for code in range(count):
-            drawn.append(code)
-            yield code
+    def spy(n, size, rng):
+        drawn.append(size)
+        return draw(n, size, rng)
 
     seen = []
     flag_sets = enumeration._flag_sets
 
-    def spy(n, digits, full):
-        seen.append(len(drawn))
+    def decide(n, digits, full):
+        seen.append(sum(drawn))
         return flag_sets(n, digits, full)
 
-    with mock.patch.object(enumeration, "_sampled_codes", codes), \
+    with mock.patch.object(enumeration, "_draw", spy), \
             mock.patch.object(enumeration, "_SAMPLE_CHUNK", 3), \
-            mock.patch.object(enumeration, "_flag_sets", spy):
+            mock.patch.object(enumeration, "_flag_sets", decide):
         got = sample_census(4, 10, seed=0)
     assert seen == [3, 6, 9, 10]
     assert got == _per_table_rows(4, range(10))
@@ -389,29 +482,15 @@ def _draw_orders(count):
 @pytest.mark.parametrize("order", ["descending", "repeated", "least-last"])
 @pytest.mark.parametrize("chunk, count", [(1, 300), (3, 300), (4096, 4101)])
 def test_sampled_witnesses_are_least_codes_in_draw_order(order, chunk, count):
-    # a chunk keeps its codes in draw order, so a pattern's lowest table in
+    # a chunk keeps its tables in draw order, so a pattern's lowest table in
     # a chunk need not hold its least code there; at width 3 the last chunk
     # of 300 codes is full, and at 4,096 the last of 4,101 holds 5 codes, so
-    # code 0 drawn last sits in the last lane of a later chunk
+    # code 0 drawn last is the last table of a later chunk
     codes, want = _draw_orders(count)[order]
-    with mock.patch.object(enumeration, "_sampled_codes", lambda n, count, seed: iter(codes)), \
+    with mock.patch.object(enumeration, "_draw", _drawing(codes)), \
             mock.patch.object(enumeration, "_SAMPLE_CHUNK", chunk):
         got = sample_census(4, len(codes), seed=0)
     assert got == want
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_digit_bytes_match_per_byte_definition(n):
-    base = n + 1
-    tables = enumeration._digit_bytes(n)
-    radix = base ** len(tables)
-    assert radix <= 256 < radix * base
-    for j, row in enumerate(tables):
-        assert len(row) == n
-        for v, table in enumerate(row, start=1):
-            assert len(table) == 256
-            want = bytes(49 if b // base ** j % base == v else 48 for b in range(radix))
-            assert table[:radix] == want, (n, j, v)
 
 
 @pytest.mark.parametrize("n, error", [(0, DomainError), (4, CapacityError)])
@@ -421,54 +500,23 @@ def test_scan_flags_checks_the_size_on_first_next(n, error):
         next(flags)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_sampled_codes_equal_randrange_draws(n):
-    # the filtered getrandbits stream is the randrange stream on every
-    # supported Python, which the pinned sampled censuses rest on
-    total = search_space_size(n)
-    for seed in (0, 1, 5, 21, 2 ** 40 + 3):
-        rng = random.Random(seed)
-        want = [rng.randrange(total) for _ in range(300)]
-        assert list(enumeration._sampled_codes(n, 300, seed)) == want, (n, seed)
-        assert list(enumeration._sampled_codes(n, 0, seed)) == []
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_sampled_digit_sets_match_decoded_codes(n):
-    # the lane split at its edges: the least and greatest codes at both ends
-    # of the draw, so that both the full first chunk and the short second one
-    # hold them, in the bottom and top lanes
-    total = search_space_size(n)
-    rng = random.Random(n)
-    edges = [0, total - 1]
-    codes = edges + [rng.randrange(total) for _ in range(enumeration._SAMPLE_CHUNK)] + edges
-    blocks = list(enumeration._sampled_blocks(n, iter(codes)))
-    assert [len(chunk) for chunk, _, _ in blocks] == [enumeration._SAMPLE_CHUNK, 4]
-    for chunk, digits, full in blocks:
-        assert full == (1 << len(chunk)) - 1
-        want = [[0] * (n + 1) for _ in range(n * n)]
-        for i, code in enumerate(chunk):
-            for k, v in enumerate(_decode_table(n, code)):
-                want[k][v + 1] |= 1 << i
-        assert digits == want, n
-
-
 def test_sample_census_rejects_unlabelled_sizes_before_drawing(capsys):
-    # codes at n=5 have no labels and do not fit a 64-bit lane, so the size is
-    # rejected before the first draw, not after deciding the whole sample
+    # tables at n=5 have no labels, so the size is rejected before the first
+    # draw, not after deciding the whole sample
     drawn = []
-    sampled_codes = enumeration._sampled_codes
+    getrandbits = random.Random.getrandbits
 
-    def spy(n, count, seed):
-        for code in sampled_codes(n, count, seed):
-            drawn.append(code)
-            yield code
+    def spy(rng, k):
+        drawn.append(k)
+        return getrandbits(rng, k)
 
-    with mock.patch.object(enumeration, "_sampled_codes", spy):
+    with mock.patch.object(random.Random, "getrandbits", spy):
         with pytest.raises(DomainError, match=r"^carrier size must be 1\.\.4$"):
             sample_census(5, 10 ** 6, seed=1)
         assert run(["enumerate", "census", "--size", "5", "--sample", "1000000"]) == 2
-    assert drawn == []
+        sample_census(1, 1, seed=1)
+    # the spy sees the draws of the one table at n=1, and none before
+    assert drawn == [1]
     captured = capsys.readouterr()
     assert captured.err == "error: carrier size must be 1..4\n"
     assert captured.out == ""
@@ -502,8 +550,8 @@ def test_block_inclusion_checks_survive_optimize(monkeypatch, corrupt, message):
 
 # sample_census(4, 4000, seed) rows (pattern, count, witness code) for two seeds
 SAMPLE4_ROWS = {
-    2: [("-----", 3849, 47301721), ("----T", 150, 12949563202), ("L----", 1, 2449563726)],
-    13: [("-----", 3840, 16100606), ("----T", 159, 1169920627), ("L----", 1, 149365631850)],
+    2: [("-----", 3877, 18113375), ("----T", 123, 95552396)],
+    13: [("-----", 3857, 64449927), ("----T", 143, 3960553140)],
 }
 
 
@@ -511,5 +559,6 @@ SAMPLE4_ROWS = {
 def test_sample_census_n4_rows_pinned(seed):
     rows = sample_census(4, 4000, seed)
     assert _row_triples(rows) == SAMPLE4_ROWS[seed]
+    assert rows == _per_table_rows(4, sorted(_sampled(4, 4000, seed)))
     for r in rows:
         assert r.witness == serialize_magma(decode_magma(4, r.witness_code))
