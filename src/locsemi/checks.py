@@ -21,10 +21,12 @@ that only their failing classes run their scans, for the witness:
 one walk over the magma's own table, and the bounded report, for which
 ``_open_table`` compiles a slice of a predicate structure together with the
 products that leave it.  A closed table is decided as the open form with no
-products outside it.  ``classify`` on a sparse table, with more than
-``_DENSE_CELLS_PER_PAIR`` cells per defined pair, runs every scan: there the
-n^2 cells would cost more than the scans, which a path magma keeps linear in
-|R|, and the public ``is_*`` checkers always run the scans.  The kernel
+products outside it.  One function, ``_kernel_flags``, tells a dense finite
+table from a sparse one, with more than ``_DENSE_CELLS_PER_PAIR`` cells per
+defined pair, for ``classify`` and for the free extension's check of its
+target.  A sparse table runs every scan: there the n^2 cells would cost more
+than the scans, which a path magma keeps linear in |R|.  The public ``is_*``
+checkers always run the scans.  The kernel
 reads every row and column mask of defined cells from the table's sign
 bytes, and compares each defined pair's two regroupings, (ab)c and a(bc)
 over b's defined columns, as two C-speed row gathers built on the row's
@@ -324,10 +326,11 @@ def _check_inclusions(flags, message: str) -> None:
             raise InvariantError(message.format(*names))
 
 
-def _first(scan, m: FinitePartialMagma) -> Verdict:
-    """The first violation of a full scan over m, or OK."""
+def _first(scan, m: FinitePartialMagma, rows=None) -> Verdict:
+    """The first violation of a full scan over m, or OK; rows, when given,
+    are m's rows of _Triples, which are else read from its table."""
     elems, rel, mul = _accessors(m)
-    return next(scan(_Triples(elems, _table_rows(m)), rel, mul), OK)
+    return next(scan(_Triples(elems, _table_rows(m) if rows is None else rows), rel, mul), OK)
 
 
 def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tuple]:
@@ -782,27 +785,38 @@ def _assemble_report(elems, rows, rel, mul, bound=None, flags=None) -> ClassRepo
     return r
 
 
-# classify compiles a flat table when it has at most this many cells, of 4
+# _kernel_flags compiles a flat table when it has at most this many cells, of 4
 # bytes each, per defined pair: on sparser structures the n^2 cells cost
 # more than the scans, which are linear in |R| on a path magma, and at
 # 10,000 elements they would take 400 MB.
 _DENSE_CELLS_PER_PAIR = 64
 
 
+def _kernel_flags(m: FinitePartialMagma):
+    """(flags, rows): the kernel's five verdicts on m in _CLASS_SCANS order, or
+    None when m is sparse, and the rows of _Triples over m.elements.
+
+    m is dense when it has at most _DENSE_CELLS_PER_PAIR cells of its flat
+    table per defined pair; a sparse m compiles no table.
+    """
+    n = len(m.elements)
+    if n * n > _DENSE_CELLS_PER_PAIR * len(m.table):
+        return None, _table_rows(m)
+    t, rows = _closed_table(m)
+    return _table_flags(n, t), rows
+
+
 def classify(m: FinitePartialMagma) -> ClassReport:
     """Run every class predicate and the identity/zero searches.
 
-    On a dense table, with at most _DENSE_CELLS_PER_PAIR cells of its flat
-    table per defined pair, the kernel decides the five classes and only the
-    failing ones run their scans, for the witness; a sparser table runs every
-    scan.  Both give the report of five scans, witnesses included.
+    On a dense table the kernel decides the five classes and only the
+    failing ones run their scans, for the witness; a sparse table runs every
+    scan (``_kernel_flags``).  Both give the report of five scans, witnesses
+    included.
     """
     elems, rel, mul = _accessors(m)
-    n = len(elems)
-    if n * n > _DENSE_CELLS_PER_PAIR * len(m.table):
-        return _assemble_report(elems, _table_rows(m), rel, mul)
-    t, rows = _closed_table(m)
-    return _assemble_report(elems, rows, rel, mul, flags=_table_flags(n, t))
+    flags, rows = _kernel_flags(m)
+    return _assemble_report(elems, rows, rel, mul, flags=flags)
 
 
 # ---------------------------------------------------------------------------

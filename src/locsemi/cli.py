@@ -141,10 +141,6 @@ def _cmd_quiver_free_ext(args) -> int:
     labels = set(target.elements)
     f = _name_values(_entries(args.map, lambda piece, parts: piece.partition("=")[2] in labels),
                      "map", "name=value")
-    arrows = {name for name, _, _ in q.arrows}
-    for name in f:
-        if name not in arrows:
-            raise MagmaError(f"map entry {name + '=' + f[name]!r} names no arrow of the quiver")
     paths, value, verdict = quiver._free_property(q, target, f, args.max_len)
     for p in paths:
         print(f"fbar {p.label} = {value[p.arrows]}")

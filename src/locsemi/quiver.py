@@ -5,7 +5,9 @@ A path carries its own source, target and arrow-label sequence, so
 composition needs no quiver context.  Trivial paths (one per vertex, length
 zero) compose as neutral elements on matching endpoints.  Path labels are
 ``e_<vertex>`` for trivial paths and the ``*``-joined arrow names otherwise.
-``verify_free_property`` and ``quiver free-ext`` share one walk-fold-verify.
+``verify_free_property`` and ``quiver free-ext`` share one walk-fold-verify,
+and every rule the command applies to its quiver, map and target is applied
+here.
 
 Quiver text format, read by ``magma._parse`` under a magma file's rules:
 
@@ -23,7 +25,7 @@ from .errors import (CapacityError, CompositionUndefined, DomainError,
                      InvariantError, PreconditionError)
 from .magma import (OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label, _format,
                     _parse, _sorted_labels)
-from .checks import is_locality_map, is_refined_locality_semigroup
+from .checks import _first, _kernel_flags, _refined_violation, is_locality_map
 
 Arrow = tuple[str, str, str]  # (name, source vertex, target vertex)
 
@@ -188,8 +190,14 @@ def compose(p: Path, q: Path) -> Path:
     return Path(p.source, q.target, p.arrows + q.arrows)
 
 
-def _starting_at(paths: Iterable[Path]) -> dict[str, list[Path]]:
-    """The paths grouped by source vertex, each group in the given order."""
+def _starting_at(paths: list[Path]) -> dict[str, list[Path]]:
+    """The paths grouped by source vertex, each group in the given order.
+
+    Both path walks, ``_composable_pairs`` and ``_free_property``, group their
+    paths here, and each names a path by its label, so labels must not collide.
+    """
+    if len({r.label for r in paths}) != len(paths):
+        raise DomainError("path labels collide; rename arrows or vertices")
     starting: dict[str, list[Path]] = {}
     for r in paths:
         starting.setdefault(r.source, []).append(r)
@@ -200,13 +208,11 @@ def _composable_pairs(q: Quiver, max_len: int):
     """(paths, pairs): the paths up to max_len in paths_upto order, and (p, r)
     for each pair of them where p ends at r's start, in that order.
 
-    Labels must not collide.  The pairs are counted from the paths starting at
-    each vertex, in O(len(paths)), and more than PAIR_CAPACITY of them raise
-    before any is built.
+    Labels must not collide (``_starting_at``).  The pairs are counted from the
+    paths starting at each vertex, in O(len(paths)), and more than
+    PAIR_CAPACITY of them raise before any is built.
     """
     paths = q.paths_upto(max_len)
-    if len({p.label for p in paths}) != len(paths):
-        raise DomainError("path labels collide; rename arrows or vertices")
     starting = _starting_at(paths)
     count = sum(len(starting.get(p.target, ())) for p in paths)
     if count > PAIR_CAPACITY:
@@ -244,7 +250,16 @@ def path_boundary(q: Quiver, max_len: int) -> tuple[list[Path], list[tuple[str, 
 
 
 def _check_arrow_map(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str]) -> None:
-    refined = is_refined_locality_semigroup(s)
+    """Raise unless f names only arrows of q, s is refined and f is a locality map.
+
+    A dense s takes its refined verdict from the kernel, as ``classify`` does,
+    and runs the refined scan only for the witness; a sparse s runs the scan.
+    """
+    for name in f:
+        if name not in q._endpoints:
+            raise DomainError(f"map entry {name + '=' + f[name]!r} names no arrow of the quiver")
+    flags, rows = _kernel_flags(s)
+    refined = OK if flags and flags[2] else _first(_refined_violation, s, rows)
     if not refined:
         w = refined.witness
         raise PreconditionError(
@@ -259,6 +274,13 @@ def _check_arrow_map(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str]) -> 
 def free_extension(q: Quiver, s: FinitePartialMagma,
                    f: Mapping[str, str]) -> Callable[[Path], str]:
     """Extend an arrow map into a refined target over all nonempty paths.
+
+    The checks run here, so the library and ``quiver free-ext`` refuse the
+    same maps with the same text, in this order: a name in f that is no
+    arrow of q (DomainError), a target s that is not refined
+    (PreconditionError), an arrow f leaves out or maps outside s's carrier
+    (DomainError), and an f that is no locality map on the arrows
+    (PreconditionError).
 
     The extension folds the arrow decomposition left to right; every
     intermediate pair is related because the target is refined and f is a
@@ -298,6 +320,10 @@ def verify_free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str],
     induction on length: a bracketing splits at the top into bracketings of
     P[:i] and P[i:], which give their values, and (b) on (P[:i], P[i:]) says
     these are related and multiply to P's value.
+
+    free_extension's checks run first.  Then the nonempty paths are walked,
+    and labels that collide among them raise DomainError, as labels that
+    collide among all paths do in ``materialize_path_magma``.
     """
     return _free_property(q, s, f, max_len)[2]
 
@@ -307,12 +333,12 @@ def _free_property(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str], max_l
     walked and folded once into value, and verify_free_property's verdict on them."""
     fbar = free_extension(q, s, f)
     paths = [p for p in q.paths_upto(max_len) if p.length > 0]
+    starting = _starting_at(paths)
     value = {p.arrows: fbar(p) for p in paths}
     for p in paths:
         if p.length == 1 and value[p.arrows] != f[p.arrows[0]]:
             return paths, value, fail("free-arrow-restriction", (p.label,),
                                       f"{value[p.arrows]}!={f[p.arrows[0]]}")
-    starting = _starting_at(paths)
     for p in paths:
         u = value[p.arrows]
         # each group runs in length order, so the first long partner ends it

@@ -5,8 +5,9 @@ no names it runs every mutant.  Each entry of MUTANTS is (name, file, old
 text, new text, reason): the old text must occur exactly once in the file,
 and ``reason`` is None, or one line saying why the mutant is equivalent to
 the code it changes.  Every mutant runs in its own temporary copy of
-``src``, ``tests`` and ``pyproject.toml`` under ``python -m pytest -q -x``;
-the script prints the first failing test and the wall time of each.  It
+``src``, ``tests`` and ``pyproject.toml`` under ``python -m pytest -q -x``,
+with at most MEMORY_LIMIT bytes of address space; the script prints the
+first failing test and the wall time of each.  It
 exits 1 when a mutant with no reason survives, and 2 when a name is unknown
 or an old text does not occur exactly once.  It uses only the standard
 library, and pytest does not collect it (its name does not start with
@@ -16,6 +17,7 @@ library, and pytest does not collect it (its name does not start with
 from __future__ import annotations
 
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -30,8 +32,12 @@ QUIVER = "src/locsemi/quiver.py"
 CLI = "src/locsemi/cli.py"
 ENUMERATION = "src/locsemi/enumeration.py"
 CONSTRUCTIONS = "src/locsemi/constructions.py"
+PREDICATES = "src/locsemi/predicates.py"
 # a run past this is reported as killed by the timeout, as CI's job timeout would
 TIMEOUT_S = 900
+# the address space each run may map: a mutant that drops a capacity check
+# then dies of MemoryError, not of the machine's memory running out
+MEMORY_LIMIT = 2 * 2 ** 30
 
 MUTANTS = [
     # the text reader: each of its rules dropped in turn
@@ -72,6 +78,9 @@ MUTANTS = [
      "    C = [_defined_mask(t[y::m]) for y in range(m)]",
      "R = [_defined_mask(left[x * n:x * n + n]) for x in range(n)]\n"
      "    C = [_defined_mask(t[y::m]) for y in range(n)]", None),
+    ("kernel: refined structures not checked to be strong", CHECKS,
+     '((refined, strong, ("refined", "strong")),\n                            (strong,',
+     "((strong,", None),
     # the sampled census: its draw and its witnesses
     ("sampler: a rejected value kept as digit 0", ENUMERATION,
      "                pending ^= held\n",
@@ -85,15 +94,34 @@ MUTANTS = [
      "if abc == zero and ab != zero and bc != zero:",
      "if (abc != zero) != (ab != zero and bc != zero):",
      "with zero absorbing, ab = 0 or bc = 0 gives abc = 0, so the nonzero side never fires"),
+    # the free extension: each of its rules dropped in turn
+    ("free-ext: map names that are no arrow dropped", QUIVER,
+     "        if name not in q._endpoints:\n", "        if False:\n", None),
+    ("free-ext: colliding labels walked", QUIVER,
+     "    starting = _starting_at(paths)\n    value =",
+     "    starting = {}\n    for r in paths:\n        starting.setdefault(r.source, []).append(r)\n"
+     "    value =", None),
+    ("free-ext: a sparse target passed unchecked", QUIVER,
+     "refined = OK if flags and flags[2] else", "refined = OK if not flags or flags[2] else", None),
+    ("paths and free-ext: colliding labels walked", QUIVER,
+     "    if len({r.label for r in paths}) != len(paths):\n", "    if False:\n", None),
     # limits and the command line
     ("paths_upto: counting runs past the capacity", QUIVER,
      "if total > PATH_CAPACITY or not count:", "if not count:", None),
+    ("path pairs: no capacity", QUIVER,
+     "    if count > PAIR_CAPACITY:\n", "    if False:\n", None),
+    ("slices: no bound check before the slicer", PREDICATES,
+     "    if bound > MAX_SLICE:\n        raise CapacityError(f\"bound {bound} exceeds the slice",
+     "    if False:\n        raise CapacityError(f\"bound {bound} exceeds the slice", None),
+    ("enumeration: no exhaustive size cap", ENUMERATION,
+     "    if n > EXHAUSTIVE_MAX:\n", "    if False:\n", None),
+    ("cli: errors exit 1", CLI,
+     '        print(f"error: {exc}", file=sys.stderr)\n        return 2\n',
+     '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n', None),
     ("--set: no whole-label pieces", CLI,
      "piece in carrier and not carrier.issuperset(parts)", "False", None),
     ("--map: no whole-label pieces", CLI,
      'lambda piece, parts: piece.partition("=")[2] in labels', "lambda piece, parts: False", None),
-    ("--map: names that are no arrow dropped", CLI,
-     "        if name not in arrows:\n", "        if False:\n", None),
     ("--map and --flags: a repeated name overwrites", CLI,
      "        if name in out:\n", "        if False:\n", None),
 ]
@@ -102,6 +130,10 @@ MUTANTS = [
 def _first_failure(output: str) -> str:
     found = re.search(r"^((?:FAILED|ERROR) .+?)(?: - |$)", output, re.M)
     return found.group(1) if found else output.strip().splitlines()[-1]
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
 def run(name: str, file: str, old: str, new: str) -> tuple[bool, str, float]:
@@ -118,7 +150,8 @@ def run(name: str, file: str, old: str, new: str) -> tuple[bool, str, float]:
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-                cwd=copy, capture_output=True, text=True, timeout=TIMEOUT_S)
+                cwd=copy, capture_output=True, text=True, timeout=TIMEOUT_S,
+                preexec_fn=_cap_memory)
         except subprocess.TimeoutExpired:
             return True, f"timeout after {TIMEOUT_S} s", time.perf_counter() - start
         seconds = time.perf_counter() - start

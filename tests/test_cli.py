@@ -284,10 +284,11 @@ pattern=L---- count=1 code=145460318755
 
 
 @pytest.mark.parametrize("argv, stdout", [
-    (["enumerate", "census", "--size", "3"], CENSUS3_RAW_STDOUT),
-    (["enumerate", "census", "--size", "3", "--dedup"], CENSUS3_DEDUP_STDOUT),
-    (["enumerate", "census", "--size", "4", "--sample", "4000", "--seed", "5"],
-     SAMPLE4_SEED5_STDOUT),
+    pytest.param(["enumerate", "census", "--size", "3"], CENSUS3_RAW_STDOUT, id="census3-raw"),
+    pytest.param(["enumerate", "census", "--size", "3", "--dedup"], CENSUS3_DEDUP_STDOUT,
+                 id="census3-dedup"),
+    pytest.param(["enumerate", "census", "--size", "4", "--sample", "4000", "--seed", "5"],
+                 SAMPLE4_SEED5_STDOUT, id="sample4-seed5"),
 ])
 def test_enumerate_census_stdout_pinned(argv, stdout, capsys):
     assert run(argv) == 0
@@ -343,6 +344,9 @@ def test_bad_census_and_scan_arguments_exit_2(argv, tmp_path, capsys):
      "map entry 'g=0' names 'g' a second time"),
     (["enumerate", "find", "--size", "2", "--flags", "locality=yes,locality=no"],
      "flag entry 'locality=no' names 'locality' a second time"),
+    # free-ext walks the same labels as paths: the arrow a*b meets the path a*b
+    (["quiver", "free-ext", "@a*b", "--target", "@z3", "--map", "a=1,b=1,a*b=2"],
+     "path labels collide; rename arrows or vertices"),
 ])
 def test_malformed_input_errors_exit_2(argv, message, tmp_path, capsys):
     files = {"@e_x": write(tmp_path, "e_x.quiver", "vertices: x y\narrow: e_x x y\n"),

@@ -331,6 +331,63 @@ def test_free_extension_fold_check_survives_optimize(monkeypatch):
         fbar(XYZ.path(["alpha", "beta"]))
 
 
+def test_free_extension_refuses_a_map_entry_that_names_no_arrow():
+    # the rule runs ahead of the target check: ex4_3 is not refined
+    path_magma, _ = materialize_path_magma(XYZ, 2)
+    message = "map entry 'typo=alpha' names no arrow of the quiver"
+    for target, value in ((path_magma, "alpha"), (fixture_magma("ex4_3"), "a")):
+        f = {"alpha": value, "beta": value, "typo": value}
+        with pytest.raises(DomainError) as exc:
+            free_extension(XYZ, target, f)
+        assert str(exc.value) == message.replace("alpha", value)
+
+
+def test_free_property_refuses_colliding_path_labels():
+    # the arrow a*b and the path a*b would print as two 'fbar a*b' lines; an
+    # arrow e_x meets no nonempty path's label, and trivial paths are not walked
+    f = {"a": "1", "b": "1", "a*b": "2"}
+    fbar = free_extension(parse_quiver(COMPOSITE_ARROW), z3(), f)
+    assert fbar(Path("x", "z", ("a*b",))) == "2" and fbar(Path("x", "z", ("a", "b"))) == "2"
+    assert verify_free_property(parse_quiver(COMPOSITE_ARROW), z3(), f, 1)
+    with pytest.raises(DomainError) as exc:
+        verify_free_property(parse_quiver(COMPOSITE_ARROW), z3(), f, 2)
+    assert str(exc.value) == "path labels collide; rename arrows or vertices"
+    assert verify_free_property(parse_quiver(E_X_ARROW), z3(), {"e_x": "1"}, 2)
+
+
+def test_free_extension_into_a_dense_refined_target_builds_no_stream(monkeypatch):
+    # the zero-completion of 4 chains, 41 elements with every pair related, is
+    # dense: the kernel decides it refined, as in classify, and no scan runs
+    from locsemi import checks, complete_to_semigroup_with_zero
+    q = Quiver(tuple(f"v{k}_{i}" for k in range(4) for i in range(4)),
+               tuple((f"x{k}_{i}", f"v{k}_{i}", f"v{k}_{i + 1}") for k in range(4) for i in range(3)))
+    target = complete_to_semigroup_with_zero(materialize_path_magma(q, 3)[0]).magma
+    streams = 0
+    stream = checks._Triples._stream
+
+    def counted(*args, **kwargs):
+        nonlocal streams
+        streams += 1
+        return stream(*args, **kwargs)
+    monkeypatch.setattr(checks._Triples, "_stream", counted)
+    f = {name: name for name, _, _ in q.arrows}
+    assert free_extension(q, target, f)(q.path(["x0_0", "x0_1"])) == "x0_0*x0_1"
+    assert verify_free_property(q, target, f, 3)
+    assert streams == 0
+
+
+def test_free_extension_into_a_sparse_target_names_the_scan_witness():
+    # 10 elements and one product: sparse, so the refined scan decides and names
+    from locsemi import checks
+    elements = tuple(f"s{i}" for i in range(10))
+    target = FinitePartialMagma(elements, {("s0", "s1"): "s0"})
+    assert 10 * 10 > checks._DENSE_CELLS_PER_PAIR * len(target.table)
+    lonely = Quiver(("x", "y"), (("a", "x", "y"),))
+    with pytest.raises(PreconditionError) as exc:
+        free_extension(lonely, target, {"a": "s0"})
+    assert str(exc.value) == "target is not refined: refined-left at (s0,s1,s1)"
+
+
 def test_free_property_loop_into_z3():
     f = {"g": "1"}
     target = z3()
