@@ -8,7 +8,6 @@ read in one pass with ``zero`` as one more header kind.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -70,15 +69,29 @@ class SemigroupWithZero:
         return self.magma.table[(a, b)]
 
 
-def _associativity_violation(m: FinitePartialMagma):
+def _regroupings(m: FinitePartialMagma, zero: str | None = None):
+    """Each triple of the total table m in lex order, as ((x, y, z), xy, yz, (xy)z, x(yz)).
+
+    With an absorbing ``zero``, a triple whose xy and yz are both zero is
+    zero on both sides, so after a zero xy only the z with yz nonzero come.
+    """
+    rows = {x: {y: m.table[(x, y)] for y in m.elements} for x in m.elements}
+    nonzero = {y: [z for z, yz in row.items() if yz != zero] for y, row in rows.items()}
+    for x, rx in rows.items():
+        for y, xy in rx.items():
+            ry, rxy = rows[y], rows[xy]
+            for z in nonzero[y] if xy == zero else ry:
+                yield (x, y, z), xy, (yz := ry[z]), rxy[z], rx[yz]
+
+
+def _associativity_violation(m: FinitePartialMagma, zero: str | None = None):
     """First triple (lex order) where the total table fails to associate, or None."""
-    t = m.table
-    for x, y, z in itertools.product(m.elements, repeat=3):
-        lhs = t[(t[(x, y)], z)]
-        rhs = t[(x, t[(y, z)])]
-        if lhs != rhs:
-            return (x, y, z), lhs, rhs
-    return None
+    return next(((triple, lhs, rhs) for triple, _, _, lhs, rhs in _regroupings(m, zero)
+                 if lhs != rhs), None)
+
+
+def _not_associative(triple, lhs, rhs) -> PreconditionError:
+    return PreconditionError(f"not associative at ({','.join(triple)}): {lhs} != {rhs}")
 
 
 def _require_semigroup(m: FinitePartialMagma) -> None:
@@ -87,30 +100,25 @@ def _require_semigroup(m: FinitePartialMagma) -> None:
         raise PreconditionError("operation table is not total")
     broken = _associativity_violation(m)
     if broken is not None:
-        triple, lhs, rhs = broken
-        raise PreconditionError(
-            f"not associative at ({','.join(triple)}): {lhs} != {rhs}")
+        raise _not_associative(*broken)
 
 
 def complete_to_semigroup_with_zero(m: FinitePartialMagma, zero: str = "0") -> SemigroupWithZero:
     """Totalize the product by sending every unrelated pair to a fresh zero.
 
-    The result is verified associative by brute force over all triples of the
-    extended carrier; for refined inputs this cannot fail, for anything else
-    the first breaking triple is raised as NotAssociative.
+    The result is verified associative over every triple that can fail: one
+    whose two inner products are both the zero is zero on both sides.  For
+    refined inputs this cannot fail; for anything else the first breaking
+    triple in lex order is raised as NotAssociative.
     """
     if zero in m.elements:
         raise DomainError(f"zero label {zero!r} already in carrier")
     elements = m.elements + (zero,)
-    table: dict[tuple[str, str], str] = {}
-    for a in elements:
-        for b in elements:
-            table[(a, b)] = m.table.get((a, b), zero)
-    total = FinitePartialMagma(elements, table)
-    broken = _associativity_violation(total)
+    total = FinitePartialMagma(elements, {(a, b): m.table.get((a, b), zero)
+                                          for a in elements for b in elements})
+    broken = _associativity_violation(total, zero)
     if broken is not None:
-        triple, lhs, rhs = broken
-        raise NotAssociative(triple, lhs, rhs)
+        raise NotAssociative(*broken)
     return SemigroupWithZero(total, zero)
 
 
@@ -119,20 +127,24 @@ def is_strong_semigroup_with_zero(t: SemigroupWithZero) -> Verdict:
 
     Only one side needs a test: with zero absorbing, ab = 0 gives abc = 0c = 0,
     and bc = 0 gives abc = a(bc) = 0, so abc != 0 forces ab, bc != 0.
+
+    PreconditionError unless the table is total, associative and absorbed
+    by the zero, the first fault in that order named.  Once the table is
+    total and the zero absorbs, one walk over the triples that can fail
+    (``_regroupings``) checks associativity and finds the first witness.
     """
-    m = t.magma
-    _require_semigroup(m)
-    zero = t.zero
-    for a in m.elements:
-        if m.table[(zero, a)] != zero or m.table[(a, zero)] != zero:
-            raise PreconditionError(f"designated zero {zero!r} does not absorb {a!r}")
-    tab = m.table
-    for a, b, c in itertools.product(m.elements, repeat=3):
-        ab, bc = tab[(a, b)], tab[(b, c)]
-        abc = tab[(ab, c)]
-        if abc == zero and ab != zero and bc != zero:
-            return fail("strong-zero", (a, b, c), f"product zero but factors {ab},{bc}")
-    return OK
+    m, zero, tab = t.magma, t.zero, t.magma.table
+    strays = [a for a in m.elements if tab.get((zero, a)) != zero or tab.get((a, zero)) != zero]
+    if strays or not m.is_total():
+        _require_semigroup(m)  # a table that is not total, or not associative, says so first
+        raise PreconditionError(f"designated zero {zero!r} does not absorb {strays[0]!r}")
+    verdict = OK
+    for triple, ab, bc, abc, rhs in _regroupings(m, zero):
+        if abc != rhs:
+            raise _not_associative(triple, abc, rhs)
+        if abc == zero and ab != zero and bc != zero and verdict:
+            verdict = fail("strong-zero", triple, f"product zero but factors {ab},{bc}")
+    return verdict
 
 
 def partial_from_semigroup(t: FinitePartialMagma, A: Iterable[str]) -> FinitePartialMagma:

@@ -81,6 +81,19 @@ MUTANTS = [
     ("kernel: refined structures not checked to be strong", CHECKS,
      '((refined, strong, ("refined", "strong")),\n                            (strong,',
      "((strong,", None),
+    ("kernel: refined-right membership dropped", CHECKS,
+     "if Rb != Rab or Ca != Cab:", "if Rb != Rab:", None),
+    ("block kernel: refined-right membership dropped", CHECKS,
+     "refined_bad |= (both ^ left_in) | (both ^ right_in)", "refined_bad |= both ^ left_in", None),
+    ("class chain: strong structures not checked to be locality and partial", CHECKS,
+     '                            (strong, loc & partial, ("strong", "both locality and partial")),\n',
+     "", None),
+    ("class chain: transitive locality structures not checked to be partial", CHECKS,
+     ',\n                            (trans & loc, partial, ("transitive locality", "partial"))):',
+     ",):", None),
+    # the scans' triple streams
+    ("streams: a pair after b loses the runs past b's cut", CHECKS,
+     "cs = whole[j][:cuts[j]] if i < j else whole[j]", "cs = whole[j][:cuts[j]]", None),
     # the sampled census: its draw and its witnesses
     ("sampler: a rejected value kept as digit 0", ENUMERATION,
      "                pending ^= held\n",
@@ -89,11 +102,32 @@ MUTANTS = [
      "bits = n.bit_length()", "bits = n.bit_length() - 1", None),
     ("sampler: least code read from the least significant cell", ENUMERATION,
      "for sets in reversed(digits):", "for sets in digits:", None),
-    # constructions
+    # constructions: the zero-completion's one regrouping walk and its readers
     ("strong zero: the two-sided test", CONSTRUCTIONS,
-     "if abc == zero and ab != zero and bc != zero:",
-     "if (abc != zero) != (ab != zero and bc != zero):",
+     "if abc == zero and ab != zero and bc != zero and verdict:",
+     "if (abc != zero) != (ab != zero and bc != zero) and verdict:",
      "with zero absorbing, ab = 0 or bc = 0 gives abc = 0, so the nonzero side never fires"),
+    ("zero walk: only the z with yz nonzero after a nonzero xy", CONSTRUCTIONS,
+     "for z in nonzero[y] if xy == zero else ry:", "for z in nonzero[y]:", None),
+    ("zero walk: every z after a zero xy", CONSTRUCTIONS,
+     "for z in nonzero[y] if xy == zero else ry:", "for z in ry:",
+     "with xy and yz both zero, (xy)z and x(yz) are both the absorbing zero"),
+    ("strong zero: a regrouping that does not associate let through", CONSTRUCTIONS,
+     "raise _not_associative(triple, abc, rhs)", "pass", None),
+    ("strong zero: the absorb fault named before associativity", CONSTRUCTIONS,
+     "        _require_semigroup(m)  #", "        #", None),
+    ("complete: the zero label checked after the walk", CONSTRUCTIONS,
+     "    total = FinitePartialMagma(elements, {(a, b): m.table.get((a, b), zero)\n"
+     "                                          for a in elements for b in elements})\n"
+     "    broken = _associativity_violation(total, zero)\n"
+     "    if broken is not None:\n        raise NotAssociative(*broken)\n",
+     "    table = {(a, b): m.table.get((a, b), zero) for a in elements for b in elements}\n"
+     "    unchecked = object.__new__(FinitePartialMagma)\n"
+     "    object.__setattr__(unchecked, 'elements', tuple(sorted(elements)))\n"
+     "    object.__setattr__(unchecked, 'table', table)\n"
+     "    broken = _associativity_violation(unchecked, zero)\n"
+     "    if broken is not None:\n        raise NotAssociative(*broken)\n"
+     "    total = FinitePartialMagma(elements, table)\n", None),
     # the free extension: each of its rules dropped in turn
     ("free-ext: map names that are no arrow dropped", QUIVER,
      "        if name not in q._endpoints:\n", "        if False:\n", None),
@@ -113,6 +147,8 @@ MUTANTS = [
     ("slices: no bound check before the slicer", PREDICATES,
      "    if bound > MAX_SLICE:\n        raise CapacityError(f\"bound {bound} exceeds the slice",
      "    if False:\n        raise CapacityError(f\"bound {bound} exceeds the slice", None),
+    ("polar closure: no 16-element subset cap", CHECKS,
+     "    if n > 16:\n", "    if False:\n", None),
     ("enumeration: no exhaustive size cap", ENUMERATION,
      "    if n > EXHAUSTIVE_MAX:\n", "    if False:\n", None),
     ("cli: errors exit 1", CLI,
@@ -150,7 +186,7 @@ def run(name: str, file: str, old: str, new: str) -> tuple[bool, str, float]:
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-                cwd=copy, capture_output=True, text=True, timeout=TIMEOUT_S,
+                cwd=copy, capture_output=True, text=True, errors="replace", timeout=TIMEOUT_S,
                 preexec_fn=_cap_memory)
         except subprocess.TimeoutExpired:
             return True, f"timeout after {TIMEOUT_S} s", time.perf_counter() - start

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -197,6 +198,95 @@ def test_strong_zero_checks():
 
     with pytest.raises(DomainError):
         SemigroupWithZero(zmod(4, lambda a, b: a * b), "9")
+
+
+def _with_zero(labels, products, zero="0"):
+    """SemigroupWithZero on ``zero`` and ``labels``; unlisted products are the zero."""
+    el = (zero,) + labels
+    return SemigroupWithZero(FinitePartialMagma(
+        el, {(a, b): products.get(a + b, zero) for a in el for b in el}), zero)
+
+
+def test_strong_zero_names_a_regrouping_that_does_not_associate():
+    # 0 absorbs, so the failure comes from the one walk, not from the absorb check:
+    # (bb)a = 0a = 0 but b(ba) = ba = a
+    t = _with_zero(("a", "b"), {"ba": "a"})
+    with pytest.raises(PreconditionError) as exc:
+        is_strong_semigroup_with_zero(t)
+    assert str(exc.value) == "not associative at (b,b,a): 0 != a"
+
+
+def test_strong_zero_names_associativity_before_absorption():
+    # a0 = a, so 0 does not absorb; and (a0)a = aa = 0 but a(0a) = a0 = a
+    t = _with_zero(("a",), {"a0": "a"})
+    with pytest.raises(PreconditionError) as exc:
+        is_strong_semigroup_with_zero(t)
+    assert str(exc.value) == "not associative at (a,0,a): 0 != a"
+
+
+def _first_regrouping(m, keep):
+    """Plain walk over every triple of the total table m: the first one that ``keep`` takes."""
+    t = m.table
+    for x, y, z in itertools.product(m.elements, repeat=3):
+        xy, yz = t[(x, y)], t[(y, z)]
+        if keep(xy, yz, t[(xy, z)], t[(x, yz)]):
+            return (x, y, z), xy, yz, t[(xy, z)], t[(x, yz)]
+    return None
+
+
+def _agrees_with_the_full_walk(m, zero):
+    el = m.elements + (zero,)
+    total = FinitePartialMagma(el, {(a, b): m.table.get((a, b), zero) for a in el for b in el})
+    broken = _first_regrouping(total, lambda xy, yz, lhs, rhs: lhs != rhs)
+    if broken is not None:
+        triple, _, _, lhs, rhs = broken
+        with pytest.raises(NotAssociative) as exc:
+            complete_to_semigroup_with_zero(m, zero)
+        assert (exc.value.triple, exc.value.lhs, exc.value.rhs) == (triple, lhs, rhs)
+        with pytest.raises(PreconditionError) as exc:
+            is_strong_semigroup_with_zero(SemigroupWithZero(total, zero))
+        assert str(exc.value) == f"not associative at ({','.join(triple)}): {lhs} != {rhs}"
+        return
+    completed = complete_to_semigroup_with_zero(m, zero)
+    assert completed == SemigroupWithZero(total, zero)
+    witness = _first_regrouping(
+        total, lambda xy, yz, lhs, rhs: lhs == zero and xy != zero and yz != zero)
+    verdict = is_strong_semigroup_with_zero(completed)
+    if witness is None:
+        assert verdict.ok and verdict.witness is None
+    else:
+        triple, xy, yz, _, _ = witness
+        assert verdict.witness == Witness("strong-zero", triple, f"product zero but factors {xy},{yz}")
+
+
+def test_completion_and_strong_zero_equal_the_full_walk():
+    """The walk that skips triples with both inner products zero finds what a full walk finds."""
+    for n in (1, 2):
+        for code in range(search_space_size(n)):
+            _agrees_with_the_full_walk(decode_magma(n, code), "0")
+    for code in range(0, search_space_size(3), 5):
+        _agrees_with_the_full_walk(decode_magma(3, code), "0")
+    # the zero labels sort before, among and after carriers drawn from these
+    rng = random.Random(30)
+    pool = ("+", ".", "5", "9", "A", "P", "R", "a", "z", "|")
+    for _ in range(150):
+        labels = rng.sample(pool, rng.randint(1, 10))
+        density = rng.choice((0.05, 0.15, 0.4, 0.9))
+        m = FinitePartialMagma(labels, {(a, b): rng.choice(labels) for a in labels
+                                        for b in labels if rng.random() < density})
+        for zero in ("-", "0", "Q", "~"):
+            _agrees_with_the_full_walk(m, zero)
+
+
+def test_strong_zero_walks_an_absorbing_table_once(monkeypatch):
+    from locsemi import constructions
+    calls = []
+    walk = constructions._regroupings
+    monkeypatch.setattr(constructions, "_regroupings",
+                        lambda *args: calls.append(args) or walk(*args))
+    z4 = SemigroupWithZero(zmod(4, lambda a, b: a * b), "0")
+    assert not is_strong_semigroup_with_zero(z4)
+    assert len(calls) == 1
 
 
 def test_partial_from_semigroup_z6():
