@@ -1,49 +1,43 @@
 """Axiom-class checkers returning verdicts with violation witnesses.
 
-Every scan visits tuples in a fixed deterministic order: strictly
-increasing tuples first (lexicographically), then all remaining tuples
-(lexicographically), and yields every violation in that order.  A checker
-takes the first one as its witness, so reported counterexamples prefer
-distinct generic elements over degenerate repeats, and reports are stable
-across runs.
+Every class verdict comes from one walk, ``_walk``, over the related pairs
+(a,b) of a structure in lexicographic order of their positions.  At each
+pair ``_masks`` states each of the twelve triple axioms once, as the mask of
+the c for which (a,b,c) violates it; refined-right reads the pair as (b,c)
+and runs over a.  A class's witness is the first violation, in the scan
+order, of its first pass that has one.  The scan order puts the strictly
+increasing triples (i < j < k) first, then the rest, each lexicographically,
+so reported counterexamples prefer distinct generic elements over degenerate
+repeats.  A mask's first witness at (a,b) is therefore its lowest element
+above b when a < b, and otherwise its lowest element.  The first increasing
+witness the walk meets is final, so the walk skips the axioms whose witness
+is final and stops once the first pass of every class it decides has one.
+Only then is the detail of each witness read back, through the structure's
+relation and product at the witness triple.
 
-The scans are written against bare accessors (triple source, relation test,
-product function), so each axiom clause is stated once and drives the full
-scans of finite tables, the bounded scans of predicate-defined structures,
-and witness replay, which re-runs a scan on the witness's own elements.
+The walk reads its masks through one of three backends, which differ only
+in how they store the relation and the products:
 
-Every axiom is stated in this module.  The fused flat-table kernel
-``_table_flags`` and its bit-sliced twin ``_block_flags``, which decides a
-block of closed tables at once for ``scan_flags`` and the census, sit beside
-the scan clauses.  ``_table_flags`` gives the verdicts of two reports, so
-that only their failing classes run their scans, for the witness:
-``classify`` on a dense finite table, which ``_closed_table`` compiles in
-one walk over the magma's own table, and the bounded report, for which
-``_open_table`` compiles a slice of a predicate structure together with the
-products that leave it.  A closed table is decided as the open form with no
-products outside it.  One function, ``_kernel_flags``, tells a dense finite
-table from a sparse one, with more than ``_DENSE_CELLS_PER_PAIR`` cells per
-defined pair, for ``classify`` and for the free extension's check of its
-target.  A sparse table runs every scan: there the n^2 cells would cost more
-than the scans, which a path magma keeps linear in |R|.  The public ``is_*``
-checkers always run the scans.  The kernel
-reads every row and column mask of defined cells from the table's sign
-bytes, and compares each defined pair's two regroupings, (ab)c and a(bc)
-over b's defined columns, as two C-speed row gathers built on the row's
-first use, so its Python work per pair does not grow with the slice.
+- ``_flat``: a flat table, closed (``_closed_table``, a dense finite
+  structure) or open (``_open_table``, the slice of a predicate structure
+  together with the products that leave it).  Masks are ints read at C speed
+  from the table's sign bytes, and a pair's regroupings (ab)c and a(bc) are
+  two C-speed row gathers built on the row's first use.
+- ``_table_dicts``: row dicts read from the table of a sparse finite
+  structure, with more than ``_DENSE_CELLS_PER_PAIR`` cells of a flat table
+  per defined pair.  Masks are sets, and nothing of size n^2 is built.
+- ``_lazy_dicts``: the rows and columns of a slice, each computed by calling
+  the relation when the walk first needs it (``sampled_verdict``,
+  ``replay_witness``).  Masks are ints; a pair's regroupings call the
+  product per c, so the walk takes the increasing triples of every pair
+  before the others, as the scan order does, and a class that fails early
+  costs no more than those triples.
 
-A scan reads its triples from a triple source, ``_Triples``, which offers
-the scan order as streams, each filtered by one guard, such as "(a,b) and
-(b,c) related".  Each clause reads the stream whose guard it needs and
-tests only what the guard leaves open; a triple outside that stream fails
-the guard and would yield nothing, so each violation stream, and each first
-witness, is exactly what a walk over all n^3 triples gives.  One run
-builder, ``_Triples._stream``, cuts every stream from the relation's rows,
-with nothing of size n^3.  The two refined-membership streams also skip the
-related pairs whose two rows (or columns) are equal, which cannot fail, so
-on a refined structure they cost about |R|.  The two refined-membership
-clauses share one transfer body, and the two regrouping clauses another.
-A replay runs the same scan over the witness's own elements.
+``classify``, the public ``is_*`` checkers, the bounded reports of
+``predicates`` and the free extension's target check all read the walk, and
+``replay_witness`` evaluates the named axiom's mask at the witness's pair.
+``_block_flags`` is the census's bit-sliced twin, which decides a block of
+closed tables at once.
 
 The literal polar closure, ``check_polar_closure_subsets``, compiles no
 table: it reads each subset's polars from the magma (``left_polar``,
@@ -53,14 +47,12 @@ rule the sub-structure and ideal checkers share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from array import array
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -71,138 +63,6 @@ Rel = Callable[[object, object], bool]
 Mul = Callable[[object, object], object]
 
 
-class _Triples:
-    """The triple streams of one structure over the distinct ``elems``.
-
-    ``rows[i]`` lists, in increasing order, the positions j with
-    (elems[i], elems[j]) related.  The scan order compares positions, not
-    values.  Each stream is the scan order filtered by one guard, and each
-    call starts a fresh pass:
-
-    - ``ab(pair)``, (a,b) related and ``pair(a, b)``: refined-left;
-    - ``bc(pair)``, (b,c) related and ``pair(b, c)``: refined-right;
-    - ``chained()``, (a,b) and (b,c) related: strong, refined-assoc,
-      partial and transitivity;
-    - ``left()``, (a,b), (b,c) and (a,c) related: left polar closure and
-      locality-assoc;
-    - ``right()``, (a,b), (c,a) and (c,b) related: right polar closure.
-
-    ``_stream`` cuts every stream into C-speed runs of c, one per pair (a,b)
-    it keeps: every element, b's row or column, or those filtered by a's
-    row or column, each cut to the pair's range in the scan order.  A pass
-    costs about the pairs plus the triples it yields, and the source holds
-    O(n + |R|), built on a stream's first call.  ``ab`` tests each pair
-    once, when the walk first reaches it; ``bc`` tests its pairs (b,c) all
-    on its first step, and pairs every a with each b that kept one.
-    """
-
-    def __init__(self, elems: Sequence, rows: Sequence[Sequence[int]]):
-        self.elems = tuple(elems)
-        self.rows = rows
-
-    def _lines(self, lines):
-        """(whole, cuts, sets): per line j of positions (b's row or column),
-        its values, how many of its positions are up to j, and its values as
-        a set."""
-        elems = self.elems
-        whole = [tuple(map(elems.__getitem__, line)) for line in lines]
-        cuts = [bisect_right(line, j) for j, line in enumerate(lines)]
-        return whole, cuts, [frozenset(v) for v in whole]
-
-    @cached_property
-    def _row_lines(self):
-        return self._lines(self.rows)
-
-    @cached_property
-    def _column_lines(self):
-        columns = [[] for _ in self.elems]
-        for i, row in enumerate(self.rows):
-            for j in row:
-                columns[j].append(i)
-        return self._lines(columns)
-
-    @cached_property
-    def _index(self):
-        return {x: i for i, x in enumerate(self.elems)}
-
-    def row(self, x, rel: Rel) -> frozenset:
-        """The elements c with (x,c) related; rel tells them when x is not an element."""
-        i = self._index.get(x)
-        if i is None:
-            return frozenset(c for c in self.elems if rel(x, c))
-        return self._row_lines[2][i]
-
-    def column(self, x, rel: Rel) -> frozenset:
-        """The elements a with (a,x) related; rel tells them when x is not an element."""
-        i = self._index.get(x)
-        if i is None:
-            return frozenset(a for a in self.elems if rel(a, x))
-        return self._column_lines[2][i]
-
-    def _stream(self, whole, cuts, sets=None, pair=None, rows=None):
-        """The runs of c, one per pair (a,b) of ``rows`` (the relation's, by
-        default) in scan order that pair keeps, cut from b's line: past b's
-        position in the increasing part, then up to it when a comes before
-        b, else all of it.  With sets, a run keeps only the c in a's set."""
-        elems, rows = self.elems, self.rows if rows is None else rows
-
-        def runs():
-            kept = set()  # the (i, j), i < j, that pair passed, so it tests each pair once
-            for i, a in enumerate(elems):
-                row = rows[i]
-                for j in row[bisect_right(row, i):]:
-                    if pair is not None:
-                        if not pair(a, elems[j]):
-                            continue
-                        kept.add((i, j))
-                    cs = whole[j][cuts[j]:]
-                    if cs:
-                        yield zip(repeat(a), repeat(elems[j]),
-                                  filter(sets[i].__contains__, cs) if sets else cs)
-            for i, a in enumerate(elems):
-                for j in rows[i]:
-                    if pair is None or ((i, j) in kept if i < j else pair(a, elems[j])):
-                        cs = whole[j][:cuts[j]] if i < j else whole[j]
-                        if cs:
-                            yield zip(repeat(a), repeat(elems[j]),
-                                      filter(sets[i].__contains__, cs) if sets else cs)
-        return chain.from_iterable(runs())
-
-    def ab(self, pair):
-        n = len(self.elems)
-        return self._stream([self.elems] * n, range(1, n + 1), pair=pair)
-
-    def bc(self, pair):
-        elems = self.elems
-        lines = [[k for k in row if pair(elems[j], elems[k])] for j, row in enumerate(self.rows)]
-        bs = [j for j, line in enumerate(lines) if line]
-        yield from self._stream(*self._lines(lines)[:2], rows=[bs] * len(elems))
-
-    def chained(self):
-        return self._stream(*self._row_lines[:2])
-
-    def left(self):
-        return self._stream(*self._row_lines)
-
-    def right(self):
-        return self._stream(*self._column_lines)
-
-
-def _related_rows(elems: Sequence, rel: Rel) -> list[list[int]]:
-    """The rows of _Triples, read by calling rel on every pair."""
-    return [[j for j, b in enumerate(elems) if rel(a, b)] for a in elems]
-
-
-def _table_rows(m: FinitePartialMagma) -> list[list[int]]:
-    """The rows of _Triples over m.elements, read from the table's keys,
-    which the magma stores in label order, so each row comes out ascending."""
-    index = {x: i for i, x in enumerate(m.elements)}
-    rows = [[] for _ in index]
-    for a, b in m.table:
-        rows[index[a]].append(index[b])
-    return rows
-
-
 def _ordered_pairs(elems: Sequence):
     yield from itertools.combinations(elems, 2)
     for p in itertools.product(elems, repeat=2):
@@ -211,126 +71,226 @@ def _ordered_pairs(elems: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# scan bodies, generic over (triple source, related, product)
-#
-# Each scan yields every violation in scan order.  A clause reads the stream
-# of its source whose guard it needs, and tests only what that guard leaves
-# open.  A full scan is read only up to its first violation, so a later pass
-# runs only once the earlier ones hold and its products are defined; a replay
-# reads past the violations of other axioms and passes a product that is None
-# where undefined, so every clause must be exact there too.  A relation may
-# answer with any truthy or falsy value, so clauses branch on the answers and
-# never compare two of them.
+# the triple axioms, stated once as masks of one related pair
 
-def _polar_closure_violation(src, rel: Rel, mul: Mul):
-    # left closure: a, b both related into c and (a,b) related force (ab, c) related
-    for a, b, c in src.left():
-        if not rel(mul(a, b), c):
-            yield fail("left-polar-closure", (a, b, c), f"U={{{c}}}")
-    # right closure: c related into a, b and (a,b) related force (c, ab) related
-    for a, b, c in src.right():
-        if not rel(c, mul(a, b)):
-            yield fail("right-polar-closure", (a, b, c), f"U={{{c}}}")
+# the twelve triple axioms, in the order _masks gives their masks
+_AXIOMS = ("left-polar-closure", "right-polar-closure", "locality-assoc",
+           "strong-left", "strong-right", "strong-assoc",
+           "refined-left", "refined-right", "refined-assoc",
+           "partial-assoc", "partial-membership", "transitivity")
+_REFINED_RIGHT = _AXIOMS.index("refined-right")
+# the axioms whose masks read columns, and those whose masks read the
+# pair's regroupings (SR or DIFF below)
+_COLUMNED = frozenset(map(_AXIOMS.index, ("right-polar-closure", "refined-right")))
+_REGROUPED = frozenset(map(_AXIOMS.index, (
+    "locality-assoc", "strong-right", "strong-assoc", "refined-assoc",
+    "partial-assoc", "partial-membership")))
+
+# Each class's passes in scan order, as indices into _AXIOMS.  A pass's first
+# witness is the first triple in scan order at which one of its axioms
+# fails, the earlier axiom first on a tie; a class's witness is that of its
+# first pass that has one.  The classes are named by their ClassReport fields.
+_CLASS_PASSES = (
+    ("locality", ((0,), (1,), (2,))),
+    ("strong", ((3, 4, 5),)),
+    ("refined", ((6,), (7,), (8,))),
+    ("partial", ((9, 10),)),
+    ("transitive", ((11,),)),
+)
+_CLASS_NAMES = tuple(name for name, _ in _CLASS_PASSES)
 
 
-def _regrouping_violation(triples, rel: Rel, mul: Mul, axiom: str):
-    # products before the relation tests, as the note above allows
-    for a, b, c in triples:
+def _masks(Ra, Rb, Rab, Ca, Cb, Cab, SR, DIFF) -> tuple:
+    """The masks of the twelve axioms at one related pair (a,b), in _AXIOMS order.
+
+    R[x] holds the c with (x,c) related and C[x] the c with (c,x) related, for
+    x = a, b and the product ab.  SR holds the c of Rb with (a,bc) unrelated,
+    and DIFF the c of Rb where (ab,c) and (a,bc) are both related and
+    (ab)c != a(bc).  Refined-right reads the pair as (b,c): its mask holds the
+    a in just one of C[b] and C[bc].  Masks are ints or sets, so only &, | and
+    ^ appear.
+    """
+    SL = Rb ^ (Rb & Rab)
+    left = Ra & Rb
+    right = Ca & Cb
+    return (left ^ (left & Rab), right ^ (right & Cab), Ra & DIFF,
+            SL, SR, DIFF,
+            Rb ^ Rab, Ca ^ Cab, DIFF,
+            DIFF, SL ^ SR,
+            Rb ^ (Rb & Ra))
+
+
+def _getter(indices: Sequence[int]):
+    """The function taking a tuple to its items at ``indices``, as a tuple."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda items: (items[i],)
+    return itemgetter(*indices) if indices else lambda items: ()
+
+
+@functools.lru_cache(maxsize=4096)
+def _open_axes(classes: tuple, seen: tuple, floor: int):
+    """What the walk reads while its axioms stand at ``seen``, for
+    ``classes``: (whether every class's first pass is final, the open
+    axioms, the getter of their masks, whether one reads the regroupings,
+    whether one reads columns).
+
+    seen[i] is 0 while axiom i has no witness, 1 while it has one that is
+    not increasing, and 2 once it has an increasing one; refined-right's
+    stays at 1 until the walk has met every increasing triple.  A witness
+    is final from ``floor`` on: 2 while the walk may still meet an
+    increasing triple, 1 once it has met them all.  Refined-right's is
+    final only at 2.
+    """
+    opened, done = [], True
+    for k in classes:
+        for p, axes in enumerate(_CLASS_PASSES[k][1]):
+            best = max([seen[i] for i in axes])
+            if best < (2 if _REFINED_RIGHT in axes else floor):
+                opened += axes
+                done = done and p > 0
+            # a later pass counts only while every earlier one has no witness
+            if best:
+                break
+    return (done, opened, _getter(opened), not _REGROUPED.isdisjoint(opened),
+            not _COLUMNED.isdisjoint(opened))
+
+
+def _walk(n: int, backend, classes: Sequence[int]) -> list:
+    """The first witness of each class in ``classes`` (indices into
+    _CLASS_PASSES): (axiom index, (i, j, k) positions), or None where the
+    class holds over the n positions.
+
+    ``backend`` is (R, C, rows, regroup, first, empty, split): R[x] and C[x]
+    the row and column masks of x, a position or the id of a product;
+    rows(a) the (b, ab) with (a,b) related, b ascending, ab the product's
+    id; regroup(a, b, ab, Rb, Rab, lo, hi) the pair's (SR, DIFF) after
+    rows(a), right at least at the c with lo < c <= hi; first(M, above) the
+    least element of M above ``above``, or None; ``empty`` the empty mask,
+    which stands for SR and DIFF, and for the columns, while no open axiom
+    reads them; and ``split`` whether the walk takes the increasing triples
+    of every pair before the others, as the scan order does, for a backend
+    whose regroupings cost callbacks per c.  Otherwise it takes every triple
+    of a pair at once.
+    """
+    R, C, rows, regroup, first, empty, split = backend
+    # inc[i]: axiom i's first increasing witness, final once found; non[i]:
+    # its first other one.  Refined-right's candidates come pair by pair
+    # (b,c), out of scan order, so it keeps the least of each kind, and its
+    # increasing one is final once the walk has met every increasing triple.
+    inc = [None] * len(_AXIOMS)
+    non = [None] * len(_AXIOMS)
+    seen = [0] * len(_AXIOMS)
+    classes = tuple(classes)
+    # the parts of the scan order taken in turn: "above", the c above b of
+    # the pairs a < b, which hold every increasing triple, then "below", the
+    # rest; or "all" at once
+    for part in ("above", "below") if split else ("all",):
+        if part == "below" and inc[_REFINED_RIGHT]:
+            seen[_REFINED_RIGHT] = 2
+        floor = 1 if part == "below" else 2
+        done, axes, pick, regrouping, columns = _open_axes(classes, tuple(seen), floor)
+        for a in range(n):
+            if done:
+                break
+            Ra, Ca = R[a], C[a]
+            for b, ab in rows(a):
+                lo, hi = -1, n
+                if part != "all" and a < b:
+                    lo, hi = (b, n) if part == "above" else (-1, b)
+                elif part == "above":
+                    continue
+                Rb, Rab = R[b], R[ab]
+                if regrouping:
+                    SR, DIFF = regroup(a, b, ab, Rb, Rab, lo, hi)
+                else:
+                    SR = DIFF = empty
+                if columns:
+                    masks = pick(_masks(Ra, Rb, Rab, Ca, C[b], C[ab], SR, DIFF))
+                else:
+                    masks = pick(_masks(Ra, Rb, Rab, empty, empty, empty, SR, DIFF))
+                if not any(masks):
+                    continue
+                changed = False
+                for i, M in itertools.compress(zip(axes, masks), masks):
+                    if i == _REFINED_RIGHT:
+                        w = (first(M, -1), a, b)
+                        changed = changed or not seen[i]
+                        seen[i] = seen[i] or 1
+                        if w[0] < a < b:
+                            if inc[i] is None or w < inc[i]:
+                                inc[i] = w
+                        elif non[i] is None or w < non[i]:
+                            non[i] = w
+                    elif part != "below" and a < b and (c := first(M, b)) is not None:
+                        inc[i] = (a, b, c)
+                        seen[i] = 2
+                        changed = True
+                    elif part != "above" and non[i] is None:
+                        c = first(M, -1)
+                        if not a < b < c:
+                            non[i] = (a, b, c)
+                            seen[i] = 1
+                            changed = True
+                if changed:
+                    done, axes, pick, regrouping, columns = _open_axes(classes, tuple(seen), floor)
+                    if done:
+                        break
+    found = [None] * len(classes)
+    if not any(seen):
+        return found
+    for at, k in enumerate(classes):
+        for axes in _CLASS_PASSES[k][1]:
+            # a pass's increasing witnesses come before its others, the earlier axiom first on a tie
+            kept = [(inc[i] is None, inc[i] or non[i], i) for i in axes if seen[i]]
+            if kept:
+                _, triple, i = min(kept)
+                found[at] = (i, triple)
+                break
+    return found
+
+
+def _verdict(found, elems: Sequence, rel: Rel, mul: Mul) -> Verdict:
+    """The verdict of a class from its walk result, the witness's detail read
+    back through rel and mul at the witness triple."""
+    if found is None:
+        return OK
+    i, (x, y, z) = found
+    axiom = _AXIOMS[i]
+    a, b, c = elems[x], elems[y], elems[z]
+    transfer = "({},{}) defined but ({},{}) undefined".format
+    if axiom.endswith("polar-closure"):
+        detail = f"U={{{c}}}"
+    elif axiom == "transitivity":
+        detail = f"({a},{c}) undefined"
+    elif axiom == "strong-left":
+        detail = f"({mul(a, b)},{c}) undefined"
+    elif axiom == "strong-right":
+        detail = f"({a},{mul(b, c)}) undefined"
+    elif axiom == "refined-left":
+        ab = mul(a, b)
+        detail = transfer(b, c, ab, c) if rel(b, c) else transfer(ab, c, b, c)
+    elif axiom == "refined-right":
+        bc = mul(b, c)
+        detail = transfer(a, b, a, bc) if rel(a, b) else transfer(a, bc, a, b)
+    elif axiom == "partial-membership":
         ab, bc = mul(a, b), mul(b, c)
-        lhs, rhs = mul(ab, c), mul(a, bc)
-        if lhs != rhs and rel(ab, c) and rel(a, bc):
-            yield fail(axiom, (a, b, c), f"{lhs}!={rhs}")
-
-
-def _locality_violation(src, rel: Rel, mul: Mul):
-    yield from _polar_closure_violation(src, rel, mul)
-    yield from _regrouping_violation(src.left(), rel, mul, "locality-assoc")
-
-
-def _strong_violation(src, rel: Rel, mul: Mul):
-    for a, b, c in src.chained():
-        ab, bc = mul(a, b), mul(b, c)
-        left_in, right_in = rel(ab, c), rel(a, bc)
-        if not left_in:
-            yield fail("strong-left", (a, b, c), f"({ab},{c}) undefined")
-        if not right_in:
-            yield fail("strong-right", (a, b, c), f"({a},{bc}) undefined")
-        if left_in and right_in:
-            lhs, rhs = mul(ab, c), mul(a, bc)
-            if lhs != rhs:
-                yield fail("strong-assoc", (a, b, c), f"{lhs}!={rhs}")
-
-
-def _transfer_violation(triples, rel: Rel, axiom: str, pairs):
-    # pairs(a, b, c) builds two pairs, products first; one related forces the other
-    detail = "({},{}) defined but ({},{}) undefined".format
-    for a, b, c in triples:
-        (x, y), (u, v) = pairs(a, b, c)
-        if rel(x, y):
-            if not rel(u, v):
-                yield fail(axiom, (a, b, c), detail(x, y, u, v))
-        elif rel(u, v):
-            yield fail(axiom, (a, b, c), detail(u, v, x, y))
-
-
-def _refined_violation(src, rel: Rel, mul: Mul):
-    # a violation is a c in just one of row(b) and row(ab), or an a in just one
-    # of column(b) and column(bc), so only pairs whose two lines differ yield one
-    yield from _transfer_violation(src.ab(lambda a, b: src.row(b, rel) != src.row(mul(a, b), rel)),
-                                   rel, "refined-left", lambda a, b, c: ((b, c), (mul(a, b), c)))
-    yield from _transfer_violation(src.bc(lambda b, c: src.column(b, rel) != src.column(mul(b, c), rel)),
-                                   rel, "refined-right", lambda a, b, c: ((a, b), (a, mul(b, c))))
-    yield from _regrouping_violation(src.chained(), rel, mul, "refined-assoc")
-
-
-def _partial_violation(src, rel: Rel, mul: Mul):
-    for a, b, c in src.chained():
-        ab, bc = mul(a, b), mul(b, c)
-        left_in, right_in = rel(ab, c), rel(a, bc)
-        if left_in and right_in:
-            lhs, rhs = mul(ab, c), mul(a, bc)
-            if lhs != rhs:
-                yield fail("partial-assoc", (a, b, c), f"{lhs}!={rhs}")
-        elif right_in:
-            yield fail("partial-membership", (a, b, c),
-                       f"({ab},{c}) undefined, ({a},{bc}) defined")
-        elif left_in:
-            yield fail("partial-membership", (a, b, c),
-                       f"({a},{bc}) undefined, ({ab},{c}) defined")
-
-
-def _transitive_violation(src, rel: Rel, mul: Mul):
-    for a, b, c in src.chained():
-        if not rel(a, c):
-            yield fail("transitivity", (a, b, c), f"({a},{c}) undefined")
-
-
-# the five class verdicts of a report, each named by its ClassReport field
-_CLASS_SCANS = {
-    "locality": _locality_violation,
-    "strong": _strong_violation,
-    "refined": _refined_violation,
-    "partial": _partial_violation,
-    "transitive": _transitive_violation,
-}
+        detail = (f"({ab},{c}) undefined, ({a},{bc}) defined" if rel(a, bc)
+                  else f"({a},{bc}) undefined, ({ab},{c}) defined")
+    else:  # the regroupings differ
+        detail = f"{mul(mul(a, b), c)}!={mul(a, mul(b, c))}"
+    return fail(axiom, (a, b, c), detail)
 
 
 def _check_inclusions(flags, message: str) -> None:
     """Raise InvariantError, message naming the sides, where five verdicts or table
-    sets in _CLASS_SCANS order break the class chain; sub & ~sup is 0 iff sub is within sup."""
+    sets in _CLASS_NAMES order break the class chain; sub & ~sup is 0 iff sub is within sup."""
     loc, strong, refined, partial, trans = flags
     for sub, sup, names in ((refined, strong, ("refined", "strong")),
                             (strong, loc & partial, ("strong", "both locality and partial")),
                             (trans & loc, partial, ("transitive locality", "partial"))):
         if sub & ~sup:
             raise InvariantError(message.format(*names))
-
-
-def _first(scan, m: FinitePartialMagma, rows=None) -> Verdict:
-    """The first violation of a full scan over m, or OK; rows, when given,
-    are m's rows of _Triples, which are else read from its table."""
-    elems, rel, mul = _accessors(m)
-    return next(scan(_Triples(elems, _table_rows(m) if rows is None else rows), rel, mul), OK)
 
 
 def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tuple]:
@@ -344,39 +304,59 @@ def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tupl
     return left, right, both
 
 
-# ---------------------------------------------------------------------------
-# flat tables: array('i') whose cell i*n+j holds the index of the product of
-# elements i and j, or -1 where the pair is unrelated.  A closed table's
-# products stay in its carrier; an open table also indexes the products that
-# leave it.
+def _table_sided(elems: Sequence, t: array, R, C) -> tuple[tuple, ...]:
+    """The identities and zeros of a closed table, as _sided_elements gives
+    them.  Only a row (column) e with every cell defined, R[e] (C[e]) full, is
+    compared with range(n) and counted for e, at C speed."""
+    n = len(elems)
+    full = (1 << n) - 1
+    identity = array("i", range(n))
+    li, ri, lz, rz = [], [], [], []
+    for e in range(n):
+        if R[e] == full:
+            row = t[e * n:e * n + n]
+            if row == identity:
+                li.append(e)
+            if row.count(e) == n:
+                lz.append(e)
+        if C[e] == full:
+            column = t[e::n]
+            if column == identity:
+                ri.append(e)
+            if column.count(e) == n:
+                rz.append(e)
+    lists = (li, ri, [e for e in li if e in ri], lz, rz, [e for e in lz if e in rz])
+    return tuple(tuple(elems[e] for e in es) for es in lists)
 
-def _closed_table(m: FinitePartialMagma) -> tuple[array, list[list[int]]]:
-    """(t, rows): m's closed flat table and the rows of _Triples, in one walk
-    over the table, whose stored key order makes each row ascend."""
+
+# ---------------------------------------------------------------------------
+# the flat backend: array('i') tables whose cell i*n+j holds the index of the
+# product of elements i and j, or -1 where the pair is unrelated.  A closed
+# table's products stay in its carrier; an open table also indexes the
+# products that leave it.
+
+def _closed_table(m: FinitePartialMagma) -> array:
+    """m's closed flat table, in one walk over the magma's table."""
     index = {x: i for i, x in enumerate(m.elements)}
     n = len(index)
     t = array("i", [-1]) * (n * n)
-    rows = [[] for _ in index]
     for (a, b), c in m.table.items():
-        i, j = index[a], index[b]
-        t[i * n + j] = index[c]
-        rows[i].append(j)
-    return t, rows
+        t[index[a] * n + index[b]] = index[c]
+    return t
 
 
 def _open_table(elems: Sequence, rel: Rel, mul: Mul):
-    """Compile the slice ``elems`` into an open table: (t, (m, left), rows).
+    """Compile the slice ``elems`` into an open table: (t, (m, left)).
 
     The slice S holds indices 0..n-1.  P, the products of related slice pairs
     that fall outside S, holds n..m-1 in the order first met.  t has the rows
     a*y for a in S and y in S or P (stride m); left has the rows x*c for x in
     S or P and c in S (stride n).  Further products get ids from m on, only
     so that they compare equal exactly when the values do: product by
-    product of P, its column before its row.  rows is the in-slice relation
-    as the position rows of _Triples.  The compile reads each pair once and
-    takes a product only on a related pair with a factor in S.  A product of
-    P gets its column and its row from one comprehension each, stored with
-    one slice store each (t[y::m] and left[y*n:y*n+n]).
+    product of P, its column before its row.  The compile reads each pair
+    once and takes a product only on a related pair with a factor in S.  A
+    product of P gets its column and its row from one comprehension each,
+    stored with one slice store each (t[y::m] and left[y*n:y*n+n]).
     """
     n = len(elems)
     first = {x: i for i, x in enumerate(elems)}
@@ -393,8 +373,7 @@ def _open_table(elems: Sequence, rel: Rel, mul: Mul):
         # the column a*v and the row v*c of a product v outside the slice
         t[y::m] = array("i", [ids[mul(e, v)] if rel(e, v) else -1 for e in elems])
         left[y * n:y * n + n] = array("i", [ids[mul(v, e)] if rel(v, e) else -1 for e in elems])
-    rows = [list(itertools.compress(range(n), map((-1).__ne__, row))) for row in cells]
-    return t, (m, left), rows
+    return t, (m, left)
 
 
 # A cell of an array('i') is -1, undefined, exactly when its sign bit is set.
@@ -405,107 +384,228 @@ _SIGNS = slice(None, None, -_WIDTH) if sys.byteorder == "little" else slice(-_WI
 _DEFINED = b"1" * 128 + b"0" * 128
 
 
-def _defined_mask(cells: array) -> int:
-    """The mask with bit k set when cells[k] is defined, read at C speed."""
-    return int(cells.tobytes()[_SIGNS].translate(_DEFINED), 2)
+def _signs(cells: array) -> bytes:
+    """b"1" for each defined cell and b"0" for each undefined one, last cell
+    first, read at C speed: read as a binary number, bit k is cell k's."""
+    return cells.tobytes()[_SIGNS].translate(_DEFINED)
 
 
-def _table_flags(n: int, t, open_table=None) -> tuple[bool, bool, bool, bool, bool]:
-    """(locality, strong, refined, partial, transitive) in one pass over defined pairs.
+def _int_first(M: int, above: int):
+    """The least element of the int mask M above ``above``, or None."""
+    M >>= above + 1
+    return (M & -M).bit_length() + above if M else None
 
-    R[a] and C[b] are the row and column bitmasks of defined cells.  Each
-    defined pair (a,b) with ab = t[a*n+b] is tested against every axiom at
-    once: transitivity is R[b] <= R[a], singleton polar closure is
-    R[a]&R[b] <= R[ab] with its column dual, refined membership is
-    R[b] == R[ab] and C[a] == C[ab], and the regroupings (ab)c, a(bc) over
-    the defined (b,c) settle the associativity clauses.  Returns as soon as
-    every flag is false.
 
-    The regroupings of a pair are two tuples over b's defined columns c:
-    (ab)c, row ab of left at those columns, and a(bc), row a of t at b's
-    products bc, each taken at C speed by an operator.itemgetter built on
-    row b's first use.  Equal tuples fail strong exactly when they hold -1
-    (an undefined regrouping); unequal ones fail strong, refined and
-    partial, and only then is the row walked in Python for a c related from
-    a where they differ, which fails locality.
+def _flat(n: int, t: array, open_table=None):
+    """The walk's backend over a flat table of n slice elements.
 
     An open table from _open_table passes ``open_table`` = (m, left): t has
-    stride m, the rows of (ab)c come from left, and a, b, c run over the n
-    slice elements only, so every clause is decided on the slice even where
+    stride m, the rows of (ab)c come from left, and the walk runs over the n
+    slice elements only, so every axiom is decided on the slice even where
     products leave it.  A closed table is the open form with no products
     outside: t alone gives the rows of (ab)c as well.  Every mask, of the
-    slice and of the products outside it alike, is read from sign bytes
-    (_defined_mask): R[x] from row x of left, C[y] from column y of t.
+    slice and of the products outside it alike, is read from sign bytes:
+    R[x] from row x of left, C[y] from column y of t.
+
+    A pair's regroupings are two tuples over b's defined columns c: (ab)c,
+    row ab of left at those columns, and a(bc), row a of t at b's products
+    bc, each taken by an operator.itemgetter built on row b's first use.
+    Only where they differ is the row walked in Python for SR and DIFF.
     """
     rng = range(n)
     m, left = open_table or (n, t)
-    R = [_defined_mask(left[x * n:x * n + n]) for x in range(m)]
-    C = [_defined_mask(t[y::m]) for y in range(m)]
+    # rows of left, last first, and columns of t, each read as a binary number
+    signs = _signs(left)
+    R = [int(signs[(m - 1 - x) * n:(m - x) * n], 2) for x in range(m)]
+    signs = _signs(t)
+    C = [int(signs[m - 1 - y::m], 2) for y in range(m)]
     # gathers[b]: None before row b's first use, then (cs, at_c, at_bc), b's
     # defined columns and the getters of (ab)c and a(bc).  A row with one
-    # defined cell names its index twice, so that both getters give tuples;
-    # one with none (Rb == 0) is skipped.
+    # defined cell names its index twice, so that both getters give tuples.
     gathers = [None] * n
-    loc = strong = refined = partial = trans = True
-    for a in rng:
-        am = a * m
-        Ra = R[a]
-        Ca = C[a]
-        row_a = t[am:am + m]
-        for b in rng:
-            ab = t[am + b]
-            if ab < 0:
+    # lefts[x]: None before row x of left is first read, then that row as a
+    # tuple, which the getters read faster than an array
+    lefts = [None] * m
+    row_a = None  # row a of t, for the pairs of the a that rows last gave
+
+    def rows(a):
+        nonlocal row_a
+        row_a = tuple(t[a * m:a * m + m])
+        return [(b, ab) for b, ab in zip(rng, row_a) if ab >= 0]
+
+    def regroup(a, b, ab, Rb, Rab, lo, hi):
+        if not Rb:
+            return 0, 0
+        lhs = lefts[ab]
+        if lhs is None:
+            lhs = lefts[ab] = tuple(left[ab * n:ab * n + n])
+        g = gathers[b]
+        if g is None:
+            bm = b * m
+            cs = [c for c in rng if t[bm + c] >= 0]
+            bcs = [t[bm + c] for c in cs]
+            if len(cs) == 1:
+                cs *= 2
+                bcs *= 2
+            g = gathers[b] = (cs, itemgetter(*cs), itemgetter(*bcs))
+        cs, at_c, at_bc = g
+        lhs = at_c(lhs)
+        rhs = at_bc(row_a)
+        if lhs == rhs:
+            # undefined at the same c on both sides: SR is then SL, and nothing differs
+            return Rb ^ (Rb & Rab), 0
+        SR = DIFF = 0
+        for c, x, y in zip(cs, lhs, rhs):
+            if y < 0:
+                SR |= 1 << c
+            elif x != y and x >= 0:
+                DIFF |= 1 << c
+        return SR, DIFF
+
+    return R, C, rows, regroup, _int_first, 0, False
+
+
+# ---------------------------------------------------------------------------
+# the dict backend: rows {c: id of xc}, and columns as the positions related into y
+
+class _Lazy(dict):
+    """A dict that builds a missing entry by calling ``make`` on its key."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _set_first(M, above: int):
+    """The least element of the set mask M above ``above``, or None."""
+    return min((c for c in M if c > above), default=None)
+
+
+def _table_dicts(m: FinitePartialMagma):
+    """The walk's backend over row dicts read from m's table, whose stored
+    key order makes each row ascend: row i maps each position j with (i,j)
+    related to the position of the product, and its keys are row i's mask;
+    column j's mask is the set of the i with (i,j) related."""
+    index = {x: i for i, x in enumerate(m.elements)}
+    rows_of = [{} for _ in index]
+    columns = [set() for _ in index]
+    for (a, b), c in m.table.items():
+        i, j = index[a], index[b]
+        rows_of[i][j] = index[c]
+        columns[j].add(i)
+
+    def regroup(a, b, ab, Rb, Rab, lo, hi):
+        # (ab)c and a(bc) over b's row, None where undefined, each by a C-speed map
+        row = rows_of[b]
+        lhs = tuple(map(rows_of[ab].get, row))
+        rhs = tuple(map(rows_of[a].get, row.values()))
+        if lhs == rhs:
+            # undefined at the same c on both sides: SR is then SL, and nothing differs
+            return Rb ^ (Rb & Rab), frozenset()
+        SR, DIFF = set(), set()
+        for c, x, y in zip(row, lhs, rhs):
+            if y is None:
+                SR.add(c)
+            elif x is not None and x != y:
+                DIFF.add(c)
+        return SR, DIFF
+
+    return ([row.keys() for row in rows_of], columns, lambda a: rows_of[a].items(), regroup,
+            _set_first, frozenset(), False)
+
+
+def _lazy_dicts(elems: Sequence, rel: Rel, mul: Mul):
+    """The walk's backend over the slice ``elems`` of (rel, mul), each row
+    and column mask computed on its first use and kept.  A slice holds at
+    most a few hundred elements, so its masks are ints.  Products are read
+    where the walk needs them: a pair's regroupings call mul and rel per c,
+    as a scan over the triples would, and the walk takes the increasing
+    triples of every pair first.
+
+    Positions 0..n-1 are the slice; a product outside it takes the next id
+    when first met, as in _open_table."""
+    n = len(elems)
+    slice_ = tuple(enumerate(elems))
+    # a value met for the first time takes the next id, as in _open_table
+    ids = defaultdict(itertools.count(n).__next__, {x: i for i, x in enumerate(elems)})
+    values = list(elems)
+    bit = (1).__lshift__
+
+    def value(x):
+        if x >= len(values):  # the ids given since, which are the last ones
+            values.extend(reversed(list(itertools.islice(reversed(ids), len(ids) - len(values)))))
+        return values[x]
+
+    def related(x):
+        v = value(x)
+        return [c for c, e in slice_ if rel(v, e)]
+
+    def column(y):
+        v = value(y)
+        return sum(bit(a) for a, e in slice_ if rel(e, v))
+
+    def rows(a):
+        v = elems[a]
+        return [(b, ids[mul(v, elems[b])]) for b in keys[a]]
+
+    def regroup(a, b, ab, Rb, Rab, lo, hi):
+        va, vb, vab = elems[a], elems[b], value(ab)
+        SR = DIFF = 0
+        for c in keys[b]:
+            if c <= lo:
                 continue
-            Rb = R[b]
-            Rab = R[ab]
-            Cab = C[ab]
-            if Rb & ~Ra:
-                trans = False
-            # either half of the closure follows from the other plus the
-            # associativity clause below; both are kept to match the definition
-            if Ra & Rb & ~Rab or Ca & C[b] & ~Cab:
-                loc = False
-            if Rb != Rab or Ca != Cab:
-                refined = False
-            # a pair that fails strong fails refined membership, so refined
-            # implies strong after every pair and neither test names it
-            if Rb and (loc or strong or partial):
-                g = gathers[b]
-                if g is None:
-                    bm = b * m
-                    cs = [c for c in rng if t[bm + c] >= 0]
-                    bcs = [t[bm + c] for c in cs]
-                    if len(cs) == 1:
-                        cs *= 2
-                        bcs *= 2
-                    g = gathers[b] = (cs, itemgetter(*cs), itemgetter(*bcs))
-                cs, at_c, at_bc = g
-                lhs = at_c(left[ab * n:ab * n + n])
-                rhs = at_bc(row_a)
-                if lhs != rhs:
-                    strong = refined = partial = False
-                    if loc:
-                        for c, x, y in zip(cs, lhs, rhs):
-                            if x != y and Ra >> c & 1:
-                                loc = False
-                                break
-                elif -1 in lhs:
-                    strong = False
-            if not (loc or strong or partial or trans):
-                return (False, False, False, False, False)
-    return (loc, strong, refined, partial, trans)
+            if c > hi:
+                break
+            e = elems[c]
+            bc = mul(vb, e)
+            if not rel(va, bc):
+                SR |= bit(c)
+            elif Rab >> c & 1 and mul(vab, e) != mul(va, bc):
+                DIFF |= bit(c)
+        return SR, DIFF
+
+    keys = _Lazy(related)
+    return (_Lazy(lambda x: sum(map(bit, keys[x]))), _Lazy(column), rows, regroup,
+            _int_first, 0, True)
+
+
+# _finite_backend compiles a flat table when it has at most this many cells,
+# of 4 bytes each, per defined pair, and otherwise reads row dicts from the
+# table: at 10,000 elements the cells would take 400 MB.  It picks only the
+# backend; both give the same verdicts and witnesses.
+_DENSE_CELLS_PER_PAIR = 64
+
+
+def _finite_backend(m: FinitePartialMagma):
+    """(t, backend): m's closed flat table and its flat backend when m is dense,
+    else (None, the dict backend read from m's table)."""
+    n = len(m.elements)
+    if n * n > _DENSE_CELLS_PER_PAIR * len(m.table):
+        return None, _table_dicts(m)
+    t = _closed_table(m)
+    return t, _flat(n, t)
+
+
+def _finite_verdict(m: FinitePartialMagma, name: str) -> Verdict:
+    """The verdict of the class ``name`` on m, from the walk over m's backend."""
+    found, = _walk(len(m.elements), _finite_backend(m)[1], (_CLASS_NAMES.index(name),))
+    return _verdict(found, *_accessors(m))
 
 
 def _block_flags(n: int, digits, full: int) -> tuple[int, int, int, int, int]:
-    """_table_flags bit-sliced: the five flag sets of a block of closed tables.
+    """The five flag sets of a block of closed tables, bit-sliced.
 
     Bit i of an int stands for the block's i-th table, and ``full`` has one bit
     per table.  digits[a*n+b][v] is the set of tables whose cell (a,b) holds
     digit v: 0 where the pair is undefined, v where the product is v-1.  Each
-    clause of _table_flags becomes a few AND/OR/XOR over whole sets, in the
-    same order, for every triple (a,b,c): transitivity (ab and bc defined
-    force ac), both halves of singleton polar closure, refined membership on
-    both sides, and the regroupings (ab)c and a(bc), whose digits are read
+    axiom of _masks becomes a few AND/OR/XOR over whole sets, for every
+    triple (a,b,c): transitivity (ab and bc defined force ac), both halves
+    of singleton polar closure, refined membership on both sides, and the
+    regroupings (ab)c and a(bc), whose digits are read
     bit plane by bit plane, value by value of ab (resp. bc).  A set of
     tables failing a clause is gathered per flag; no complement is taken
     until the end, since ``~`` on a big int costs ten times an AND.
@@ -593,26 +693,26 @@ def check_polar_closure_subsets(m: FinitePartialMagma) -> Verdict:
 
 def is_locality_semigroup(m: FinitePartialMagma) -> Verdict:
     """Polar closures (singleton reduction) plus associativity on pairwise-related triples."""
-    return _first(_locality_violation, m)
+    return _finite_verdict(m, "locality")
 
 
 def is_strong_locality_semigroup(m: FinitePartialMagma) -> Verdict:
     """Two chained related pairs force both regrouped products, defined and equal."""
-    return _first(_strong_violation, m)
+    return _finite_verdict(m, "strong")
 
 
 def is_refined_locality_semigroup(m: FinitePartialMagma) -> Verdict:
     """Strong, with biconditional membership transfer on both sides."""
-    return _first(_refined_violation, m)
+    return _finite_verdict(m, "refined")
 
 
 def is_partial_semigroup(m: FinitePartialMagma) -> Verdict:
     """(ab,c) related iff (a,bc) related, products equal when both are defined."""
-    return _first(_partial_violation, m)
+    return _finite_verdict(m, "partial")
 
 
 def is_transitive(m: FinitePartialMagma) -> Verdict:
-    return _first(_transitive_violation, m)
+    return _finite_verdict(m, "transitive")
 
 
 def find_identities(m: FinitePartialMagma) -> tuple[tuple, tuple, tuple]:
@@ -729,17 +829,21 @@ class ClassReport:
     bound: int | None = None
 
     def flags(self) -> tuple[bool, bool, bool, bool, bool]:
-        return tuple([getattr(self, name).ok for name in _CLASS_SCANS])
+        return tuple([getattr(self, name).ok for name in _CLASS_NAMES])
 
     def render(self) -> str:
         parts = ["CLASS"]
         if self.bound is not None:
             parts.append(f"bound={self.bound}")
-        for name in _CLASS_SCANS:
+        for name in _CLASS_NAMES:
             parts.append(render_verdict(name, getattr(self, name)))
         parts.append("identities=" + ",".join(self.identities))
         parts.append("zeros=" + ",".join(self.zeros))
         return " ".join(parts)
+
+
+# the triple axioms whose witness (a,b,c) renders as the pairs (a,b),(b,c)
+_PAIR_SHAPED = set(_AXIOMS) - {"left-polar-closure", "right-polar-closure", "locality-assoc"}
 
 
 def format_witness(w: Witness) -> str:
@@ -758,97 +862,59 @@ def render_verdict(name: str, v: Verdict) -> str:
     return f"{name}=no[witness: {v.witness.axiom} {format_witness(v.witness)}]"
 
 
-def _assemble_report(elems, rows, rel, mul, bound=None, flags=None) -> ClassReport:
-    """The report over ``elems``; each class's verdict is the first violation of its scan.
-
-    ``rows`` is the relation over ``elems`` as the position rows of
-    _Triples.  ``flags``, the kernel's five verdicts in _CLASS_SCANS order,
-    skip the scans of the classes that hold; a failing class still runs its
-    scan for the witness, which must then find one.
-    """
-    src = _Triples(elems, rows)  # shared by the scans; it builds its streams on first use
-    verdicts = {}
-    for i, (name, scan) in enumerate(_CLASS_SCANS.items()):
-        if flags is not None and flags[i]:
-            verdicts[name] = OK
-            continue
-        verdicts[name] = next(scan(src, rel, mul), OK)
-        if flags is not None and verdicts[name].ok:
-            raise InvariantError(f"the kernel fails {name} but its scan finds no violation")
-    li, ri, ident = _sided_elements(elems, rel, mul, lambda e, a: a)
-    lz, rz, zero = _sided_elements(elems, rel, mul, lambda e, a: e)
+def _report(elems, backend, rel: Rel, mul: Mul, sided, bound=None) -> ClassReport:
+    """The report over ``elems`` from one walk over ``backend`` and the six
+    identity and zero lists ``sided``, the class chain checked."""
+    found = _walk(len(elems), backend, range(len(_CLASS_PASSES)))
     s = lambda xs: tuple(str(x) for x in xs)
-    r = ClassReport(**verdicts, left_identities=s(li), right_identities=s(ri),
-                    identities=s(ident), left_zeros=s(lz), right_zeros=s(rz),
-                    zeros=s(zero), bound=bound)
+    r = ClassReport(*(_verdict(f, elems, rel, mul) for f in found), *map(s, sided), bound=bound)
     _check_inclusions(r.flags(), "{} structure is not {}")
     return r
 
 
-# _kernel_flags compiles a flat table when it has at most this many cells, of 4
-# bytes each, per defined pair: on sparser structures the n^2 cells cost
-# more than the scans, which are linear in |R| on a path magma, and at
-# 10,000 elements they would take 400 MB.
-_DENSE_CELLS_PER_PAIR = 64
-
-
-def _kernel_flags(m: FinitePartialMagma):
-    """(flags, rows): the kernel's five verdicts on m in _CLASS_SCANS order, or
-    None when m is sparse, and the rows of _Triples over m.elements.
-
-    m is dense when it has at most _DENSE_CELLS_PER_PAIR cells of its flat
-    table per defined pair; a sparse m compiles no table.
-    """
-    n = len(m.elements)
-    if n * n > _DENSE_CELLS_PER_PAIR * len(m.table):
-        return None, _table_rows(m)
-    t, rows = _closed_table(m)
-    return _table_flags(n, t), rows
+def _callback_sided(elems, rel: Rel, mul: Mul) -> tuple[tuple, ...]:
+    """The identities and zeros of _sided_elements, by calling rel and mul."""
+    return (_sided_elements(elems, rel, mul, lambda e, a: a)
+            + _sided_elements(elems, rel, mul, lambda e, a: e))
 
 
 def classify(m: FinitePartialMagma) -> ClassReport:
     """Run every class predicate and the identity/zero searches.
 
-    On a dense table the kernel decides the five classes and only the
-    failing ones run their scans, for the witness; a sparse table runs every
-    scan (``_kernel_flags``).  Both give the report of five scans, witnesses
-    included.
+    One walk decides the five classes and names their witnesses, over a flat
+    table when m is dense and over dicts read from its table when it is
+    sparse (``_finite_backend``); a dense table also gives the identities
+    and zeros by C-speed compares.
     """
     elems, rel, mul = _accessors(m)
-    flags, rows = _kernel_flags(m)
-    return _assemble_report(elems, rows, rel, mul, flags=flags)
+    t, backend = _finite_backend(m)
+    sided = (_callback_sided(elems, rel, mul) if t is None
+             else _table_sided(elems, t, backend[0], backend[1]))
+    return _report(elems, backend, rel, mul, sided)
 
 
 # ---------------------------------------------------------------------------
 # witness replay
 
-_TRIPLE_SCANS = {axiom: scan for scan, axioms in (
-    (_polar_closure_violation, ("left-polar-closure", "right-polar-closure")),
-    (_locality_violation, ("locality-assoc",)),
-    (_strong_violation, ("strong-left", "strong-right", "strong-assoc")),
-    (_refined_violation, ("refined-left", "refined-right", "refined-assoc")),
-    (_partial_violation, ("partial-membership", "partial-assoc")),
-    (_transitive_violation, ("transitivity",)),
-) for axiom in axioms}
-# the triple axioms whose witness (a,b,c) renders as the pairs (a,b),(b,c)
-_PAIR_SHAPED = set(_TRIPLE_SCANS) - {"left-polar-closure", "right-polar-closure",
-                                     "locality-assoc"}
-
-
 def replay_witness(m: FinitePartialMagma, w: Witness) -> bool:
     """True exactly when the named axiom is violated on the witness elements.
 
-    Runs the axiom's scan over the witness's distinct elements and looks
-    for a violation of that axiom at exactly the witness's elements.
+    Evaluates the axiom's mask at the witness's pair (a,b), or (b,c) for
+    refined-right, over the witness's distinct elements with m's relation
+    and products, and tests c's element (a's for refined-right).
     """
     if len(w.elements) != 3:
         return False
-    scan = _TRIPLE_SCANS.get(w.axiom)
-    if scan is None:
+    if w.axiom not in _AXIOMS:
         raise DomainError(f"cannot replay axiom {w.axiom!r}")
-    table = m.table
-    rel = lambda a, b: (a, b) in table
+    i = _AXIOMS.index(w.axiom)
     elems = tuple(dict.fromkeys(w.elements))
-    found = scan(_Triples(elems, _related_rows(elems, rel)), rel, lambda a, b: table.get((a, b)))
-    return (w.axiom, tuple(w.elements)) in ((v.witness.axiom, v.witness.elements) for v in found)
-
+    a, b, c = map(elems.index, w.elements)
+    if i == _REFINED_RIGHT:
+        a, b, c = b, c, a
+    R, C, rows, regroup, *_ = _lazy_dicts(elems, *_accessors(m)[1:])
+    ab = dict(rows(a)).get(b)
+    if ab is None:
+        return False
+    masks = _masks(R[a], R[b], R[ab], C[a], C[b], C[ab], *regroup(a, b, ab, R[b], R[ab], -1, len(elems)))
+    return bool(masks[i] >> c & 1)

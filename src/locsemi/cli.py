@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bsub = bp.add_subparsers(dest="builtin_command", required=True)
     p = bsub.add_parser("coprime", help="bounded scan of the coprimality structure")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--check", choices=list(checks._CLASS_SCANS))
+    p.add_argument("--check", choices=list(checks._CLASS_NAMES))
     p.set_defaults(func=_cmd_builtin_coprime)
     p = bsub.add_parser("powerset", help="power-set structure on {1..K}")
     p.add_argument("--size", type=int, required=True)

@@ -31,12 +31,12 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .checks import _CLASS_SCANS, _block_flags, _check_inclusions
+from .checks import _CLASS_NAMES, _block_flags, _check_inclusions
 from .errors import CapacityError, DomainError, InvariantError
 from .magma import FinitePartialMagma, serialize_magma
 
 _LETTERS = ("a", "b", "c", "d")
-_FLAG_NAMES = tuple(_CLASS_SCANS)
+_FLAG_NAMES = _CLASS_NAMES
 _FLAG_LETTERS = "LSRPT"
 
 EXHAUSTIVE_MAX = 3
@@ -170,7 +170,7 @@ def _least_code(digits, tables: int) -> int:
 
 
 def _flag_sets(n: int, digits, full: int) -> tuple[int, int, int, int, int]:
-    """The kernel's five flag sets of a block in _CLASS_SCANS order, the class chain checked."""
+    """The kernel's five flag sets of a block in _CLASS_NAMES order, the class chain checked."""
     flags = _block_flags(n, digits, full)
     _check_inclusions(flags, "the block kernel gives {} tables that are not {}")
     return flags

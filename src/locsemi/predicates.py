@@ -10,12 +10,12 @@ verdicts carry exact witnesses that persist at every larger bound.
 
 ``sampled_classify`` compiles the slice into an open table (the slice, the
 products of its related pairs that leave it, and their rows and columns;
-see ``checks._open_table``) and takes the five class verdicts from the flag
-kernel ``checks._table_flags``, which compares each related pair's two
-regroupings as two C-speed row gathers; only a failing class runs its
-ordered scan, for the witness.  ``sampled_verdict`` runs the one scan of a
-named class and gives the same verdict and witness, at a fraction of the
-cost when that class fails early.  Slices hold at most ``MAX_SLICE``
+see ``checks._open_table``) and runs the walk of ``checks`` over it once:
+it decides the five classes and names each failing one's first witness.
+``sampled_verdict`` walks one named class over rows and columns that it
+computes as the walk first reaches them, so it gives the same verdict and
+witness at a fraction of the cost when that class fails early, and
+computes no element's row or column twice.  Slices hold at most ``MAX_SLICE``
 elements; a larger bound raises CapacityError before the slicer runs, and
 ``totient_hom_check`` takes bounds up to the same limit.  The
 coprimality relations test with ``math.gcd``; ``gcd`` here is a remainder
@@ -30,8 +30,8 @@ from typing import Any, Callable
 
 from .errors import CapacityError, DomainError
 from .magma import OK, FinitePartialMagma, Verdict, fail
-from .checks import (_CLASS_SCANS, ClassReport, _assemble_report, _open_table,
-                     _related_rows, _table_flags, _Triples)
+from .checks import (_CLASS_NAMES, ClassReport, _callback_sided, _flat, _lazy_dicts,
+                     _open_table, _report, _verdict, _walk)
 
 
 # The most elements a bounded check or slice takes, and the largest bound of
@@ -187,28 +187,29 @@ def sampled_classify(p: PredicateMagma, bound: int) -> ClassReport:
 
     The relation and products are evaluated exactly even when a product
     exceeds the bound.  Identity and zero searches quantify over the slice.
-    The kernel decides the five classes; each failing class runs its scan
-    for the witness, exactly as a report of five scans gives it.
+    One walk over the compiled open table decides the five classes and
+    names their witnesses.
     """
     elems = sorted(_checked_slice(p, bound))
-    t, table, rows = _open_table(elems, p.related, p.product)
-    flags = _table_flags(len(elems), t, table)
-    return _assemble_report(elems, rows, p.related, p.product, bound=bound, flags=flags)
+    t, open_table = _open_table(elems, p.related, p.product)
+    sided = _callback_sided(elems, p.related, p.product)
+    return _report(elems, _flat(len(elems), t, open_table), p.related, p.product, sided, bound)
 
 
 def sampled_verdict(p: PredicateMagma, bound: int, name: str) -> Verdict:
     """The verdict of one class (``locality``, ``strong``, ``refined``,
     ``partial`` or ``transitive``) over the slice at ``bound``.
 
-    Runs only that class's scan, so it equals the same-named field of
-    ``sampled_classify(p, bound)``, witness included.
+    Walks only that class, over rows and columns computed on first use, so
+    it equals the same-named field of ``sampled_classify(p, bound)``,
+    witness included.
     """
     elems = sorted(_checked_slice(p, bound))
-    scan = _CLASS_SCANS.get(name)
-    if scan is None:
-        raise DomainError(f"unknown class {name!r}, expected one of {', '.join(_CLASS_SCANS)}")
-    src = _Triples(elems, _related_rows(elems, p.related))
-    return next(scan(src, p.related, p.product), OK)
+    if name not in _CLASS_NAMES:
+        raise DomainError(f"unknown class {name!r}, expected one of {', '.join(_CLASS_NAMES)}")
+    backend = _lazy_dicts(elems, p.related, p.product)
+    found, = _walk(len(elems), backend, (_CLASS_NAMES.index(name),))
+    return _verdict(found, elems, p.related, p.product)
 
 
 def totient_hom_check(bound: int) -> Verdict:

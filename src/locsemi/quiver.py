@@ -25,7 +25,7 @@ from .errors import (CapacityError, CompositionUndefined, DomainError,
                      InvariantError, PreconditionError)
 from .magma import (OK, FinitePartialMagma, LocalitySet, Verdict, fail, _check_label, _format,
                     _parse, _sorted_labels)
-from .checks import _first, _kernel_flags, _refined_violation, is_locality_map
+from .checks import is_locality_map, is_refined_locality_semigroup
 
 Arrow = tuple[str, str, str]  # (name, source vertex, target vertex)
 
@@ -252,14 +252,13 @@ def path_boundary(q: Quiver, max_len: int) -> tuple[list[Path], list[tuple[str, 
 def _check_arrow_map(q: Quiver, s: FinitePartialMagma, f: Mapping[str, str]) -> None:
     """Raise unless f names only arrows of q, s is refined and f is a locality map.
 
-    A dense s takes its refined verdict from the kernel, as ``classify`` does,
-    and runs the refined scan only for the witness; a sparse s runs the scan.
+    s's refined verdict comes from the walk that ``classify`` runs, over a
+    flat table when s is dense and over row dicts when it is sparse.
     """
     for name in f:
         if name not in q._endpoints:
             raise DomainError(f"map entry {name + '=' + f[name]!r} names no arrow of the quiver")
-    flags, rows = _kernel_flags(s)
-    refined = OK if flags and flags[2] else _first(_refined_violation, s, rows)
+    refined = is_refined_locality_semigroup(s)
     if not refined:
         w = refined.witness
         raise PreconditionError(

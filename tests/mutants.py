@@ -66,23 +66,55 @@ MUTANTS = [
     ("reader: DomainError not wrapped", MAGMA,
      "    except DomainError as exc:\n        raise ParseError(str(exc)) from exc\n",
      "    except ParseError:\n        raise\n", None),
-    # the flat-table kernel's masks
-    ("kernel: C read at stride n", CHECKS,
-     "C = [_defined_mask(t[y::m]) for y in range(m)]",
-     "C = [_defined_mask(t[y::n]) for y in range(m)]", None),
-    ("kernel: R read from t", CHECKS,
-     "R = [_defined_mask(left[x * n:x * n + n]) for x in range(m)]",
-     "R = [_defined_mask(t[x * n:x * n + n]) for x in range(m)]", None),
-    ("kernel: masks over range(n)", CHECKS,
-     "R = [_defined_mask(left[x * n:x * n + n]) for x in range(m)]\n"
-     "    C = [_defined_mask(t[y::m]) for y in range(m)]",
-     "R = [_defined_mask(left[x * n:x * n + n]) for x in range(n)]\n"
-     "    C = [_defined_mask(t[y::m]) for y in range(n)]", None),
-    ("kernel: refined structures not checked to be strong", CHECKS,
+    # the walk's clause masks, each stated once in _masks: each dropped or misread in turn
+    ("masks: left polar closure dropped", CHECKS,
+     "return (left ^ (left & Rab),", "return (left ^ left,", None),
+    ("masks: right polar closure dropped", CHECKS,
+     "right ^ (right & Cab), Ra & DIFF,", "right ^ right, Ra & DIFF,", None),
+    ("masks: locality-assoc without its (a,c) guard", CHECKS,
+     "right ^ (right & Cab), Ra & DIFF,", "right ^ (right & Cab), Rb & DIFF,", None),
+    ("masks: strong-left read from a's row", CHECKS,
+     "SL = Rb ^ (Rb & Rab)", "SL = Rb ^ (Rb & Ra)", None),
+    ("masks: strong-right read as strong-left", CHECKS,
+     "            SL, SR, DIFF,\n", "            SL, SL, DIFF,\n", None),
+    ("masks: strong-assoc dropped", CHECKS,
+     "            SL, SR, DIFF,\n", "            SL, SR, DIFF ^ DIFF,\n", None),
+    ("masks: refined-left dropped", CHECKS,
+     "            Rb ^ Rab, Ca ^ Cab, DIFF,\n", "            Rb ^ Rb, Ca ^ Cab, DIFF,\n", None),
+    ("masks: refined-right dropped", CHECKS,
+     "            Rb ^ Rab, Ca ^ Cab, DIFF,\n", "            Rb ^ Rab, Ca ^ Ca, DIFF,\n", None),
+    ("masks: refined-assoc dropped", CHECKS,
+     "            Rb ^ Rab, Ca ^ Cab, DIFF,\n", "            Rb ^ Rab, Ca ^ Cab, DIFF ^ DIFF,\n", None),
+    ("masks: partial-assoc dropped", CHECKS,
+     "            DIFF, SL ^ SR,\n", "            DIFF ^ DIFF, SL ^ SR,\n", None),
+    ("masks: partial-membership without the other side", CHECKS,
+     "            DIFF, SL ^ SR,\n", "            DIFF, SL,\n", None),
+    ("masks: transitivity read from ab's row", CHECKS,
+     "            Rb ^ (Rb & Ra))", "            Rb ^ (Rb & Rab))", None),
+    # the walk: its early stop and the witnesses it keeps
+    ("walk: a witness that is not increasing taken as final", CHECKS,
+     "non[i] = (a, b, c)\n                            seen[i] = 1",
+     "non[i] = (a, b, c)\n                            seen[i] = 2", None),
+    ("walk: refined-right keeps its first increasing candidate, not its least", CHECKS,
+     "if inc[i] is None or w < inc[i]:", "if inc[i] is None:", None),
+    # the backends: the flat masks and regroupings, and the dict regroupings
+    ("flat: C read at stride n", CHECKS,
+     "C = [int(signs[m - 1 - y::m], 2) for y in range(m)]",
+     "C = [int(signs[m - 1 - y::n], 2) for y in range(m)]", None),
+    ("flat: R read from t", CHECKS,
+     "    signs = _signs(left)\n", "    signs = _signs(t)\n", None),
+    ("flat: masks over range(n)", CHECKS,
+     "R = [int(signs[(m - 1 - x) * n:(m - x) * n], 2) for x in range(m)]",
+     "R = [int(signs[(m - 1 - x) * n:(m - x) * n], 2) for x in range(n)]", None),
+    ("flat: equal regroupings taken as defined", CHECKS,
+     "return Rb ^ (Rb & Rab), 0", "return 0, 0", None),
+    ("dicts: an undefined (ab)c taken as differing", CHECKS,
+     "elif x is not None and x != y:\n                DIFF.add(c)", "elif x != y:\n                DIFF.add(c)", None),
+    ("lazy rows: an unrelated (ab,c) regrouped", CHECKS,
+     "elif Rab >> c & 1 and mul(vab, e) != mul(va, bc):", "elif mul(vab, e) != mul(va, bc):", None),
+    ("class chain: refined structures not checked to be strong", CHECKS,
      '((refined, strong, ("refined", "strong")),\n                            (strong,',
      "((strong,", None),
-    ("kernel: refined-right membership dropped", CHECKS,
-     "if Rb != Rab or Ca != Cab:", "if Rb != Rab:", None),
     ("block kernel: refined-right membership dropped", CHECKS,
      "refined_bad |= (both ^ left_in) | (both ^ right_in)", "refined_bad |= both ^ left_in", None),
     ("class chain: strong structures not checked to be locality and partial", CHECKS,
@@ -91,9 +123,6 @@ MUTANTS = [
     ("class chain: transitive locality structures not checked to be partial", CHECKS,
      ',\n                            (trans & loc, partial, ("transitive locality", "partial"))):',
      ",):", None),
-    # the scans' triple streams
-    ("streams: a pair after b loses the runs past b's cut", CHECKS,
-     "cs = whole[j][:cuts[j]] if i < j else whole[j]", "cs = whole[j][:cuts[j]]", None),
     # the sampled census: its draw and its witnesses
     ("sampler: a rejected value kept as digit 0", ENUMERATION,
      "                pending ^= held\n",
@@ -135,8 +164,8 @@ MUTANTS = [
      "    starting = _starting_at(paths)\n    value =",
      "    starting = {}\n    for r in paths:\n        starting.setdefault(r.source, []).append(r)\n"
      "    value =", None),
-    ("free-ext: a sparse target passed unchecked", QUIVER,
-     "refined = OK if flags and flags[2] else", "refined = OK if not flags or flags[2] else", None),
+    ("free-ext: the target's refined check dropped", QUIVER,
+     "refined = is_refined_locality_semigroup(s)", "refined = OK", None),
     ("paths and free-ext: colliding labels walked", QUIVER,
      "    if len({r.label for r in paths}) != len(paths):\n", "    if False:\n", None),
     # limits and the command line

@@ -17,7 +17,7 @@ from locsemi import (NotAssociative, adjoin_identity, adjoin_zero, census,
                      is_strong_semigroup_with_zero, materialize_path_magma,
                      powerset_magma, sampled_classify, search_space_size,
                      totient, totient_hom_check, verify_free_property)
-from locsemi.checks import _polar_closure_violation, _related_rows, _Triples
+from locsemi.checks import _flat, _masks
 from locsemi.fixtures import fixture_magma, fixture_quiver
 from locsemi.quiver import Quiver
 
@@ -104,24 +104,21 @@ def test_criterion_3_census_totals():
 
 
 def test_criterion_4_polar_reduction_oracle():
-    # the library's singleton clause, on flat accessors, table by table,
-    # against the literal closure over every subset, decided by blocks
+    # the library's singleton clauses, the two polar masks of _masks at every
+    # related pair of each flat table, against the literal closure over
+    # every subset, decided by blocks
     mismatches = 0
     scanned = 0
-    # a triple source reads only the relation, so tables that share one share it
-    sources = {}
     for n in (1, 2, 3):
         literal = _polar_violators(n)
         for code, t in _iter_tables(n):
             scanned += 1
-            rel = lambda a, b: t[a * n + b] >= 0
-            mul = lambda a, b: t[a * n + b]
-            related = tuple(x >= 0 for x in t)
-            src = sources.get(related)
-            if src is None:
-                src = sources[related] = _Triples(range(n), _related_rows(range(n), rel))
-            singleton = next(_polar_closure_violation(src, rel, mul), None)
-            if (singleton is None) != (literal[code] == "0"):
+            R, C, rows, _, _, empty, _ = _flat(n, t)
+            singleton = any(left or right
+                            for a in range(n) for b, ab in rows(a)
+                            for left, right in [_masks(R[a], R[b], R[ab], C[a], C[b], C[ab],
+                                                       empty, empty)[:2]])
+            if singleton != (literal[code] == "1"):
                 mismatches += 1
     assert scanned == 2 + 81 + 262144
     assert mismatches == 0

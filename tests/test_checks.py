@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import pathlib
 import random
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from locsemi import (CapacityError, ClassReport, DomainError, FinitePartialMagma,
+from locsemi import (CapacityError, DomainError, FinitePartialMagma,
                      InvariantError, Quiver, bounded_magma, checks,
                      check_polar_closure_subsets, classify,
                      complete_to_semigroup_with_zero,
@@ -29,7 +28,8 @@ from locsemi.enumeration import decode_magma, search_space_size
 from locsemi.magma import OK, Witness, fail
 from locsemi.fixtures import fixture_kind, fixture_magma, fixture_names, fixture_quiver
 
-from orderly import _checker_flags, _polar_violators
+from orderly import (_checker_flags, _polar_violators, oracle_report, oracle_verdict,
+                     table_accessors, violates)
 from strategies import magmas, random_magma
 
 EX3_6 = fixture_magma("ex3_6")
@@ -60,8 +60,12 @@ def test_subset_closure_fixtures():
 
 
 def _singleton_vs_subsets(m):
-    singletons = checks._first(checks._polar_closure_violation, m)
-    assert bool(singletons) == bool(check_polar_closure_subsets(m))
+    # the library's singleton clauses: the two polar masks of _masks at every related pair
+    R, C, rows, _, _, empty, _ = checks._finite_backend(m)[1]
+    singletons = not any(left or right for a in range(len(m.elements)) for b, ab in rows(a)
+                         for left, right in [checks._masks(R[a], R[b], R[ab], C[a], C[b], C[ab],
+                                                           empty, empty)[:2]])
+    assert singletons == bool(check_polar_closure_subsets(m))
 
 
 def test_singleton_reduction_exhaustive_n2():
@@ -320,12 +324,11 @@ def test_classify_inclusion_chain(m):
     ({"refined", "strong", "partial"}, "transitive locality structure is not partial"),
 ])
 def test_classify_inclusion_chain_checks_survive_optimize(monkeypatch, failing, message):
-    # the checks are explicit raises, so `python -O` cannot strip them
-    import locsemi.checks as checks
-    for name in ("locality", "strong", "refined", "partial", "transitive"):
-        verdict = fail(name, ("a",), "forced") if name in failing else OK
-        monkeypatch.setitem(checks._CLASS_SCANS, name,
-                            lambda *args, v=verdict: iter(() if v.ok else (v,)))
+    # the checks are explicit raises, so `python -O` cannot strip them; the
+    # walk is made to name a transitivity witness for each failing class
+    found = [(11, (0, 0, 0)) if name in failing else None
+             for name in ("locality", "strong", "refined", "partial", "transitive")]
+    monkeypatch.setattr(checks, "_walk", lambda *args: found)
     with pytest.raises(InvariantError, match=message):
         classify(EMPTY)
 
@@ -389,30 +392,6 @@ def test_subset_checkers_return_the_first_pair_their_rule_fails():
     assert failed > 100
 
 
-def _clause_oracle(m, axiom, a, b, c):
-    # each clause on one triple, written out independently of locsemi.checks
-    t = m.table
-    rel = lambda x, y: (x, y) in t
-    ab, bc = t.get((a, b)), t.get((b, c))
-    lhs, rhs = t.get((ab, c)), t.get((a, bc))
-    chained = rel(a, b) and rel(b, c)
-    both_in = chained and rel(ab, c) and rel(a, bc)
-    return {
-        "left-polar-closure": rel(a, c) and rel(b, c) and rel(a, b) and not rel(ab, c),
-        "right-polar-closure": rel(c, a) and rel(c, b) and rel(a, b) and not rel(c, ab),
-        "locality-assoc": both_in and rel(a, c) and lhs != rhs,
-        "strong-left": chained and not rel(ab, c),
-        "strong-right": chained and not rel(a, bc),
-        "strong-assoc": both_in and lhs != rhs,
-        "refined-left": rel(a, b) and rel(b, c) != rel(ab, c),
-        "refined-right": rel(b, c) and rel(a, b) != rel(a, bc),
-        "refined-assoc": both_in and lhs != rhs,
-        "partial-membership": chained and rel(ab, c) != rel(a, bc),
-        "partial-assoc": both_in and lhs != rhs,
-        "transitivity": chained and not rel(a, c),
-    }[axiom]
-
-
 _TRIPLE_AXIOMS = (
     "left-polar-closure", "right-polar-closure", "locality-assoc",
     "strong-left", "strong-right", "strong-assoc",
@@ -428,8 +407,18 @@ def test_replay_witness_matches_clause_oracle():
     for m in structures:
         for t in itertools.product(m.elements, repeat=3):
             for axiom in _TRIPLE_AXIOMS:
-                want = _clause_oracle(m, axiom, *t)
+                want = violates(*table_accessors(m)[1:], axiom, *t)
                 assert replay_witness(m, Witness(axiom, t)) == want, (m.table, axiom, t)
+
+
+def test_refined_right_witness_is_the_least_over_every_pair():
+    # refined-left holds, and refined-right fails at the increasing triples
+    # (1,2,3), met at the pair (2,3), and (0,3,4), met later at (3,4) but
+    # first in the scan order
+    m = FinitePartialMagma(tuple("01234"), {("0", "4"): "4", ("1", "3"): "3",
+                                            ("2", "3"): "3", ("3", "4"): "4"})
+    want = fail("refined-right", ("0", "3", "4"), "(0,4) defined but (0,3) undefined")
+    assert classify(m).refined == want == oracle_verdict(*table_accessors(m), "refined")
 
 
 def test_replay_edge_cases():
@@ -438,150 +427,41 @@ def test_replay_edge_cases():
         replay_witness(EX3_8, Witness("no-such-axiom", ("a", "b", "c")))
 
 
-def _all_triples(elems):
-    # the scan order over every triple: strictly increasing triples first
-    yield from itertools.combinations(elems, 3)
-    for t in itertools.product(elems, repeat=3):
-        if not (t[0] < t[1] < t[2]):
-            yield t
-
-
-_SCANS = (checks._polar_closure_violation, checks._locality_violation,
-          checks._strong_violation, checks._refined_violation,
-          checks._partial_violation, checks._transitive_violation)
-
-
-# The oracle of the scans: each clause body as it was written over every
-# triple, its guards included, before the guards moved into the streams.
-
-def _oracle_polar(triples, rel, mul):
-    for a, b, c in triples():
-        if rel(a, c) and rel(b, c) and rel(a, b) and not rel(mul(a, b), c):
-            yield fail("left-polar-closure", (a, b, c), f"U={{{c}}}")
-    for a, b, c in triples():
-        if rel(c, a) and rel(c, b) and rel(a, b) and not rel(c, mul(a, b)):
-            yield fail("right-polar-closure", (a, b, c), f"U={{{c}}}")
-
-
-def _oracle_locality(triples, rel, mul):
-    yield from _oracle_polar(triples, rel, mul)
-    for a, b, c in triples():
-        if rel(a, b) and rel(b, c) and rel(a, c):
-            ab, bc = mul(a, b), mul(b, c)
-            lhs, rhs = mul(ab, c), mul(a, bc)
-            if lhs != rhs and rel(ab, c) and rel(a, bc):
-                yield fail("locality-assoc", (a, b, c), f"{lhs}!={rhs}")
-
-
-def _oracle_strong(triples, rel, mul):
-    for a, b, c in triples():
-        if rel(a, b) and rel(b, c):
-            ab, bc = mul(a, b), mul(b, c)
-            left_in, right_in = rel(ab, c), rel(a, bc)
-            if not left_in:
-                yield fail("strong-left", (a, b, c), f"({ab},{c}) undefined")
-            if not right_in:
-                yield fail("strong-right", (a, b, c), f"({a},{bc}) undefined")
-            if left_in and right_in:
-                lhs, rhs = mul(ab, c), mul(a, bc)
-                if lhs != rhs:
-                    yield fail("strong-assoc", (a, b, c), f"{lhs}!={rhs}")
-
-
-def _oracle_refined(triples, rel, mul):
-    for a, b, c in triples():
-        if rel(a, b):
-            ab = mul(a, b)
-            if rel(b, c):
-                if not rel(ab, c):
-                    yield fail("refined-left", (a, b, c),
-                               f"({b},{c}) defined but ({ab},{c}) undefined")
-            elif rel(ab, c):
-                yield fail("refined-left", (a, b, c),
-                           f"({ab},{c}) defined but ({b},{c}) undefined")
-    for a, b, c in triples():
-        if rel(b, c):
-            bc = mul(b, c)
-            if rel(a, b):
-                if not rel(a, bc):
-                    yield fail("refined-right", (a, b, c),
-                               f"({a},{b}) defined but ({a},{bc}) undefined")
-            elif rel(a, bc):
-                yield fail("refined-right", (a, b, c),
-                           f"({a},{bc}) defined but ({a},{b}) undefined")
-    for a, b, c in triples():
-        if rel(a, b) and rel(b, c):
-            ab, bc = mul(a, b), mul(b, c)
-            lhs, rhs = mul(ab, c), mul(a, bc)
-            if lhs != rhs and rel(ab, c) and rel(a, bc):
-                yield fail("refined-assoc", (a, b, c), f"{lhs}!={rhs}")
-
-
-def _oracle_partial(triples, rel, mul):
-    for a, b, c in triples():
-        if rel(a, b) and rel(b, c):
-            ab, bc = mul(a, b), mul(b, c)
-            left_in, right_in = rel(ab, c), rel(a, bc)
-            if left_in and right_in:
-                lhs, rhs = mul(ab, c), mul(a, bc)
-                if lhs != rhs:
-                    yield fail("partial-assoc", (a, b, c), f"{lhs}!={rhs}")
-            elif right_in:
-                yield fail("partial-membership", (a, b, c),
-                           f"({ab},{c}) undefined, ({a},{bc}) defined")
-            elif left_in:
-                yield fail("partial-membership", (a, b, c),
-                           f"({a},{bc}) undefined, ({ab},{c}) defined")
-
-
-def _oracle_transitive(triples, rel, mul):
-    for a, b, c in triples():
-        if rel(a, b) and rel(b, c) and not rel(a, c):
-            yield fail("transitivity", (a, b, c), f"({a},{c}) undefined")
-
-
-_ORACLES = (_oracle_polar, _oracle_locality, _oracle_strong, _oracle_refined,
-            _oracle_partial, _oracle_transitive)
-
-
-def _table_accessors(m):
-    # table.get, not table[...]: a scan read past its first violation may
-    # multiply pairs whose product is undefined
-    t = m.table
-    return m.elements, (lambda a, b: (a, b) in t), t.get
-
-
 def _stream_cases():
     for n in (1, 2):
         for code in range(search_space_size(n)):
-            yield f"n{n}-{code}", _table_accessors(decode_magma(n, code))
+            yield f"n{n}-{code}", table_accessors(decode_magma(n, code))
     rng = random.Random(5)
     for n in range(3, 9):
         for density in (0.1, 0.3, 0.6, 0.95):
             labels = tuple(f"x{i}" for i in range(n))
             table = {(a, b): rng.choice(labels) for a in labels for b in labels
                      if rng.random() < density}
-            yield f"random-{n}-{density}", _table_accessors(FinitePartialMagma(labels, table))
+            yield f"random-{n}-{density}", table_accessors(FinitePartialMagma(labels, table))
     path_magma, _ = materialize_path_magma(fixture_quiver("ex2_17_quiver"), 2)
-    yield "ex2_17-paths", _table_accessors(path_magma)
-    yield "coprime-slice-12", _table_accessors(bounded_magma(coprime_magma(), 12))
+    yield "ex2_17-paths", table_accessors(path_magma)
+    yield "coprime-slice-12", table_accessors(bounded_magma(coprime_magma(), 12))
     for p in (coprime_magma(), coprime_with_zero(), natural_multiplication()):
-        # the accessors sampled_classify hands to the scans
+        # the accessors sampled_classify hands to the walk
         yield p.description, (sorted(p.slice_elements(12)), p.related, p.product)
 
 
-def test_linked_scans_yield_every_violation_of_the_full_scan():
+def test_walk_names_the_first_violation_of_the_full_scan_on_both_backends():
+    # the open flat table and the lazily built dicts, each against the plain
+    # walk over every triple of tests/orderly.py
     for name, (elems, rel, mul) in _stream_cases():
-        src = checks._Triples(elems, checks._related_rows(elems, rel))
-        for scan, oracle in zip(_SCANS, _ORACLES):
-            want = list(oracle(lambda: _all_triples(elems), rel, mul))
-            assert list(scan(src, rel, mul)) == want, (name, scan.__name__)
+        n = len(elems)
+        want = [oracle_verdict(elems, rel, mul, k) for k in checks._CLASS_NAMES]
+        for backend in (checks._flat(n, *checks._open_table(elems, rel, mul)),
+                        checks._lazy_dicts(elems, rel, mul)):
+            got = [checks._verdict(f, elems, rel, mul) for f in checks._walk(n, backend, range(5))]
+            assert got == want, name
 
 
 def test_classify_of_a_sparse_path_magma_allocates_no_cube():
     # 40 disjoint chains of 4 vertices: 400 paths and 800 related pairs.
-    # Triple masks over every triple would take 2*n**3 bytes, 128 MB here;
-    # the streams hold O(n + |R|).
+    # Triple masks over every triple would take 2*n**3 bytes, 128 MB here,
+    # and a flat table n**2 cells; the row dicts hold O(n + |R|).
     vertices, arrows = [], []
     for k in range(40):
         vertices += [f"v{k}_{i}" for i in range(4)]
@@ -596,35 +476,31 @@ def test_classify_of_a_sparse_path_magma_allocates_no_cube():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
-    t, open_table, _ = checks._open_table(*checks._accessors(m))
-    assert report.flags() == checks._table_flags(n, t, open_table)
+    t = checks._closed_table(m)
+    assert report == checks._report(m.elements, checks._flat(n, t), *checks._accessors(m)[1:],
+                                    checks._table_sided(m.elements, t, *checks._flat(n, t)[:2]))
     assert report.refined.ok and not report.transitive.ok
-    for name in checks._CLASS_SCANS:
+    for name in checks._CLASS_NAMES:
         v = getattr(report, name)
         if not v.ok:
             assert replay_witness(m, v.witness), v.witness
 
 
-def test_refined_scan_of_a_refined_path_magma_skips_the_pairs_that_cannot_fail():
+def test_refined_walk_of_a_refined_path_magma_reads_each_related_pair_once(monkeypatch):
     # 100 disjoint chains of 4 vertices: 1,000 paths and 2,000 related pairs.
-    # A refined-membership violation is a c in exactly one of row(b) and
-    # row(ab) (column(b) and column(bc)); here every pair's two are equal, so
-    # the scan need not test any c of any pair.
+    # A refined structure has no witness to stop at, so the walk reads the
+    # masks of every related pair, each once, and no triple one by one.
     vertices, arrows = [], []
     for k in range(100):
         vertices += [f"v{k}_{i}" for i in range(4)]
         arrows += [(f"x{k}_{i}", f"v{k}_{i}", f"v{k}_{i + 1}") for i in range(3)]
     m, _ = materialize_path_magma(Quiver(tuple(vertices), tuple(arrows)), 3)
     assert (len(m.elements), len(m.table)) == (1000, 2000)
-    calls = 0
-
-    def rel(a, b):
-        nonlocal calls
-        calls += 1
-        return (a, b) in m.table
-    src = checks._Triples(m.elements, checks._table_rows(m))
-    assert list(checks._refined_violation(src, rel, checks._accessors(m)[2])) == []
-    assert calls < len(m.elements) + len(m.table), calls
+    pairs = []
+    masks = checks._masks
+    monkeypatch.setattr(checks, "_masks", lambda *args: pairs.append(args) or masks(*args))
+    assert is_refined_locality_semigroup(m)
+    assert len(pairs) == len(m.table)
 
 
 def test_open_compile_of_finite_structures_gives_classify_flags():
@@ -639,10 +515,13 @@ def test_open_compile_of_finite_structures_gives_classify_flags():
                     if rng.random() < density}))
     for m in cases:
         elems, rel, mul = checks._accessors(m)
-        t, table, rows = checks._open_table(elems, rel, mul)
-        # the scan-only checkers, since classify takes a dense table's flags from the kernel
-        assert checks._table_flags(len(elems), t, table) == _checker_flags(m), m
-        assert rows == [[j for j, b in enumerate(elems) if rel(a, b)] for a in elems]
+        n = len(elems)
+        backend = checks._flat(n, *checks._open_table(elems, rel, mul))
+        # the plain walk over every triple of tests/orderly.py
+        assert tuple(f is None for f in checks._walk(n, backend, range(5))) == _checker_flags(m), m
+        rows = backend[2]
+        assert [[b for b, _ in rows(a)] for a in range(n)] == \
+            [[j for j, b in enumerate(elems) if rel(a, b)] for a in elems]
 
 
 def _random_path_magmas(seed, count):
@@ -678,25 +557,29 @@ def _report_cases():
         yield complete_to_semigroup_with_zero(m).magma
 
 
-def test_classify_equals_the_scan_only_report():
-    # dense tables are decided by the kernel and sparse ones by the scans
-    # (n*n against _DENSE_CELLS_PER_PAIR per defined pair); either way every
-    # field is the report of five scans
+def test_classify_equals_the_scan_only_report(monkeypatch):
+    # dense tables are walked over a flat table and sparse ones over row
+    # dicts (n*n against _DENSE_CELLS_PER_PAIR per defined pair); every
+    # report is the plain walk's over every triple of tests/orderly.py, here
+    # up to 21 elements, and the report of the other backend
     branches = set()
     for m in _report_cases():
         n = len(m.elements)
-        branches.add(n * n <= checks._DENSE_CELLS_PER_PAIR * len(m.table))
-        elems, rel, mul = checks._accessors(m)
-        want = checks._assemble_report(elems, checks._table_rows(m), rel, mul)
+        dense = n * n <= checks._DENSE_CELLS_PER_PAIR * len(m.table)
+        branches.add(dense)
         got = classify(m)
-        for field in dataclasses.fields(ClassReport):
-            assert getattr(got, field.name) == getattr(want, field.name), (field.name, m)
+        if n <= 21:
+            assert got == oracle_report(*table_accessors(m)), m
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "_DENSE_CELLS_PER_PAIR", 0 if dense else n * n)
+            assert classify(m) == got, m
     assert branches == {True, False}
 
 
-def test_classify_of_a_dense_completion_builds_no_stream(monkeypatch):
+def test_classify_of_a_dense_completion_builds_no_row_dicts(monkeypatch):
     # the zero-completion of 4 chains of 4 vertices: 41 elements, every pair
-    # related, in all five classes, so the kernel leaves no scan to run
+    # related, in all five classes: the walk reads its flat table, and no
+    # row dict is built
     vertices, arrows = [], []
     for k in range(4):
         vertices += [f"v{k}_{i}" for i in range(4)]
@@ -704,29 +587,27 @@ def test_classify_of_a_dense_completion_builds_no_stream(monkeypatch):
     m, _ = materialize_path_magma(Quiver(tuple(vertices), tuple(arrows)), 3)
     total = complete_to_semigroup_with_zero(m).magma
     assert len(total.elements) == 41 and total.is_total()
-    streams = 0
-    stream = checks._Triples._stream
-
-    def counted(*args, **kwargs):
-        nonlocal streams
-        streams += 1
-        return stream(*args, **kwargs)
-    monkeypatch.setattr(checks._Triples, "_stream", counted)
+    built = []
+    table_dicts = checks._table_dicts
+    monkeypatch.setattr(checks, "_table_dicts", lambda m: built.append(m) or table_dicts(m))
     report = classify(total)
     assert report.flags() == (True,) * 5 and report.zeros == ("0",)
-    assert streams == 0
-    assert is_transitive(total) and streams > 0  # the scan-only checker cuts one
+    assert is_transitive(total) and built == []
+    # 10 elements and one product: a sparse table, read as dicts
+    sparse = FinitePartialMagma(tuple(f"s{i}" for i in range(10)), {("s0", "s0"): "s0"})
+    assert classify(sparse).refined.ok and built == [sparse]
 
 
 def test_table_rows_ascend_in_the_stored_key_order():
-    # _table_rows sorts nothing: it reads the keys, which the magma stores sorted
+    # the row dicts sort nothing: they are read from the keys, which the magma stores sorted
     labels = ("10", "9", "b", "a", "0")
     ops = [f"op: {x} {y} -> {x}" for x in labels for y in labels if x != y]
     m = parse_magma(f"elements: {' '.join(labels)}\n" + "\n".join(reversed(ops)) + "\n")
     assert m.pairs() == sorted(m.pairs())
-    rows = checks._table_rows(m)
-    assert rows == [[j for j, y in enumerate(m.elements) if x != y] for x in m.elements]
-    assert all(row == sorted(row) for row in rows)
+    rows = checks._table_dicts(m)[2]
+    got = [[b for b, _ in rows(a)] for a in range(len(labels))]
+    assert got == [[j for j, y in enumerate(m.elements) if x != y] for x in m.elements]
+    assert all(row == sorted(row) for row in got)
 
 
 @given(st.lists(st.integers(-1, 2**31 - 1), min_size=1, max_size=80))
@@ -736,52 +617,4 @@ def test_table_rows_ascend_in_the_stored_key_order():
 def test_defined_mask_sets_a_bit_per_defined_cell(values):
     cells = array("i", values)
     want = sum(1 << k for k, v in enumerate(cells) if v >= 0)
-    assert checks._defined_mask(cells) == want
-
-
-_TOTAL4 = {(a, b) for a in range(4) for b in range(4)}
-
-# each stream of a triple source, with the guard that filters the scan order;
-# ab and bc also keep only the triples whose pair passes their pair filter
-_STREAM_GUARDS = {
-    "chained": lambda R, a, b, c: (a, b) in R and (b, c) in R,
-    "left": lambda R, a, b, c: (a, b) in R and (b, c) in R and (a, c) in R,
-    "right": lambda R, a, b, c: (a, b) in R and (c, a) in R and (c, b) in R,
-}
-_PAIR_FILTERS = (lambda x, y: True, lambda x, y: (x + 2 * y) % 3 != 0)
-
-
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True).map(sorted),
-       st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5))))
-@example([3], set())
-@example([3], {(3, 3)})
-@example([0, 1, 2, 3], set())
-@example([0, 1, 2, 3], _TOTAL4)
-@example([0, 1, 2, 3, 5], _TOTAL4 - {(1, 1), (0, 2)} | {(5, 1), (2, 5), (5, 5)})
-def test_linked_triples_are_the_full_scan_order_filtered(elems, R):
-    rel = lambda a, b: (a, b) in R
-    source = checks._Triples(elems, checks._related_rows(elems, rel))
-    for stream, guard in _STREAM_GUARDS.items():
-        want = [t for t in _all_triples(elems) if guard(R, *t)]
-        assert list(getattr(source, stream)()) == want, stream
-        assert list(getattr(source, stream)()) == want, stream  # every call starts a fresh pass
-    for pair in _PAIR_FILTERS:
-        want = [(a, b, c) for a, b, c in _all_triples(elems) if (a, b) in R and pair(a, b)]
-        assert list(source.ab(pair)) == want
-        want = [(a, b, c) for a, b, c in _all_triples(elems) if (b, c) in R and pair(b, c)]
-        assert list(source.bc(pair)) == want
-
-
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True).map(sorted),
-       st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5))))
-@example([0, 1, 2, 3], _TOTAL4)
-def test_ab_tests_each_related_pair_once(elems, R):
-    # the pair filter of refined-left may compute rows by calling rel, so a
-    # drained ab asks it once per related pair, in either part of the scan order
-    rel = lambda a, b: (a, b) in R
-    source = checks._Triples(elems, checks._related_rows(elems, rel))
-    related = sorted((a, b) for a in elems for b in elems if (a, b) in R)
-    for pair in _PAIR_FILTERS:
-        calls = []
-        list(source.ab(lambda a, b: calls.append((a, b)) or pair(a, b)))
-        assert sorted(calls) == related
+    assert int(checks._signs(cells), 2) == want

@@ -15,12 +15,11 @@ from locsemi import (DomainError, FinitePartialMagma, NotAssociative,
                      is_strong_semigroup_with_zero, materialize_path_magma,
                      parse_semigroup_with_zero, partial_from_semigroup,
                      powerset_magma, serialize_semigroup_with_zero, Witness)
-from locsemi.checks import _table_flags
 from locsemi.enumeration import (_FLAG_NAMES, _decode_table, decode_magma,
                                  search_space_size)
 from locsemi.fixtures import fixture_magma, fixture_quiver
 
-from orderly import _flags_by_code, _representatives
+from orderly import _flags_by_code, _representatives, _walk_flags
 from strategies import magma_with_subset
 
 EX3_8 = fixture_magma("ex3_8")
@@ -110,7 +109,7 @@ def test_adjunction_tallies_exhaustive(n):
 def test_adjunction_preserves_locality_sampled_n3():
     checked = 0
     for code in range(0, search_space_size(3), 401):
-        if not _table_flags(3, _decode_table(3, code))[0]:  # locality
+        if not _walk_flags(3, _decode_table(3, code))[0]:  # locality
             continue
         m = decode_magma(3, code)
         assert is_locality_semigroup(adjoin_identity(m, "e"))

@@ -14,11 +14,10 @@ from locsemi import (CapacityError, DomainError, FinitePartialMagma,
                      encode_magma, find_witness, format_census_table,
                      parse_magma, sample_census, scan_flags,
                      search_space_size, serialize_magma)
-from locsemi.checks import _table_flags
 from locsemi.cli import run
 from locsemi.enumeration import _decode_table
 
-from orderly import _checker_flags, _flags_by_code, _representatives
+from orderly import _checker_flags, _flags_by_code, _representatives, _walk_flags
 
 
 def test_search_space_sizes():
@@ -48,19 +47,19 @@ def test_decode_bounds():
         decode_magma(5, 0)
 
 
-# classify takes a dense table's verdicts from the kernel, so the oracle of
-# these three is the scan-only public checkers
+# the library's walk on flat tables against the plain walk over every triple
+# of tests/orderly.py
 def test_kernel_matches_checkers_exhaustive_small():
     for n in (1, 2):
-        for code, flags in enumerate(_flags_by_code(n)):
+        for code in range(search_space_size(n)):
             m = decode_magma(n, code)
-            assert _checker_flags(m) == flags, (n, code)
+            assert _checker_flags(m) == _walk_flags(n, _decode_table(n, code)), (n, code)
 
 
 def test_kernel_matches_checkers_stride_n3():
     for code in range(0, search_space_size(3), 1013):
         m = decode_magma(3, code)
-        assert _checker_flags(m) == _table_flags(3, _decode_table(3, code)), code
+        assert _checker_flags(m) == _walk_flags(3, _decode_table(3, code)), code
 
 
 @settings(max_examples=60)
@@ -68,7 +67,7 @@ def test_kernel_matches_checkers_stride_n3():
     lambda n: st.tuples(st.just(n), st.integers(0, search_space_size(n) - 1))))
 def test_kernel_matches_checkers_random(nc):
     n, code = nc
-    assert _checker_flags(decode_magma(n, code)) == _table_flags(n, _decode_table(n, code))
+    assert _checker_flags(decode_magma(n, code)) == _walk_flags(n, _decode_table(n, code))
 
 
 def _rows_by_pattern(rows):
@@ -285,11 +284,11 @@ def test_format_census_table():
 
 
 # ---------------------------------------------------------------------------
-# the bit-sliced block kernel against the per-table kernel and orderly minima
+# the bit-sliced block kernel against the oracle of tests/orderly.py and orderly minima
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_block_flags_match_table_flags_on_every_code(n):
-    # the per-table kernel over the whole space, bit c for code c
+    # the oracle's flags over the whole space, bit c for code c
     columns = [bytearray() for _ in _FLAG_NAMES]
     for flags in _flags_by_code(n):
         for column, f in zip(columns, flags):
@@ -306,17 +305,17 @@ def test_block_flags_match_table_flags_on_every_code(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_scan_flags_matches_table_flags(n):
-    # the same codes in order, each with the per-table kernel's flags
+    # the same codes in order, each with the oracle's flags
     want = enumerate(_flags_by_code(n))
     for got, expected in itertools.zip_longest(scan_flags(n), want):
         assert got == expected, n
 
 
 def _per_table_rows(n, codes):
-    """Census rows of sorted ``codes``, one _table_flags call per code."""
+    """Census rows of sorted ``codes``, one _walk_flags call per code."""
     tally = {}
     for code in codes:
-        flags = _table_flags(n, _decode_table(n, code))
+        flags = _walk_flags(n, _decode_table(n, code))
         pattern = "".join(l if f else "-" for l, f in zip("LSRPT", flags))
         tally.setdefault(pattern, [0, code])[0] += 1
     return [enumeration.CensusRow(p, count, code, serialize_magma(decode_magma(n, code)))

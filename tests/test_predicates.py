@@ -17,6 +17,8 @@ from locsemi import predicates
 from locsemi.magma import OK, fail
 from locsemi.predicates import MAX_SLICE
 
+from orderly import oracle_report
+
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_gcd_matches_stdlib(a, b):
@@ -156,7 +158,8 @@ def test_slices_outside_the_structure_raise_domain_error():
 @pytest.mark.parametrize("bound", [1, 2, 12, 30, 45])
 @pytest.mark.parametrize("make", [coprime_magma, coprime_with_zero, natural_multiplication])
 def test_sampled_verdict_matches_sampled_classify(make, bound):
-    # sampled_verdict runs one scan; sampled_classify takes holding classes from the kernel
+    # sampled_verdict walks one class over lazily built rows; sampled_classify
+    # walks all five over the compiled open table
     p = make()
     report = sampled_classify(p, bound)
     for name in ("locality", "strong", "refined", "partial", "transitive"):
@@ -317,26 +320,22 @@ def open_predicates(draw):
 
 @given(open_predicates(), st.integers(1, 7))
 def test_sampled_classify_matches_all_scans(p, bound):
-    # the kernel decides the classes that hold, so compare with every scan run
+    # the plain walk over every triple of tests/orderly.py, one pass per clause
     elems = sorted(p.slice_elements(bound))
-    src = checks._Triples(elems, checks._related_rows(elems, p.related))
-    want = [next(scan(src, p.related, p.product), OK)
-            for scan in checks._CLASS_SCANS.values()]
     report = sampled_classify(p, bound)
-    assert [getattr(report, name) for name in checks._CLASS_SCANS] == want
+    assert report == oracle_report(elems, p.related, p.product, bound)
 
 
 def _scanned_flags(p, bound):
     elems = sorted(p.slice_elements(bound))
-    src = checks._Triples(elems, checks._related_rows(elems, p.related))
-    return tuple(next(scan(src, p.related, p.product), OK).ok
-                 for scan in checks._CLASS_SCANS.values())
+    return oracle_report(elems, p.related, p.product).flags()
 
 
 def _kernel_flags(p, bound):
     elems = sorted(p.slice_elements(bound))
-    t, table, _ = checks._open_table(elems, p.related, p.product)
-    return checks._table_flags(len(elems), t, table)
+    t, open_table = checks._open_table(elems, p.related, p.product)
+    backend = checks._flat(len(elems), t, open_table)
+    return tuple(found is None for found in checks._walk(len(elems), backend, range(5)))
 
 
 _OPS = {"times": operator.mul, "sum": operator.add, "max": max, "min": min}
@@ -398,7 +397,10 @@ def test_open_kernel_gathers_edge_rows(products, flags):
 
 
 def test_kernel_and_scan_disagreement_raises(monkeypatch):
-    # an explicit raise, so `python -O` keeps it
-    monkeypatch.setitem(checks._CLASS_SCANS, "strong", lambda *args: iter(()))
+    # a bounded report whose verdicts break the class chain raises, with an
+    # explicit raise that `python -O` keeps: here the walk is made to find no
+    # refined witness, so the strong structure's failing verdict disagrees
+    walk = checks._walk
+    monkeypatch.setattr(checks, "_walk", lambda *args: walk(*args)[:2] + [None] + walk(*args)[3:])
     with pytest.raises(InvariantError, match="strong"):
         sampled_classify(coprime_magma(), 12)

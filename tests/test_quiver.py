@@ -355,29 +355,28 @@ def test_free_property_refuses_colliding_path_labels():
     assert verify_free_property(parse_quiver(E_X_ARROW), z3(), {"e_x": "1"}, 2)
 
 
-def test_free_extension_into_a_dense_refined_target_builds_no_stream(monkeypatch):
+def test_free_extension_into_a_dense_refined_target_builds_no_row_dicts(monkeypatch):
     # the zero-completion of 4 chains, 41 elements with every pair related, is
-    # dense: the kernel decides it refined, as in classify, and no scan runs
+    # dense: its refined verdict comes from the walk over its flat table, as
+    # in classify, and no row dict is built
     from locsemi import checks, complete_to_semigroup_with_zero
     q = Quiver(tuple(f"v{k}_{i}" for k in range(4) for i in range(4)),
                tuple((f"x{k}_{i}", f"v{k}_{i}", f"v{k}_{i + 1}") for k in range(4) for i in range(3)))
     target = complete_to_semigroup_with_zero(materialize_path_magma(q, 3)[0]).magma
-    streams = 0
-    stream = checks._Triples._stream
-
-    def counted(*args, **kwargs):
-        nonlocal streams
-        streams += 1
-        return stream(*args, **kwargs)
-    monkeypatch.setattr(checks._Triples, "_stream", counted)
+    built = []
+    table_dicts = checks._table_dicts
+    monkeypatch.setattr(checks, "_table_dicts", lambda m: built.append(m) or table_dicts(m))
     f = {name: name for name, _, _ in q.arrows}
     assert free_extension(q, target, f)(q.path(["x0_0", "x0_1"])) == "x0_0*x0_1"
     assert verify_free_property(q, target, f, 3)
-    assert streams == 0
+    assert built == []
+    # a loop into 10 elements with one product: a sparse target, read as dicts
+    sparse = FinitePartialMagma(tuple(f"s{i}" for i in range(10)), {("s0", "s0"): "s0"})
+    assert verify_free_property(ONE_LOOP, sparse, {"g": "s0"}, 2) and built == [sparse]
 
 
 def test_free_extension_into_a_sparse_target_names_the_scan_witness():
-    # 10 elements and one product: sparse, so the refined scan decides and names
+    # 10 elements and one product: sparse, so the walk over row dicts decides and names
     from locsemi import checks
     elements = tuple(f"s{i}" for i in range(10))
     target = FinitePartialMagma(elements, {("s0", "s1"): "s0"})
