@@ -15,23 +15,24 @@ is final and stops once the first pass of every class it decides has one.
 Only then is the detail of each witness read back, through the structure's
 relation and product at the witness triple.
 
-The walk reads its masks through one of three backends, which differ only
-in how they store the relation and the products:
+The walk reads its masks, all ints, through one of two backends, which
+differ only in how they store the relation and the products:
 
 - ``_flat``: a flat table, closed (``_closed_table``, a dense finite
   structure) or open (``_open_table``, the slice of a predicate structure
-  together with the products that leave it).  Masks are ints read at C speed
+  together with the products that leave it).  Masks are read at C speed
   from the table's sign bytes, and a pair's regroupings (ab)c and a(bc) are
   two C-speed row gathers built on the row's first use.
-- ``_table_dicts``: row dicts read from the table of a sparse finite
-  structure, with more than ``_DENSE_CELLS_PER_PAIR`` cells of a flat table
-  per defined pair.  Masks are sets, and nothing of size n^2 is built.
-- ``_lazy_dicts``: the rows and columns of a slice, each computed by calling
-  the relation when the walk first needs it (``sampled_verdict``,
-  ``replay_witness``).  Masks are ints; a pair's regroupings call the
-  product per c, so the walk takes the increasing triples of every pair
-  before the others, as the scan order does, and a class that fails early
-  costs no more than those triples.
+- ``_lazy_dicts``: row masks built on first use, and products read per c
+  of a pair's regroupings.  A slice (``sampled_verdict``,
+  ``replay_witness``) computes its rows and columns by calling the relation
+  when the walk first needs them, and the walk takes the increasing triples
+  of every pair before the others, as the scan order does, so a class that
+  fails early costs no more than those triples.  A sparse finite structure,
+  with more than ``_DENSE_CELLS_PER_PAIR`` cells of a flat table per defined
+  pair, feeds it the position-level products of each row and the mask of
+  each column, read once from its table, and the walk takes each related
+  pair once.
 
 ``classify``, the public ``is_*`` checkers, the bounded reports of
 ``predicates`` and the free extension's target check all read the walk, and
@@ -107,8 +108,8 @@ def _masks(Ra, Rb, Rab, Ca, Cb, Cab, SR, DIFF) -> tuple:
     x = a, b and the product ab.  SR holds the c of Rb with (a,bc) unrelated,
     and DIFF the c of Rb where (ab,c) and (a,bc) are both related and
     (ab)c != a(bc).  Refined-right reads the pair as (b,c): its mask holds the
-    a in just one of C[b] and C[bc].  Masks are ints or sets, so only &, | and
-    ^ appear.
+    a in just one of C[b] and C[bc].  Masks are ints, bit c standing for c;
+    X ^ (X & Y) takes Y's bits out of X without the complement ~Y.
     """
     SL = Rb ^ (Rb & Rab)
     left = Ra & Rb
@@ -156,24 +157,29 @@ def _open_axes(classes: tuple, seen: tuple, floor: int):
             not _COLUMNED.isdisjoint(opened))
 
 
+def _int_first(M: int, above: int):
+    """The least element of the int mask M above ``above``, or None."""
+    M >>= above + 1
+    return (M & -M).bit_length() + above if M else None
+
+
 def _walk(n: int, backend, classes: Sequence[int]) -> list:
     """The first witness of each class in ``classes`` (indices into
     _CLASS_PASSES): (axiom index, (i, j, k) positions), or None where the
     class holds over the n positions.
 
-    ``backend`` is (R, C, rows, regroup, first, empty, split): R[x] and C[x]
-    the row and column masks of x, a position or the id of a product;
-    rows(a) the (b, ab) with (a,b) related, b ascending, ab the product's
-    id; regroup(a, b, ab, Rb, Rab, lo, hi) the pair's (SR, DIFF) after
-    rows(a), right at least at the c with lo < c <= hi; first(M, above) the
-    least element of M above ``above``, or None; ``empty`` the empty mask,
-    which stands for SR and DIFF, and for the columns, while no open axiom
-    reads them; and ``split`` whether the walk takes the increasing triples
-    of every pair before the others, as the scan order does, for a backend
-    whose regroupings cost callbacks per c.  Otherwise it takes every triple
-    of a pair at once.
+    ``backend`` is (R, C, rows, regroup, split): R[x] and C[x] the row and
+    column masks of x, a position or the id of a product; rows(a) the (b, ab)
+    with (a,b) related, b ascending, ab the product's id;
+    regroup(a, b, ab, Rb, Rab, lo, hi) the pair's (SR, DIFF) after rows(a),
+    right at least at the c with lo < c <= hi; and ``split`` whether the
+    walk takes the increasing triples of every pair before the others, as
+    the scan order does, for a slice whose regroupings cost callbacks per c.
+    Otherwise it takes every triple of a pair at once.  The empty mask 0
+    stands for SR and DIFF, and for the columns, while no open axiom reads
+    them, so a backend that builds them on first use builds none then.
     """
-    R, C, rows, regroup, first, empty, split = backend
+    R, C, rows, regroup, split = backend
     # inc[i]: axiom i's first increasing witness, final once found; non[i]:
     # its first other one.  Refined-right's candidates come pair by pair
     # (b,c), out of scan order, so it keeps the least of each kind, and its
@@ -193,7 +199,7 @@ def _walk(n: int, backend, classes: Sequence[int]) -> list:
         for a in range(n):
             if done:
                 break
-            Ra, Ca = R[a], C[a]
+            Ra = R[a]
             for b, ab in rows(a):
                 lo, hi = -1, n
                 if part != "all" and a < b:
@@ -204,17 +210,17 @@ def _walk(n: int, backend, classes: Sequence[int]) -> list:
                 if regrouping:
                     SR, DIFF = regroup(a, b, ab, Rb, Rab, lo, hi)
                 else:
-                    SR = DIFF = empty
+                    SR = DIFF = 0
                 if columns:
-                    masks = pick(_masks(Ra, Rb, Rab, Ca, C[b], C[ab], SR, DIFF))
+                    masks = pick(_masks(Ra, Rb, Rab, C[a], C[b], C[ab], SR, DIFF))
                 else:
-                    masks = pick(_masks(Ra, Rb, Rab, empty, empty, empty, SR, DIFF))
+                    masks = pick(_masks(Ra, Rb, Rab, 0, 0, 0, SR, DIFF))
                 if not any(masks):
                     continue
                 changed = False
                 for i, M in itertools.compress(zip(axes, masks), masks):
                     if i == _REFINED_RIGHT:
-                        w = (first(M, -1), a, b)
+                        w = (_int_first(M, -1), a, b)
                         changed = changed or not seen[i]
                         seen[i] = seen[i] or 1
                         if w[0] < a < b:
@@ -222,12 +228,12 @@ def _walk(n: int, backend, classes: Sequence[int]) -> list:
                                 inc[i] = w
                         elif non[i] is None or w < non[i]:
                             non[i] = w
-                    elif part != "below" and a < b and (c := first(M, b)) is not None:
+                    elif part != "below" and a < b and (c := _int_first(M, b)) is not None:
                         inc[i] = (a, b, c)
                         seen[i] = 2
                         changed = True
                     elif part != "above" and non[i] is None:
-                        c = first(M, -1)
+                        c = _int_first(M, -1)
                         if not a < b < c:
                             non[i] = (a, b, c)
                             seen[i] = 1
@@ -304,23 +310,25 @@ def _sided_elements(elems, rel: Rel, mul: Mul, want) -> tuple[tuple, tuple, tupl
     return left, right, both
 
 
-def _table_sided(elems: Sequence, t: array, R, C) -> tuple[tuple, ...]:
-    """The identities and zeros of a closed table, as _sided_elements gives
-    them.  Only a row (column) e with every cell defined, R[e] (C[e]) full, is
-    compared with range(n) and counted for e, at C speed."""
+def _table_sided(elems: Sequence, t: array, m: int, R, C) -> tuple[tuple, ...]:
+    """The identities and zeros of a flat table of stride m over the n
+    positions of ``elems``, closed or open, as _sided_elements gives them.
+    Only a row (column) e with every cell in the slice defined, R[e] (C[e])
+    full, is compared with range(n) and counted for e, at C speed: row e is
+    t[e*m:e*m+n] and column e is t[e::m]."""
     n = len(elems)
     full = (1 << n) - 1
     identity = array("i", range(n))
     li, ri, lz, rz = [], [], [], []
     for e in range(n):
         if R[e] == full:
-            row = t[e * n:e * n + n]
+            row = t[e * m:e * m + n]
             if row == identity:
                 li.append(e)
             if row.count(e) == n:
                 lz.append(e)
         if C[e] == full:
-            column = t[e::n]
+            column = t[e::m]
             if column == identity:
                 ri.append(e)
             if column.count(e) == n:
@@ -390,12 +398,6 @@ def _signs(cells: array) -> bytes:
     return cells.tobytes()[_SIGNS].translate(_DEFINED)
 
 
-def _int_first(M: int, above: int):
-    """The least element of the int mask M above ``above``, or None."""
-    M >>= above + 1
-    return (M & -M).bit_length() + above if M else None
-
-
 def _flat(n: int, t: array, open_table=None):
     """The walk's backend over a flat table of n slice elements.
 
@@ -462,17 +464,21 @@ def _flat(n: int, t: array, open_table=None):
                 DIFF |= 1 << c
         return SR, DIFF
 
-    return R, C, rows, regroup, _int_first, 0, False
+    return R, C, rows, regroup, False
 
 
 # ---------------------------------------------------------------------------
-# the dict backend: rows {c: id of xc}, and columns as the positions related into y
+# the lazy backend: int row masks built on first use, and products read
+# per c
 
 class _Lazy(dict):
-    """A dict that builds a missing entry by calling ``make`` on its key."""
+    """A dict that builds a missing entry by calling ``make`` on its key.
+    It starts empty, so it skips dict.__init__; the slot saves an instance
+    dict, which a replay's handful of these would otherwise each build."""
+
+    __slots__ = ("make",)
 
     def __init__(self, make):
-        super().__init__()
         self.make = make
 
     def __missing__(self, key):
@@ -480,80 +486,34 @@ class _Lazy(dict):
         return value
 
 
-def _set_first(M, above: int):
-    """The least element of the set mask M above ``above``, or None."""
-    return min((c for c in M if c > above), default=None)
+def _mask(cs: Iterable[int]) -> int:
+    """The int mask of the distinct positions cs."""
+    return sum(map((1).__lshift__, cs))
 
 
-def _table_dicts(m: FinitePartialMagma):
-    """The walk's backend over row dicts read from m's table, whose stored
-    key order makes each row ascend: row i maps each position j with (i,j)
-    related to the position of the product, and its keys are row i's mask;
-    column j's mask is the set of the i with (i,j) related."""
-    index = {x: i for i, x in enumerate(m.elements)}
-    rows_of = [{} for _ in index]
-    columns = [set() for _ in index]
-    for (a, b), c in m.table.items():
-        i, j = index[a], index[b]
-        rows_of[i][j] = index[c]
-        columns[j].add(i)
+def _lazy_dicts(elems: Sequence, rel: Rel, mul: Mul, table=None):
+    """The walk's backend over the n positions of ``elems`` under (rel, mul).
+    Each row's mask is computed on its first use and kept, and a pair's
+    regroupings call mul and rel per c, as a scan over the triples would.  A
+    product outside ``elems`` takes the next id from n when first met, as in
+    _open_table.
 
-    def regroup(a, b, ab, Rb, Rab, lo, hi):
-        # (ab)c and a(bc) over b's row, None where undefined, each by a C-speed map
-        row = rows_of[b]
-        lhs = tuple(map(rows_of[ab].get, row))
-        rhs = tuple(map(rows_of[a].get, row.values()))
-        if lhs == rhs:
-            # undefined at the same c on both sides: SR is then SL, and nothing differs
-            return Rb ^ (Rb & Rab), frozenset()
-        SR, DIFF = set(), set()
-        for c, x, y in zip(row, lhs, rhs):
-            if y is None:
-                SR.add(c)
-            elif x is not None and x != y:
-                DIFF.add(c)
-        return SR, DIFF
-
-    return ([row.keys() for row in rows_of], columns, lambda a: rows_of[a].items(), regroup,
-            _set_first, frozenset(), False)
-
-
-def _lazy_dicts(elems: Sequence, rel: Rel, mul: Mul):
-    """The walk's backend over the slice ``elems`` of (rel, mul), each row
-    and column mask computed on its first use and kept.  A slice holds at
-    most a few hundred elements, so its masks are ints.  Products are read
-    where the walk needs them: a pair's regroupings call mul and rel per c,
-    as a scan over the triples would, and the walk takes the increasing
-    triples of every pair first.
-
-    Positions 0..n-1 are the slice; a product outside it takes the next id
-    when first met, as in _open_table."""
-    n = len(elems)
-    slice_ = tuple(enumerate(elems))
-    # a value met for the first time takes the next id, as in _open_table
-    ids = defaultdict(itertools.count(n).__next__, {x: i for i, x in enumerate(elems)})
+    A slice (``sampled_verdict``, ``replay_witness``) passes no ``table``: its
+    row keys, row products and column masks are computed by calling rel and
+    mul on first use, and the walk takes the increasing triples of every
+    pair before the others, so a class that fails early costs no more than
+    those triples.  A sparse finite structure passes ``table`` =
+    (products, C) read once from its table: products[x] maps each c with
+    (x,c) related, ascending, to the position of xc, and C[y] is column y's
+    mask.  ``elems`` is then range(n), and rel and mul read products.  The
+    walk takes every triple of a pair at once, so it reads each related pair
+    once.
+    """
+    # values[x] is the value of id x
     values = list(elems)
-    bit = (1).__lshift__
-
-    def value(x):
-        if x >= len(values):  # the ids given since, which are the last ones
-            values.extend(reversed(list(itertools.islice(reversed(ids), len(ids) - len(values)))))
-        return values[x]
-
-    def related(x):
-        v = value(x)
-        return [c for c, e in slice_ if rel(v, e)]
-
-    def column(y):
-        v = value(y)
-        return sum(bit(a) for a, e in slice_ if rel(e, v))
-
-    def rows(a):
-        v = elems[a]
-        return [(b, ids[mul(v, elems[b])]) for b in keys[a]]
 
     def regroup(a, b, ab, Rb, Rab, lo, hi):
-        va, vb, vab = elems[a], elems[b], value(ab)
+        va, vb, vab = elems[a], elems[b], values[ab]
         SR = DIFF = 0
         for c in keys[b]:
             if c <= lo:
@@ -563,31 +523,61 @@ def _lazy_dicts(elems: Sequence, rel: Rel, mul: Mul):
             e = elems[c]
             bc = mul(vb, e)
             if not rel(va, bc):
-                SR |= bit(c)
+                SR |= 1 << c
             elif Rab >> c & 1 and mul(vab, e) != mul(va, bc):
-                DIFF |= bit(c)
+                DIFF |= 1 << c
         return SR, DIFF
 
-    keys = _Lazy(related)
-    return (_Lazy(lambda x: sum(map(bit, keys[x]))), _Lazy(column), rows, regroup,
-            _int_first, 0, True)
+    if table is not None:
+        products, C = table
+        keys = products
+    else:
+        slice_ = tuple(enumerate(elems))
+        # a value met for the first time takes the next id, as in _open_table
+        ids = _Lazy(lambda v: values.append(v) or len(values) - 1)
+        ids.update((x, i) for i, x in slice_)
+
+        def related(x):
+            v = values[x]
+            return [c for c, e in slice_ if rel(v, e)]
+
+        def column(y):
+            v = values[y]
+            return _mask([a for a, e in slice_ if rel(e, v)])
+
+        def products_of(a):
+            v = elems[a]
+            return {b: ids[mul(v, elems[b])] for b in keys[a]}
+
+        keys, products, C = _Lazy(related), _Lazy(products_of), _Lazy(column)
+    return _Lazy(lambda x: _mask(keys[x])), C, lambda a: products[a].items(), regroup, table is None
 
 
-# _finite_backend compiles a flat table when it has at most this many cells,
-# of 4 bytes each, per defined pair, and otherwise reads row dicts from the
-# table: at 10,000 elements the cells would take 400 MB.  It picks only the
-# backend; both give the same verdicts and witnesses.
+# _finite_backend compiles a flat table when it has at most this many cells
+# per defined pair, and otherwise feeds the lazy backend from the table.  The
+# cut weighs the flat table's 4n^2 bytes against the lazy masks' n^2/4 at
+# most: at 10,000 elements the cells would take 400 MB, the masks 25 MB.  It
+# picks only the backend; both give the same verdicts and witnesses.
 _DENSE_CELLS_PER_PAIR = 64
 
 
 def _finite_backend(m: FinitePartialMagma):
-    """(t, backend): m's closed flat table and its flat backend when m is dense,
-    else (None, the dict backend read from m's table)."""
+    """(t, backend): m's closed flat table and its flat backend when m is
+    dense, else (None, the lazy backend fed from m's table).  Each row of
+    products ascends as read, since the magma stores its table sorted."""
     n = len(m.elements)
-    if n * n > _DENSE_CELLS_PER_PAIR * len(m.table):
-        return None, _table_dicts(m)
-    t = _closed_table(m)
-    return t, _flat(n, t)
+    if n * n <= _DENSE_CELLS_PER_PAIR * len(m.table):
+        t = _closed_table(m)
+        return t, _flat(n, t)
+    index = {x: i for i, x in enumerate(m.elements)}
+    products = [{} for _ in index]
+    columns = [[] for _ in index]
+    for (a, b), c in m.table.items():
+        i, j = index[a], index[b]
+        products[i][j] = index[c]
+        columns[j].append(i)
+    return None, _lazy_dicts(range(n), lambda i, j: j in products[i], lambda i, j: products[i][j],
+                             (products, [_mask(column) for column in columns]))
 
 
 def _finite_verdict(m: FinitePartialMagma, name: str) -> Verdict:
@@ -872,24 +862,18 @@ def _report(elems, backend, rel: Rel, mul: Mul, sided, bound=None) -> ClassRepor
     return r
 
 
-def _callback_sided(elems, rel: Rel, mul: Mul) -> tuple[tuple, ...]:
-    """The identities and zeros of _sided_elements, by calling rel and mul."""
-    return (_sided_elements(elems, rel, mul, lambda e, a: a)
-            + _sided_elements(elems, rel, mul, lambda e, a: e))
-
-
 def classify(m: FinitePartialMagma) -> ClassReport:
     """Run every class predicate and the identity/zero searches.
 
     One walk decides the five classes and names their witnesses, over a flat
-    table when m is dense and over dicts read from its table when it is
-    sparse (``_finite_backend``); a dense table also gives the identities
-    and zeros by C-speed compares.
+    table when m is dense and over masks and products read from its table
+    when it is sparse (``_finite_backend``); a dense table also gives the
+    identities and zeros by C-speed compares.
     """
     elems, rel, mul = _accessors(m)
     t, backend = _finite_backend(m)
-    sided = (_callback_sided(elems, rel, mul) if t is None
-             else _table_sided(elems, t, backend[0], backend[1]))
+    sided = (find_identities(m) + find_zeros(m) if t is None
+             else _table_sided(elems, t, len(elems), *backend[:2]))
     return _report(elems, backend, rel, mul, sided)
 
 
@@ -912,7 +896,7 @@ def replay_witness(m: FinitePartialMagma, w: Witness) -> bool:
     a, b, c = map(elems.index, w.elements)
     if i == _REFINED_RIGHT:
         a, b, c = b, c, a
-    R, C, rows, regroup, *_ = _lazy_dicts(elems, *_accessors(m)[1:])
+    R, C, rows, regroup, _ = _lazy_dicts(elems, *_accessors(m)[1:])
     ab = dict(rows(a)).get(b)
     if ab is None:
         return False

@@ -30,8 +30,8 @@ from typing import Any, Callable
 
 from .errors import CapacityError, DomainError
 from .magma import OK, FinitePartialMagma, Verdict, fail
-from .checks import (_CLASS_NAMES, ClassReport, _callback_sided, _flat, _lazy_dicts,
-                     _open_table, _report, _verdict, _walk)
+from .checks import (_CLASS_NAMES, ClassReport, _flat, _lazy_dicts, _open_table, _report,
+                     _table_sided, _verdict, _walk)
 
 
 # The most elements a bounded check or slice takes, and the largest bound of
@@ -186,14 +186,15 @@ def sampled_classify(p: PredicateMagma, bound: int) -> ClassReport:
     """Class verdicts quantified over the slice at ``bound``.
 
     The relation and products are evaluated exactly even when a product
-    exceeds the bound.  Identity and zero searches quantify over the slice.
-    One walk over the compiled open table decides the five classes and
-    names their witnesses.
+    exceeds the bound.  One walk over the compiled open table decides the
+    five classes and names their witnesses, and the table's rows and
+    columns on the slice give its identities and zeros.
     """
     elems = sorted(_checked_slice(p, bound))
     t, open_table = _open_table(elems, p.related, p.product)
-    sided = _callback_sided(elems, p.related, p.product)
-    return _report(elems, _flat(len(elems), t, open_table), p.related, p.product, sided, bound)
+    backend = _flat(len(elems), t, open_table)
+    sided = _table_sided(elems, t, open_table[0], *backend[:2])
+    return _report(elems, backend, p.related, p.product, sided, bound)
 
 
 def sampled_verdict(p: PredicateMagma, bound: int, name: str) -> Verdict:

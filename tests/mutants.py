@@ -6,12 +6,14 @@ text, new text, reason): the old text must occur exactly once in the file,
 and ``reason`` is None, or one line saying why the mutant is equivalent to
 the code it changes.  Every mutant runs in its own temporary copy of
 ``src``, ``tests`` and ``pyproject.toml`` under ``python -m pytest -q -x``,
-with at most MEMORY_LIMIT bytes of address space; the script prints the
-first failing test and the wall time of each.  It
-exits 1 when a mutant with no reason survives, and 2 when a name is unknown
-or an old text does not occur exactly once.  It uses only the standard
-library, and pytest does not collect it (its name does not start with
-``test_``).
+with at most MEMORY_LIMIT bytes of address space: first on the test module
+of the file it mutates (``tests/test_checks.py`` for ``checks.py``), and on
+the whole suite only if that module passes, so a survivor still meets every
+test.  The script prints the first failing test and the wall time of each.
+It exits 1 when a mutant with no reason survives, and 2 when a name is
+unknown or an old text does not occur exactly once.  It uses only the
+standard library, and pytest does not collect it (its name does not start
+with ``test_``).
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ MUTANTS = [
      "non[i] = (a, b, c)\n                            seen[i] = 2", None),
     ("walk: refined-right keeps its first increasing candidate, not its least", CHECKS,
      "if inc[i] is None or w < inc[i]:", "if inc[i] is None:", None),
-    # the backends: the flat masks and regroupings, and the dict regroupings
+    # the backends: the flat masks and regroupings, the lazy regroupings, and
+    # the table feed of the lazy backend
     ("flat: C read at stride n", CHECKS,
      "C = [int(signs[m - 1 - y::m], 2) for y in range(m)]",
      "C = [int(signs[m - 1 - y::n], 2) for y in range(m)]", None),
@@ -108,8 +111,17 @@ MUTANTS = [
      "R = [int(signs[(m - 1 - x) * n:(m - x) * n], 2) for x in range(n)]", None),
     ("flat: equal regroupings taken as defined", CHECKS,
      "return Rb ^ (Rb & Rab), 0", "return 0, 0", None),
-    ("dicts: an undefined (ab)c taken as differing", CHECKS,
-     "elif x is not None and x != y:\n                DIFF.add(c)", "elif x != y:\n                DIFF.add(c)", None),
+    ("table feed: a column bit set at the column's own position", CHECKS,
+     "columns[j].append(i)", "columns[j].append(j)", None),
+    ("table feed: rows read in descending key order", CHECKS,
+     "    for (a, b), c in m.table.items():\n        i, j = index[a], index[b]",
+     "    for (a, b), c in reversed(m.table.items()):\n        i, j = index[a], index[b]", None),
+    ("table feed: the relation read transposed", CHECKS,
+     "lambda i, j: j in products[i]", "lambda i, j: i in products[j]", None),
+    ("open sides: rows read at stride n", CHECKS,
+     "row = t[e * m:e * m + n]", "row = t[e * n:e * n + n]", None),
+    ("open sides: columns read at stride n", CHECKS,
+     "column = t[e::m]", "column = t[e::n]", None),
     ("lazy rows: an unrelated (ab,c) regrouped", CHECKS,
      "elif Rab >> c & 1 and mul(vab, e) != mul(va, bc):", "elif mul(vab, e) != mul(va, bc):", None),
     ("class chain: refined structures not checked to be strong", CHECKS,
@@ -202,7 +214,8 @@ def _cap_memory() -> None:
 
 
 def run(name: str, file: str, old: str, new: str) -> tuple[bool, str, float]:
-    """(killed, what killed it, seconds) for one mutant."""
+    """(killed, what killed it, seconds) for one mutant: its file's test
+    module first, then the whole suite."""
     with tempfile.TemporaryDirectory(prefix="locsemi-mutant-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
@@ -212,17 +225,17 @@ def run(name: str, file: str, old: str, new: str) -> tuple[bool, str, float]:
         target = copy / file
         target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
         start = time.perf_counter()
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-                cwd=copy, capture_output=True, text=True, errors="replace", timeout=TIMEOUT_S,
-                preexec_fn=_cap_memory)
-        except subprocess.TimeoutExpired:
-            return True, f"timeout after {TIMEOUT_S} s", time.perf_counter() - start
-        seconds = time.perf_counter() - start
-        if done.returncode == 0:
-            return False, "survived", seconds
-        return True, _first_failure(done.stdout + done.stderr), seconds
+        for scope in ([f"tests/test_{Path(file).stem}.py"], []):
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *scope],
+                    cwd=copy, capture_output=True, text=True, errors="replace", timeout=TIMEOUT_S,
+                    preexec_fn=_cap_memory)
+            except subprocess.TimeoutExpired:
+                return True, f"timeout after {TIMEOUT_S} s", time.perf_counter() - start
+            if done.returncode:
+                return True, _first_failure(done.stdout + done.stderr), time.perf_counter() - start
+        return False, "survived", time.perf_counter() - start
 
 
 def main(names: list[str]) -> int:

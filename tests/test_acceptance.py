@@ -113,11 +113,11 @@ def test_criterion_4_polar_reduction_oracle():
         literal = _polar_violators(n)
         for code, t in _iter_tables(n):
             scanned += 1
-            R, C, rows, _, _, empty, _ = _flat(n, t)
+            R, C, rows, _, _ = _flat(n, t)
             singleton = any(left or right
                             for a in range(n) for b, ab in rows(a)
                             for left, right in [_masks(R[a], R[b], R[ab], C[a], C[b], C[ab],
-                                                       empty, empty)[:2]])
+                                                       0, 0)[:2]])
             if singleton != (literal[code] == "1"):
                 mismatches += 1
     assert scanned == 2 + 81 + 262144

@@ -61,10 +61,10 @@ def test_subset_closure_fixtures():
 
 def _singleton_vs_subsets(m):
     # the library's singleton clauses: the two polar masks of _masks at every related pair
-    R, C, rows, _, _, empty, _ = checks._finite_backend(m)[1]
+    R, C, rows, _, _ = checks._finite_backend(m)[1]
     singletons = not any(left or right for a in range(len(m.elements)) for b, ab in rows(a)
                          for left, right in [checks._masks(R[a], R[b], R[ab], C[a], C[b], C[ab],
-                                                           empty, empty)[:2]])
+                                                           0, 0)[:2]])
     assert singletons == bool(check_polar_closure_subsets(m))
 
 
@@ -458,44 +458,48 @@ def test_walk_names_the_first_violation_of_the_full_scan_on_both_backends():
             assert got == want, name
 
 
+def _chains(count):
+    """The path magma of ``count`` disjoint chains of 4 vertices: 10 paths
+    and 20 related pairs per chain."""
+    q = Quiver(tuple(f"v{k}_{i}" for k in range(count) for i in range(4)),
+               tuple((f"x{k}_{i}", f"v{k}_{i}", f"v{k}_{i + 1}")
+                     for k in range(count) for i in range(3)))
+    m, boundary = materialize_path_magma(q, 3)
+    assert (len(m.elements), len(m.table)) == (10 * count, 20 * count) and not boundary
+    return m
+
+
 def test_classify_of_a_sparse_path_magma_allocates_no_cube():
-    # 40 disjoint chains of 4 vertices: 400 paths and 800 related pairs.
-    # Triple masks over every triple would take 2*n**3 bytes, 128 MB here,
-    # and a flat table n**2 cells; the row dicts hold O(n + |R|).
-    vertices, arrows = [], []
-    for k in range(40):
-        vertices += [f"v{k}_{i}" for i in range(4)]
-        arrows += [(f"x{k}_{i}", f"v{k}_{i}", f"v{k}_{i + 1}") for i in range(3)]
-    m, boundary = materialize_path_magma(Quiver(tuple(vertices), tuple(arrows)), 3)
-    n = len(m.elements)
-    assert n == 400 and not boundary
-    tracemalloc.start()
-    try:
-        report = classify(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20, peak
-    t = checks._closed_table(m)
-    assert report == checks._report(m.elements, checks._flat(n, t), *checks._accessors(m)[1:],
-                                    checks._table_sided(m.elements, t, *checks._flat(n, t)[:2]))
-    assert report.refined.ok and not report.transitive.ok
-    for name in checks._CLASS_NAMES:
-        v = getattr(report, name)
-        if not v.ok:
-            assert replay_witness(m, v.witness), v.witness
+    # 40 and 250 disjoint chains: 400 and 2,500 paths.  Triple masks over
+    # every triple would take 2*n**3 bytes, 128 MB at 400 paths, and a flat
+    # table 4*n**2 bytes, 25 MB at 2,500; the lazy backend's int row and
+    # column masks take up to n**2/4 bytes, beside row dicts of O(n + |R|).
+    for m in (_chains(40), _chains(250)):
+        n = len(m.elements)
+        tracemalloc.start()
+        try:
+            report = classify(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, (n, peak)
+        if n == 400:
+            t = checks._closed_table(m)
+            backend = checks._flat(n, t)
+            assert report == checks._report(m.elements, backend, *checks._accessors(m)[1:],
+                                            checks._table_sided(m.elements, t, n, *backend[:2]))
+        assert report.refined.ok and not report.transitive.ok
+        for name in checks._CLASS_NAMES:
+            v = getattr(report, name)
+            if not v.ok:
+                assert replay_witness(m, v.witness), v.witness
 
 
 def test_refined_walk_of_a_refined_path_magma_reads_each_related_pair_once(monkeypatch):
     # 100 disjoint chains of 4 vertices: 1,000 paths and 2,000 related pairs.
     # A refined structure has no witness to stop at, so the walk reads the
     # masks of every related pair, each once, and no triple one by one.
-    vertices, arrows = [], []
-    for k in range(100):
-        vertices += [f"v{k}_{i}" for i in range(4)]
-        arrows += [(f"x{k}_{i}", f"v{k}_{i}", f"v{k}_{i + 1}") for i in range(3)]
-    m, _ = materialize_path_magma(Quiver(tuple(vertices), tuple(arrows)), 3)
-    assert (len(m.elements), len(m.table)) == (1000, 2000)
+    m = _chains(100)
     pairs = []
     masks = checks._masks
     monkeypatch.setattr(checks, "_masks", lambda *args: pairs.append(args) or masks(*args))
@@ -580,31 +584,29 @@ def test_classify_of_a_dense_completion_builds_no_row_dicts(monkeypatch):
     # the zero-completion of 4 chains of 4 vertices: 41 elements, every pair
     # related, in all five classes: the walk reads its flat table, and no
     # row dict is built
-    vertices, arrows = [], []
-    for k in range(4):
-        vertices += [f"v{k}_{i}" for i in range(4)]
-        arrows += [(f"x{k}_{i}", f"v{k}_{i}", f"v{k}_{i + 1}") for i in range(3)]
-    m, _ = materialize_path_magma(Quiver(tuple(vertices), tuple(arrows)), 3)
-    total = complete_to_semigroup_with_zero(m).magma
+    total = complete_to_semigroup_with_zero(_chains(4)).magma
     assert len(total.elements) == 41 and total.is_total()
     built = []
-    table_dicts = checks._table_dicts
-    monkeypatch.setattr(checks, "_table_dicts", lambda m: built.append(m) or table_dicts(m))
+    lazy_dicts = checks._lazy_dicts
+    monkeypatch.setattr(checks, "_lazy_dicts",
+                        lambda *args: built.append(len(args[0])) or lazy_dicts(*args))
     report = classify(total)
     assert report.flags() == (True,) * 5 and report.zeros == ("0",)
     assert is_transitive(total) and built == []
-    # 10 elements and one product: a sparse table, read as dicts
+    # 10 elements and one product: a sparse table, whose row dicts feed the lazy backend
     sparse = FinitePartialMagma(tuple(f"s{i}" for i in range(10)), {("s0", "s0"): "s0"})
-    assert classify(sparse).refined.ok and built == [sparse]
+    assert classify(sparse).refined.ok and built == [10]
 
 
-def test_table_rows_ascend_in_the_stored_key_order():
+def test_table_rows_ascend_in_the_stored_key_order(monkeypatch):
     # the row dicts sort nothing: they are read from the keys, which the magma stores sorted
     labels = ("10", "9", "b", "a", "0")
     ops = [f"op: {x} {y} -> {x}" for x in labels for y in labels if x != y]
     m = parse_magma(f"elements: {' '.join(labels)}\n" + "\n".join(reversed(ops)) + "\n")
     assert m.pairs() == sorted(m.pairs())
-    rows = checks._table_dicts(m)[2]
+    monkeypatch.setattr(checks, "_DENSE_CELLS_PER_PAIR", 0)
+    t, (_, _, rows, _, _) = checks._finite_backend(m)
+    assert t is None
     got = [[b for b, _ in rows(a)] for a in range(len(labels))]
     assert got == [[j for j, y in enumerate(m.elements) if x != y] for x in m.elements]
     assert all(row == sorted(row) for row in got)

@@ -364,19 +364,21 @@ def test_free_extension_into_a_dense_refined_target_builds_no_row_dicts(monkeypa
                tuple((f"x{k}_{i}", f"v{k}_{i}", f"v{k}_{i + 1}") for k in range(4) for i in range(3)))
     target = complete_to_semigroup_with_zero(materialize_path_magma(q, 3)[0]).magma
     built = []
-    table_dicts = checks._table_dicts
-    monkeypatch.setattr(checks, "_table_dicts", lambda m: built.append(m) or table_dicts(m))
+    lazy_dicts = checks._lazy_dicts
+    monkeypatch.setattr(checks, "_lazy_dicts",
+                        lambda *args: built.append(len(args[0])) or lazy_dicts(*args))
     f = {name: name for name, _, _ in q.arrows}
     assert free_extension(q, target, f)(q.path(["x0_0", "x0_1"])) == "x0_0*x0_1"
     assert verify_free_property(q, target, f, 3)
     assert built == []
-    # a loop into 10 elements with one product: a sparse target, read as dicts
+    # a loop into 10 elements with one product: a sparse target, whose row
+    # dicts feed the lazy backend
     sparse = FinitePartialMagma(tuple(f"s{i}" for i in range(10)), {("s0", "s0"): "s0"})
-    assert verify_free_property(ONE_LOOP, sparse, {"g": "s0"}, 2) and built == [sparse]
+    assert verify_free_property(ONE_LOOP, sparse, {"g": "s0"}, 2) and built == [10]
 
 
 def test_free_extension_into_a_sparse_target_names_the_scan_witness():
-    # 10 elements and one product: sparse, so the walk over row dicts decides and names
+    # 10 elements and one product: sparse, so the walk over the lazy backend decides and names
     from locsemi import checks
     elements = tuple(f"s{i}" for i in range(10))
     target = FinitePartialMagma(elements, {("s0", "s1"): "s0"})
